@@ -50,6 +50,9 @@ _MAX_HALVINGS = 30
 _NEAR_CONSTANT_TOL = 1e-8
 # slack used when monitoring cone membership of iterates
 _CONE_MONITOR_TOL = 1e-12
+# relative step of the central difference for psi''; near the cube root of
+# the machine epsilon, where truncation and roundoff errors balance
+_D2PSI_STEP = 1e-5
 
 
 @dataclass
@@ -139,7 +142,10 @@ class RunDiagnostics:
     cone_violations: int = 0
     max_cone_slack: float = 0.0
     max_halvings: int = 0
-    restarted: bool = False
+    restarted: bool = False               # flat was unstable; a kicked run was made
+    # lambda_1 at the flat profile; set only when the first run ended
+    # near-constant on a cell where the k=1 mode does not vanish
+    flat_lambda1: float | None = None
     stop_reason: str = ""
 
     def to_dict(self) -> dict:
@@ -151,6 +157,7 @@ class RunDiagnostics:
             "max_cone_slack": self.max_cone_slack,
             "max_halvings": self.max_halvings,
             "restarted": self.restarted,
+            "flat_lambda1": self.flat_lambda1,
             "stop_reason": self.stop_reason,
         }
 
@@ -387,17 +394,39 @@ def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
     return float(np.max(np.abs(v - math.sqrt(cfg.rho / cfg.n)))) <= _NEAR_CONSTANT_TOL
 
 
+def _d2psi(p: Potential, x: float) -> float:
+    """psi''(x) for x > 0 by a central difference of dpsi."""
+    h = _D2PSI_STEP * x
+    hi, lo = x + h, x - h
+    return float(p.dpsi(np.float64(hi)) - p.dpsi(np.float64(lo))) / (hi - lo)
+
+
+def _flat_lambda1(cfg: SolverConfig, p: Potential) -> float:
+    """Largest second variation of P on the sphere at the flat profile.
+
+    At c = sqrt(rho/N) the second variation is diagonal in Fourier modes,
+    lambda_k = 4 c^2 psi''(c^2) - 4 alpha (1 - cos(2 pi k/N)), and lambda_1
+    is the largest over k != 0. Flat is a strict local maximum when it is
+    negative and no local maximum when it is positive (Weinstein 1999).
+    """
+    c2 = cfg.rho / cfg.n
+    return 4.0 * c2 * _d2psi(p, c2) - 4.0 * cfg.alpha * (1.0 - math.cos(2.0 * math.pi / cfg.n))
+
+
 def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     """Maximize the energy at fixed power and return the converged standing wave.
 
     The run starts from the best ansatz candidate and stops on the
     standing-wave residual (primary) or iterate stagnation (secondary). The
     flat profile is always a fixed point; a run that lands within
-    sup-distance 1e-8 of it is flagged near_constant and retried once from a
-    small center-weighted perturbation, keeping the higher-energy outcome.
-    The small kick deliberately stays inside the basin of a genuinely flat
-    local maximum. Non-convergence is reported through the returned flags,
-    not raised.
+    sup-distance 1e-8 of it is flagged near_constant, and whether flat is a
+    strict local maximum is decided in closed form by the sign of the top
+    second variation lambda_1 there (reported as ``flat_lambda1``). Flat is
+    kept with no further iterations when lambda_1 < 0, or when the even k=1
+    mode cos(2 pi j/N) vanishes on the cell (N=2 inter-site, where flat is
+    the only even profile). Otherwise the run is repeated once from its end
+    point kicked along that mode, and the higher-energy outcome is kept.
+    Non-convergence is reported through the returned flags, not raised.
     """
     cfg.validate()
     report = check_assumptions(p, x_max=max(cfg.rho, 1.0), samples=400)
@@ -411,17 +440,22 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     v, sig_flow, res, steps = _run(v0, cfg, p, cell, diag, cfg.max_iters)
     iterations = steps
 
-    if _is_near_constant(v, cfg) and iterations < cfg.max_iters:
-        diag.restarted = True
-        kicked = v.copy()
-        d = np.abs(cell.doubled_indices())
-        kicked[d == d.min()] += 1e-3 * math.sqrt(cfg.rho)
-        kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
-        v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
-                                      cfg.max_iters - iterations)
-        iterations += steps2
-        if _p_value(v2, p, cfg.alpha) >= _p_value(v, p, cfg.alpha):
-            v, sig_flow, res = v2, sig2, res2
+    if _is_near_constant(v, cfg):
+        # the even k=1 mode is non-increasing in |j|, so flat plus a small
+        # multiple of it stays in the cone; it vanishes up to roundoff on
+        # N=2 inter-site and its largest entry is at least cos(pi/4) elsewhere
+        mode = np.cos(2.0 * math.pi * cell.indices() / cfg.n)
+        if float(np.max(np.abs(mode))) > 0.5:
+            diag.flat_lambda1 = _flat_lambda1(cfg, p)
+            if diag.flat_lambda1 >= 0.0 and iterations < cfg.max_iters:
+                diag.restarted = True
+                kicked = v + 1e-3 * math.sqrt(cfg.rho) * mode
+                kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
+                v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
+                                              cfg.max_iters - iterations)
+                iterations += steps2
+                if _p_value(v2, p, cfg.alpha) >= _p_value(v, p, cfg.alpha):
+                    v, sig_flow, res = v2, sig2, res2
 
     profile = Profile(cell, v)
     freq = 0.5 * sig_flow

@@ -10,6 +10,7 @@ from dnls.potentials import (CATALOG, Check, DomainError, check_assumptions,
                              nonconvex_rational, parse_potential_spec,
                              power_law, quartic, saturable_arctan,
                              saturable_log)
+from dnls.solver import _d2psi
 
 
 def test_power_law_psi_value():
@@ -75,6 +76,26 @@ def test_catalog_superlinear_slack(name):
     xs = np.geomspace(1e-8, 100.0, 400)
     slack = xs * eval_dpsi(p, xs) - eval_psi(p, xs)
     assert np.min(slack) >= -1e-12
+
+
+# closed-form psi'' for each catalog entry, kept here only to check the
+# solver's central difference of dpsi against
+D2PSI_CLOSED_FORMS = [
+    (power_law(1.5, 2.0), lambda x: 2.0 * 1.5 * x**0.5),
+    (power_law(0.5, 1.0), lambda x: 0.5 * x**-0.5),
+    (saturable_log(), lambda x: 1.0 / (1.0 + x) ** 2),
+    (saturable_arctan(), lambda x: 2.0 * x / (1.0 + x * x) ** 2),
+    (exp_quadratic(), lambda x: math.expm1(x)),
+    (nonconvex_rational(), lambda x: 2.0 * x * (3.0 - x * x) / (1.0 + x * x) ** 3),
+    (quartic(), lambda x: 12.0 * x * x),
+]
+
+
+@pytest.mark.parametrize("p,closed", [pytest.param(p, f, id=p.label)
+                                      for p, f in D2PSI_CLOSED_FORMS])
+@pytest.mark.parametrize("x", [1e-3, 0.05, 1.0, 4.0])
+def test_solver_d2psi_matches_closed_form(p, closed, x):
+    assert _d2psi(p, x) == pytest.approx(closed(x), rel=1e-7)
 
 
 def test_power_family_passes():

@@ -3,14 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dnls.functionals import energy, power, residual, sigma
 from dnls.lattice import Cell, IndexScheme, Profile, in_cone
-from dnls.potentials import (custom, exp_quadratic, power_law, quartic,
+from dnls.potentials import (CATALOG, custom, exp_quadratic,
+                             nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
-from dnls.solver import (ConeGuard, HomoclinicVerdict, SolverConfig,
-                         TailTooShortError, decay_fit, homoclinic,
-                         initial_ansatz, iterate_once, oracle_maximize, solve)
+from dnls.solver import (_NEAR_CONSTANT_TOL, ConeGuard, HomoclinicVerdict,
+                         RunDiagnostics, SolverConfig, TailTooShortError,
+                         _flat_lambda1, _is_near_constant, _p_value, _run,
+                         decay_fit, homoclinic, initial_ansatz, iterate_once,
+                         oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
@@ -135,8 +140,91 @@ def test_solve_near_constant_flag():
     sol = solve(cfg, quartic())
     assert sol.converged
     assert sol.near_constant
-    assert sol.diagnostics.restarted
+    assert sol.diagnostics.restarted is False
+    assert sol.diagnostics.flat_lambda1 < 0
     assert np.max(np.abs(sol.profile.values - math.sqrt(cfg.rho / cfg.n))) <= 1e-8
+    assert np.ptp(sol.profile.values) == 0.0
+
+
+def kick_restart_reference(cfg, p):
+    """The centre-site kick-restart that the closed-form flat test replaced.
+
+    Returns the kept profile and the stop reason of the last run.
+    """
+    cell, diag = cfg.cell(), RunDiagnostics()
+    v, _, _, steps = _run(initial_ansatz(cfg, p).values.copy(), cfg, p, cell, diag,
+                          cfg.max_iters)
+    if _is_near_constant(v, cfg) and steps < cfg.max_iters:
+        d = np.abs(cell.doubled_indices())
+        kicked = v.copy()
+        kicked[d == d.min()] += 1e-3 * math.sqrt(cfg.rho)
+        kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
+        v2 = _run(kicked, cfg, p, cell, diag, cfg.max_iters - steps)[0]
+        if _p_value(v2, p, cfg.alpha) >= _p_value(v, p, cfg.alpha):
+            v = v2
+    return v, diag.stop_reason
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 16), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
+def test_flat_verdict_matches_kick_restart(name, scheme, n, alpha, rho):
+    p = CATALOG[name]()
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=5000)
+    sol = solve(cfg, p)
+    ref, ref_stop = kick_restart_reference(cfg, p)
+    # a run cut by the iteration budget has no fixed point to compare
+    assume("max_iters" not in (sol.diagnostics.stop_reason, ref_stop))
+    p_ref = _p_value(ref, p, alpha)
+    assert abs(sol.energies.p_total - p_ref) <= 1e-10 * abs(p_ref)
+    dist = float(np.max(np.abs(ref - math.sqrt(rho / n))))
+    if _NEAR_CONSTANT_TOL < dist <= 1e-6:
+        # the reference's crawl back to a stable flat profile stopped short
+        # of the 1e-8 band: on its residual, about |lambda_1|/2 times the
+        # distance, or once its energy gains drowned in roundoff
+        assert sol.near_constant and sol.diagnostics.flat_lambda1 < 0
+    else:
+        assert sol.near_constant == (dist <= _NEAR_CONSTANT_TOL)
+
+
+def test_flat_unstable_branch_matches_kick_restart():
+    # the kicked run leaves an unstable flat profile for a localized wave
+    cfg = SolverConfig(alpha=0.5, rho=2.0, scheme=INTER, n=3)
+    sol = solve(cfg, nonconvex_rational())
+    assert sol.diagnostics.flat_lambda1 > 0
+    assert sol.diagnostics.restarted
+    assert sol.converged and not sol.near_constant
+    ref, _ = kick_restart_reference(cfg, nonconvex_rational())
+    p_ref = _p_value(ref, nonconvex_rational(), cfg.alpha)
+    assert sol.energies.p_total == pytest.approx(p_ref, rel=1e-10)
+
+
+def test_stable_flat_converges_where_the_crawl_stagnated():
+    # the kick-restart's crawl back to this stable flat profile stagnated in
+    # roundoff 2.4e-8 away and reported a non-converged, non-flat result
+    cfg = SolverConfig(alpha=2.0, rho=8.455870847644103, scheme=INTER, n=12)
+    sol = solve(cfg, saturable_log())
+    assert sol.converged and sol.near_constant
+    assert sol.diagnostics.flat_lambda1 < 0
+
+
+def test_flat_kept_when_mode_vanishes():
+    # N=2 inter-site: flat is the only even profile, whatever the sign of lambda_1
+    cfg = SolverConfig(alpha=0.5, rho=1.0, scheme=INTER, n=2)
+    assert _flat_lambda1(cfg, quartic()) == pytest.approx(2.0, rel=1e-7)
+    sol = solve(cfg, quartic())
+    assert sol.near_constant and sol.iterations == 0
+    assert sol.diagnostics.restarted is False
+    assert sol.diagnostics.flat_lambda1 is None
+    assert np.ptp(sol.profile.values) == 0.0
+
+
+def test_flat_stability_costs_no_iterations_on_large_cells():
+    # a stable flat profile is confirmed in closed form, not by an O(N^2) crawl
+    cfg = SolverConfig(alpha=2.0, rho=2.0, scheme=INTER, n=1000)
+    sol = solve(cfg, quartic())
+    assert sol.iterations == 0
+    assert sol.near_constant
 
 
 def test_solve_determinism():
