@@ -7,8 +7,8 @@ from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
                           participation_ratio, potential_energy, power,
                           residual, sigma, t_lower_bounds)
 from .lattice import (Cell, IndexScheme, Profile, cell_indices, cone_slack,
-                      embed, in_cone, neighbor_sum, profile_from_csv,
-                      profile_to_csv, project_cone, restrict, stagger)
+                      in_cone, neighbor_sum, profile_from_csv, profile_to_csv,
+                      project_cone, restrict, stagger)
 from .potentials import (CATALOG, AssumptionReport, Check, DomainError,
                          Potential, PotentialKind, Violation, check_assumptions,
                          custom, eval_dpsi, eval_psi, exp_quadratic,
@@ -29,7 +29,7 @@ __all__ = [
     "Profile", "RunDiagnostics", "SolverConfig", "TailTooShortError",
     "Violation", "WaveSolution", "box_profile", "cell_indices",
     "check_assumptions", "cone_slack", "coupling", "custom", "decay_fit",
-    "embed", "energy", "eval_dpsi", "eval_psi", "exp_profile",
+    "energy", "eval_dpsi", "eval_psi", "exp_profile",
     "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",
     "integrate", "iterate_once", "neighbor_sum", "nonconvex_rational",
     "oracle_maximize", "parse_potential_spec", "participation_ratio",

@@ -3,8 +3,8 @@
 Every command writes plot-ready JSON/CSV artifacts plus a run manifest.
 Exit codes: 0 success, 1 usage or validation error, 2 operational failure
 (e.g. non-convergence). Identical flags produce byte-identical artifacts
-except for the wall time recorded in the manifest. The environment variable
-DNLS_THREADS caps sweep parallelism (default 1, sequential).
+except for the wall time recorded in the manifest. ``--config`` reads a JSON
+object keyed by solver config field names; explicit flags win over it.
 """
 
 from __future__ import annotations
@@ -12,17 +12,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .evolution import EvolutionState, integrate, relative_equilibrium_check
+from .evolution import relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, profile_to_csv
 from .potentials import check_assumptions, parse_potential_spec
@@ -65,10 +63,9 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tol-residual", type=float, default=None)
     sp.add_argument("--tol-step", type=float, default=None)
     sp.add_argument("--max-iters", type=int, default=None)
-    sp.add_argument("--cone-guard", choices=["off", "monitor", "project"], default=None)
+    sp.add_argument("--cone-guard", choices=["off", "monitor"], default=None)
     sp.add_argument("--no-backtracking", action="store_true")
     sp.add_argument("--ansatz-samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--config", default=None,
                     help="JSON file mirroring the solver config field names")
     sp.add_argument("--out", default="wave", help="output path prefix")
@@ -77,13 +74,17 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SolverConfig:
     base = SolverConfig(alpha=1.0, rho=1.0)
     if args.config:
-        data = json.loads(Path(args.config).read_text())
+        try:
+            data = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         base = SolverConfig.from_dict({**base.to_dict(), **data})
     overrides = {}
     for attr, key in [("alpha", "alpha"), ("rho", "rho"), ("n", "n"), ("tau", "tau"),
                       ("tol_residual", "tol_residual"), ("tol_step", "tol_step"),
-                      ("max_iters", "max_iters"), ("ansatz_samples", "ansatz_samples"),
-                      ("seed", "seed")]:
+                      ("max_iters", "max_iters"), ("ansatz_samples", "ansatz_samples")]:
         val = getattr(args, attr)
         if val is not None:
             overrides[key] = val
@@ -157,17 +158,11 @@ def cmd_sweep(args) -> int:
             return replace(base, n=int(round(value)))
         return replace(base, **{args.param: value})
 
-    def run_one(value):
+    results = []
+    for value in grid:
         cfg = cfg_for(value)
         cfg.validate()
-        return solve(cfg, potential)
-
-    workers = int(os.environ.get("DNLS_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, grid))
-    else:
-        results = [run_one(v) for v in grid]
+        results.append(solve(cfg, potential))
 
     out = Path(args.out)
     outputs = []
@@ -307,10 +302,8 @@ def cmd_evolve(args) -> int:
                 writer.writerow([repr(float(t)), f"{j:g}", repr(a.real),
                                  repr(a.imag), repr(abs(a))])
 
-        state = EvolutionState.from_profile(sol.profile)
-        integrate(state, potential, cfg.alpha, args.t_end, args.dt, callback=sample)
-
-    report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end, args.dt)
+        report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end,
+                                            args.dt, callback=sample)
     json_path = Path(str(out) + ".json")
     _dump_json({"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()},
                json_path)

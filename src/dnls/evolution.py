@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import coupling_values
 from .lattice import Cell, Profile, neighbor_sum
 from .potentials import Potential
 
@@ -47,13 +48,8 @@ class EvolutionState:
         return EvolutionState(time=time, amplitudes=u.values.astype(complex), cell=u.cell)
 
 
-def rhs(state: EvolutionState, p: Potential, alpha: float) -> np.ndarray:
+def rhs(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
     """dA/dt = i [alpha (A_{j+1}+A_{j-1}) + dpsi(|A_j|^2) A_j]."""
-    a = state.amplitudes
-    return _rhs_values(a, state.cell.is_finite, p, alpha)
-
-
-def _rhs_values(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
     mod2 = a.real**2 + a.imag**2
     return 1j * (alpha * neighbor_sum(a, periodic) + p.dpsi(mod2) * a)
 
@@ -63,13 +59,9 @@ def power_of(a: np.ndarray) -> float:
 
 
 def hamiltonian_of(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> float:
-    """2 alpha N(A) - P(A) with the complex coupling Re sum conj(A_j) A_{j+1}."""
-    if periodic:
-        lc = 2.0 * float(np.real(np.conj(a) @ np.roll(a, -1)))
-    else:
-        lc = 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
+    """2 alpha N(A) - P(A) with the complex coupling 2 Re sum conj(A_j) A_{j+1}."""
     mod2 = a.real**2 + a.imag**2
-    ptot = alpha * lc + float(np.sum(p.psi(mod2)))
+    ptot = alpha * coupling_values(a, periodic) + float(np.sum(p.psi(mod2)))
     return 2.0 * alpha * power_of(a) - ptot
 
 
@@ -102,10 +94,10 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     for k in range(n_steps):
         if np.max(np.abs(a)) > _BLOWUP_LIMIT:
             raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + k * h:g}")
-        k1 = _rhs_values(a, periodic, p, alpha)
-        k2 = _rhs_values(a + 0.5 * h * k1, periodic, p, alpha)
-        k3 = _rhs_values(a + 0.5 * h * k2, periodic, p, alpha)
-        k4 = _rhs_values(a + h * k3, periodic, p, alpha)
+        k1 = rhs(a, periodic, p, alpha)
+        k2 = rhs(a + 0.5 * h * k1, periodic, p, alpha)
+        k3 = rhs(a + 0.5 * h * k2, periodic, p, alpha)
+        k4 = rhs(a + h * k3, periodic, p, alpha)
         a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         max_dp = max(max_dp, abs(power_of(a) - p0))
         max_dh = max(max_dh, abs(hamiltonian_of(a, periodic, p, alpha) - h0))
@@ -149,12 +141,13 @@ class EquilibriumReport:
 
 
 def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
-                               dt: float) -> EquilibriumReport:
+                               dt: float, callback=None) -> EquilibriumReport:
     """Evolve A(0) = u and compare with the rigid rotation exp(i sigma t) u.
 
     Reports the worst modulus deviation over the run, the measured phase
     rotation rate at the central site against the solver frequency, and the
-    conservation drifts.
+    conservation drifts. ``callback`` is passed on to ``integrate``, so a
+    caller can sample the same trajectory without integrating it again.
     """
     if not sol.converged:
         raise ValueError("relative-equilibrium check requires a converged solution")
@@ -170,6 +163,8 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
         drift = max(drift, float(np.max(np.abs(np.abs(a) - u))))
         times.append(t)
         phases.append(complex(a[center]))
+        if callback is not None:
+            callback(step, t, a)
 
     _, diag = integrate(state, p, alpha, t_end, dt, callback=watch)
     theta = np.unwrap(np.angle(np.asarray(phases)))

@@ -53,11 +53,15 @@ def power(u: Profile) -> float:
     return float(v @ v)
 
 
+def coupling_values(a: np.ndarray, periodic: bool) -> float:
+    """2 Re sum conj(a_j) a_{j+1}: L(u) for real input, the complex coupling otherwise."""
+    if periodic:
+        return 2.0 * float(np.real(np.conj(a) @ np.roll(a, -1)))
+    return 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
+
+
 def coupling(u: Profile) -> float:
-    v = u.values
-    if u.periodic:
-        return float(2.0 * (v @ np.roll(v, -1)))
-    return float(2.0 * (v[:-1] @ v[1:]))
+    return coupling_values(u.values, u.periodic)
 
 
 def potential_energy(u: Profile, p: Potential) -> float:
@@ -79,11 +83,14 @@ def energy(u: Profile, p: Potential, alpha: float) -> EnergyBreakdown:
                            t_value=tv)
 
 
+def grad_values(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
+    """Gradient of P on raw values: 2 alpha (v_{j+1}+v_{j-1}) + 2 dpsi(v_j^2) v_j."""
+    return 2.0 * alpha * neighbor_sum(v, periodic) + 2.0 * p.dpsi(v * v) * v
+
+
 def grad_p(u: Profile, p: Potential, alpha: float) -> Profile:
-    """Gradient of P: component j is 2 alpha (u_{j+1}+u_{j-1}) + 2 dpsi(u_j^2) u_j."""
-    v = u.values
-    g = 2.0 * alpha * neighbor_sum(v, u.periodic) + 2.0 * p.dpsi(v * v) * v
-    return u.with_values(g)
+    """Gradient of P as a profile on the cell of u."""
+    return u.with_values(grad_values(u.values, u.periodic, p, alpha))
 
 
 def sigma(u: Profile, p: Potential, alpha: float) -> float:
@@ -96,8 +103,7 @@ def sigma(u: Profile, p: Potential, alpha: float) -> float:
     n = float(v @ v)
     if n == 0.0:
         raise DegenerateProfileError("multiplier undefined for the zero profile")
-    g = grad_p(u, p, alpha).values
-    return float(g @ v) / n
+    return float(grad_values(v, u.periodic, p, alpha) @ v) / n
 
 
 def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
@@ -105,6 +111,12 @@ def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
     v = u.values
     r = sig * v - alpha * neighbor_sum(v, u.periodic) - p.dpsi(v * v) * v
     return float(np.max(np.abs(r))) if v.size else 0.0
+
+
+def row_energies(rows: np.ndarray, p: Potential, alpha: float) -> np.ndarray:
+    """P of every row of a (B, N) array of profiles on a periodic cell."""
+    return (2.0 * alpha * np.einsum("ij,ij->i", rows, np.roll(rows, -1, axis=1))
+            + np.sum(p.psi(rows * rows), axis=1))
 
 
 def participation_ratio(u: Profile) -> float:

@@ -7,8 +7,8 @@ consecutive sites chosen so that (N-1)/2 <= max(cell) <= N/2; the symmetrized
 cell is its intersection with its own mirror image.
 
 The admissible profiles form the cone of non-negative, even, unimodal
-sequences; the flow preserves it, and ``project_cone`` is available as an
-optional safeguard for large discrete steps.
+sequences; the flow preserves it, the solver's backtracking rejects every
+discrete step that leaves it, and ``project_cone`` maps any profile onto it.
 """
 
 from __future__ import annotations
@@ -123,9 +123,17 @@ class Profile:
 
 
 def neighbor_sum(values: np.ndarray, periodic: bool) -> np.ndarray:
-    """u_{j+1} + u_{j-1} with periodic wrap or zero-Dirichlet boundary."""
+    """u_{j+1} + u_{j-1} with periodic wrap or zero-Dirichlet boundary.
+
+    On a one-site periodic cell both neighbours are the site itself: 2u.
+    """
     if periodic:
-        return np.roll(values, -1) + np.roll(values, 1)
+        out = np.empty_like(values)
+        out[:-1] = values[1:]
+        out[-1] = values[0]
+        out[1:] += values[:-1]
+        out[0] += values[-1]
+        return out
     out = np.zeros_like(values)
     out[:-1] += values[1:]
     out[1:] += values[:-1]
@@ -204,7 +212,10 @@ def project_cone(u: Profile) -> Profile:
 
 
 def restrict(u: Profile, target: Cell) -> Profile:
-    """Zero-extend u beyond its symmetrized cell and re-index on the target cell."""
+    """Zero-extend u beyond its symmetrized cell and re-index on the target cell.
+
+    Onto a finite target this is the periodic continuation of the restriction.
+    """
     src_d = u.cell.doubled_indices()
     sym = u.cell.symmetric_doubled_max()
     lookup = {int(dd): val for dd, val in zip(src_d, u.values) if abs(dd) <= sym}
@@ -216,13 +227,6 @@ def restrict(u: Profile, target: Cell) -> Profile:
             continue
         out[i] = lookup.get(int(dd), 0.0)
     return Profile(target, out)
-
-
-def embed(u: Profile, target: Cell) -> Profile:
-    """Periodic continuation of the restriction of u onto a finite cell."""
-    if not target.is_finite:
-        raise ValueError("embed targets a finite cell")
-    return restrict(u, target)
 
 
 def stagger(u: Profile) -> Profile:

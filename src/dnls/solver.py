@@ -15,15 +15,14 @@ sigma(u)/2 (the gradient of P at a wave is twice the frequency times u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .functionals import (DegenerateProfileError, EnergyBreakdown, energy,
-                          residual)
-from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
-                      neighbor_sum, project_cone, restrict)
+                          grad_values, residual, row_energies)
+from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
 from .potentials import Potential, check_assumptions
 
 
@@ -34,7 +33,6 @@ class TailTooShortError(RuntimeError):
 class ConeGuard(Enum):
     OFF = "off"
     MONITOR = "monitor"
-    PROJECT = "project"
 
 
 # acceptance slack for the monotone-energy backtracking test; for energies
@@ -68,7 +66,6 @@ class SolverConfig:
     cone_guard: ConeGuard = ConeGuard.MONITOR
     backtracking: bool = True
     ansatz_samples: int = 100
-    seed: int = 0  # reserved for randomized tie-breaking; ties are currently deterministic
 
     def validate(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
@@ -102,11 +99,13 @@ class SolverConfig:
             "cone_guard": self.cone_guard.value,
             "backtracking": self.backtracking,
             "ansatz_samples": self.ansatz_samples,
-            "seed": self.seed,
         }
 
     @staticmethod
     def from_dict(data: dict) -> "SolverConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(SolverConfig)})
+        if unknown:
+            raise ValueError(f"unknown solver config keys: {', '.join(unknown)}")
         kwargs = dict(data)
         if "scheme" in kwargs:
             kwargs["scheme"] = IndexScheme(kwargs["scheme"])
@@ -194,14 +193,15 @@ class WaveSolution:
 
 def _p_value(v: np.ndarray, p: Potential, alpha: float) -> float:
     # compensated summation: step acceptance compares energies whose true
-    # difference can sit below the roundoff of a naive sum
-    terms = np.concatenate([2.0 * alpha * v * np.roll(v, -1), p.psi(v * v)])
-    return math.fsum(terms)
+    # difference can sit below the roundoff of a naive sum. The sum is
+    # correctly rounded, so the order of the terms does not change it.
+    c = 2.0 * alpha * v
+    return math.fsum(np.concatenate([c[:-1] * v[1:], c[-1:] * v[:1], p.psi(v * v)]).tolist())
 
 
 def _flow(v: np.ndarray, p: Potential, alpha: float):
     """Gradient, flow multiplier, constrained field, and standing-wave residual."""
-    g = 2.0 * alpha * neighbor_sum(v, True) + 2.0 * p.dpsi(v * v) * v
+    g = grad_values(v, True, p, alpha)
     n = float(v @ v)
     sig_flow = float(g @ v) / n
     f = g - sig_flow * v
@@ -236,9 +236,7 @@ def _ansatz_candidates(cfg: SolverConfig, p: Potential):
     cands = _simplex_weights(cfg.ansatz_samples) @ terms
     norms = np.einsum("ij,ij->i", cands, cands)
     cands *= np.sqrt(cfg.rho / norms)[:, None]
-    p_vals = (2.0 * cfg.alpha * np.einsum("ij,ij->i", cands, np.roll(cands, -1, axis=1))
-              + np.sum(p.psi(cands * cands), axis=1))
-    return cands, p_vals
+    return cands, row_energies(cands, p, cfg.alpha)
 
 
 def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
@@ -248,15 +246,11 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, sampled on a
     deterministic simplex grid of at least ``ansatz_samples`` weight tuples.
     Each candidate is rescaled to power rho; the energy maximizer wins, ties
-    broken by enumeration order.
+    broken by enumeration order. Every term is even and non-increasing in
+    |j| and every weight is non-negative, so each candidate lies in the cone.
     """
-    cell = cfg.cell()
     cands, p_vals = _ansatz_candidates(cfg, p)
-    best = Profile(cell, cands[int(np.argmax(p_vals))])
-    if not in_cone(best):
-        best = project_cone(best)
-        best = best.with_values(best.values * math.sqrt(cfg.rho / (best.values @ best.values)))
-    return best
+    return Profile(cfg.cell(), cands[int(np.argmax(p_vals))])
 
 
 # energy gains above this relative scale are clearly measurable; below it
@@ -329,11 +323,7 @@ def iterate_once(u: Profile, cfg: SolverConfig, p: Potential) -> Profile:
     v = u.values
     if float(v @ v) == 0.0:
         raise DegenerateProfileError("iteration undefined for the zero profile")
-    flow0 = _flow(v, p, cfg.alpha)
-    w, _, _, _, slack, _, _, _ = _step(v.copy(), cfg, p, flow0, u.cell, cfg.tau)
-    if cfg.cone_guard is ConeGuard.PROJECT and slack > _CONE_MONITOR_TOL:
-        proj = project_cone(Profile(u.cell, w)).values
-        w = proj * math.sqrt(cfg.rho / float(proj @ proj))
+    w = _step(v.copy(), cfg, p, _flow(v, p, cfg.alpha), u.cell, cfg.tau)[0]
     return u.with_values(w)
 
 
@@ -349,7 +339,6 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     flow0 = _flow(v, p, cfg.alpha)
     sig_flow, f, res = flow0
     steps = 0
-    guard = cfg.cone_guard
     tau_trial = cfg.tau
     tiny_streak = 0
     for _ in range(budget):
@@ -361,14 +350,10 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         steps += 1
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
         diag.max_halvings = max(diag.max_halvings, halvings)
-        if guard is not ConeGuard.OFF:
+        if cfg.cone_guard is not ConeGuard.OFF:
             diag.max_cone_slack = max(diag.max_cone_slack, slack)
             if slack > _CONE_MONITOR_TOL:
                 diag.cone_violations += 1
-                if guard is ConeGuard.PROJECT:
-                    proj = project_cone(Profile(cell, w)).values
-                    w = proj * math.sqrt(cfg.rho / float(proj @ proj))
-                    flow_w = _flow(w, p, cfg.alpha)
         drift = abs(float(w @ w) - cfg.rho) / cfg.rho
         diag.max_power_drift = max(diag.max_power_drift, drift)
         step_size = float(np.max(np.abs(w - v)))
@@ -625,8 +610,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         scale = np.sqrt(cfg.rho / np.einsum("ij,j,ij->i", amps, mult, amps))
         amps *= scale[:, None]
         vals = amps[:, site_level]
-        p_all = (2.0 * cfg.alpha * np.einsum("ij,ij->i", vals, np.roll(vals, -1, axis=1))
-                 + np.sum(p.psi(vals * vals), axis=1))
+        p_all = row_energies(vals, p, cfg.alpha)
         k = int(np.argmax(p_all))
         return ratios[k], float(p_all[k]), vals[k]
 

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import dnls.cli
+import dnls.evolution
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
 
@@ -171,15 +173,48 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert (tmp_path / "nc.json").exists()
 
 
-def test_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
-    args = ["sweep", "--param", "rho", "--values", "1.0,1.5,2.0",
-            "--potential", "quartic", "--alpha", "0.5", "--N", "9"]
-    assert main(args + ["--out", str(tmp_path / "seq")]) == 0
-    monkeypatch.setenv("DNLS_THREADS", "3")
-    assert main(args + ["--out", str(tmp_path / "par")]) == 0
-    seq = (tmp_path / "seq.summary.csv").read_bytes()
-    par = (tmp_path / "par.summary.csv").read_bytes()
-    assert seq == par
+@pytest.mark.parametrize("content, message", [
+    ('{"bogus": 3, "alpha": 1.0}', "unknown solver config keys: bogus"),
+    ('{"alpha": 1.0, "seed": 0}', "unknown solver config keys: seed"),
+    ("[1, 2]", "must hold a JSON object"),
+    ("{not json", "error:"),
+])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(content)
+    code = main(["solve", "--potential", "quartic", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    code = main(["solve", "--potential", "quartic", "--config",
+                 str(tmp_path / "absent.json"), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and "absent.json" in err
+
+
+def test_evolve_integrates_once(tmp_path, monkeypatch):
+    original = dnls.evolution.integrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3:5])
+        return original(*args, **kwargs)
+
+    # patch every namespace that holds the integrator, as an outside tracer would
+    for module in (dnls.cli, dnls.evolution):
+        if getattr(module, "integrate", None) is original:
+            monkeypatch.setattr(module, "integrate", counting)
+    code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
+                 "--rho", "3", "--N", "9", "--t-end", "0.2", "--dt", "0.001",
+                 "--sample-every", "50", "--out", str(tmp_path / "evo")])
+    assert code == 0
+    assert calls == [(0.2, 0.001)]
 
 
 def test_emitted_profile_round_trips(tmp_path):

@@ -23,13 +23,13 @@ def small_wave():
 
 def test_rhs_zero_state():
     state = EvolutionState(0.0, np.zeros(6, dtype=complex), Cell.periodic(ON, 6))
-    assert np.all(rhs(state, quartic(), 1.0) == 0.0)
+    assert np.all(rhs(state.amplitudes, True, quartic(), 1.0) == 0.0)
 
 
 def test_rhs_standing_wave_rotates(small_wave):
     cfg, sol = small_wave
     state = EvolutionState.from_profile(sol.profile)
-    dot = rhs(state, saturable_log(), cfg.alpha)
+    dot = rhs(state.amplitudes, True, saturable_log(), cfg.alpha)
     expect = 1j * sol.sigma * sol.profile.values
     assert np.max(np.abs(dot - expect)) <= 10 * cfg.tol_residual
 
@@ -114,7 +114,7 @@ def test_truncated_cell_boundary():
     j = cell.indices()
     vals = np.exp(-np.abs(j)).astype(complex)
     state = EvolutionState(0.0, vals, cell)
-    dot = rhs(state, quartic(), 1.0)
+    dot = rhs(state.amplitudes, False, quartic(), 1.0)
     # outermost site couples only inward
     expect_edge = 1j * (1.0 * vals[1] + float(quartic().dpsi(np.abs(vals[0]) ** 2)) * vals[0])
     assert dot[0] == pytest.approx(expect_edge, rel=1e-14)
@@ -126,6 +126,21 @@ def test_power_and_hamiltonian_helpers(small_wave):
     assert power_of(a) == pytest.approx(cfg.rho, rel=1e-12)
     h = hamiltonian_of(a, True, saturable_log(), cfg.alpha)
     assert h == pytest.approx(sol.energies.hamiltonian, rel=1e-12)
+
+
+def test_relative_equilibrium_check_forwards_the_trajectory(small_wave):
+    cfg, sol = small_wave
+    direct, forwarded = [], []
+    integrate(EvolutionState.from_profile(sol.profile), saturable_log(), cfg.alpha,
+              t_end=0.05, dt=0.01, callback=lambda k, t, a: direct.append((k, t, a.copy())))
+    report = relative_equilibrium_check(
+        sol, saturable_log(), cfg.alpha, t_end=0.05, dt=0.01,
+        callback=lambda k, t, a: forwarded.append((k, t, a.copy())))
+    assert [(k, t) for k, t, _ in forwarded] == [(k, t) for k, t, _ in direct]
+    assert len(direct) == 6
+    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forwarded, direct))
+    assert report == relative_equilibrium_check(sol, saturable_log(), cfg.alpha,
+                                                t_end=0.05, dt=0.01)
 
 
 def test_callback_sampling(small_wave):

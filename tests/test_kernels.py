@@ -1,0 +1,103 @@
+"""Bit-identity of the shared kernels against the formulas they replaced.
+
+The reference formulas below are the ``np.roll`` forms the package used
+before its kernels were shared. Every comparison is exact: the kernels must
+reproduce them bit for bit, or CLI artifacts would change.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dnls.evolution import hamiltonian_of
+from dnls.functionals import coupling, coupling_values
+from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
+from dnls.potentials import CATALOG
+from dnls.solver import _p_value
+
+reals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def roll_neighbor_sum(v):
+    return np.roll(v, -1) + np.roll(v, 1)
+
+
+def dirichlet_neighbor_sum(v):
+    out = np.zeros_like(v)
+    out[:-1] += v[1:]
+    out[1:] += v[:-1]
+    return out
+
+
+def roll_p_value(v, p, alpha):
+    return math.fsum(np.concatenate([2.0 * alpha * v * np.roll(v, -1), p.psi(v * v)]))
+
+
+def roll_coupling(a, periodic):
+    if np.iscomplexobj(a):
+        if periodic:
+            return 2.0 * float(np.real(np.conj(a) @ np.roll(a, -1)))
+        return 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
+    if periodic:
+        return float(2.0 * (a @ np.roll(a, -1)))
+    return float(2.0 * (a[:-1] @ a[1:]))
+
+
+def same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.dtype == ref.dtype and np.array_equal(got, ref) \
+        and got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(reals, min_size=1, max_size=64),
+                 st.lists(complexes, min_size=1, max_size=64)))
+@example([1.5])  # one-site cell: 2u
+@example([2.0 - 3.0j])
+def test_neighbor_sum_matches_roll(vals):
+    v = np.array(vals)
+    assert same_bits(neighbor_sum(v, True), roll_neighbor_sum(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(reals, min_size=1, max_size=64),
+                 st.lists(complexes, min_size=1, max_size=64)))
+def test_neighbor_sum_truncated_matches_dirichlet(vals):
+    v = np.array(vals)
+    assert same_bits(neighbor_sum(v, False), dirichlet_neighbor_sum(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)),
+       alpha=st.floats(0.01, 10.0),
+       vals=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=64))
+def test_compensated_energy_matches_roll(name, alpha, vals):
+    v = np.array(vals)
+    p = CATALOG[name]()
+    assert _p_value(v, p, alpha) == roll_p_value(v, p, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(periodic=st.booleans(),
+       vals=st.one_of(st.lists(reals, min_size=1, max_size=192),
+                      st.lists(complexes, min_size=1, max_size=192)))
+def test_coupling_matches_roll(periodic, vals):
+    a = np.array(vals)
+    assert coupling_values(a, periodic) == roll_coupling(a, periodic)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 64), data=st.data())
+def test_profile_coupling_and_hamiltonian_match_roll(n, data):
+    v = np.array(data.draw(st.lists(reals, min_size=n, max_size=n)))
+    cell = Cell.periodic(IndexScheme.ON_SITE, n)
+    assert coupling(Profile(cell, v)) == roll_coupling(v, True)
+    a = v + 1j * np.array(data.draw(st.lists(reals, min_size=n, max_size=n)))
+    p = CATALOG["saturable-log"]()
+    mod2 = a.real**2 + a.imag**2
+    ref = 2.0 * 0.7 * float(np.sum(mod2)) - (0.7 * roll_coupling(a, True)
+                                             + float(np.sum(p.psi(mod2))))
+    assert hamiltonian_of(a, True, p, 0.7) == ref

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.functionals import coupling, power
-from dnls.lattice import (Cell, IndexScheme, Profile, cell_indices, cone_slack,
-                          embed, in_cone, profile_from_csv, profile_to_csv,
-                          project_cone, restrict, stagger)
+from dnls.lattice import (Cell, IndexScheme, Profile, _pav_nonincreasing,
+                          cell_indices, cone_slack, in_cone, profile_from_csv,
+                          profile_to_csv, project_cone, restrict, stagger)
 
 from conftest import random_cone_profile
 
@@ -131,6 +131,58 @@ def test_project_cone_matches_weighted_isotonic_oracle(rng):
         assert np.allclose(got, expect, atol=1e-12)
 
 
+def minmax_isotonic_nonincreasing(y, w):
+    """Weighted non-increasing isotonic fit by the min-max formula.
+
+    yhat_i = min over j <= i of max over k >= i of the weighted mean of
+    y_j..y_k; O(n^3), independent of any pooling order.
+    """
+    n = y.size
+    wy = np.concatenate([[0.0], np.cumsum(w * y)])
+    ws = np.concatenate([[0.0], np.cumsum(w)])
+
+    def mean(j, k):
+        return (wy[k + 1] - wy[j]) / (ws[k + 1] - ws[j])
+    return np.array([min(max(mean(j, k) for k in range(i, n)) for j in range(i + 1))
+                     for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.tuples(st.floats(-5, 5, allow_nan=False), st.floats(0.1, 4.0)),
+                     min_size=1, max_size=12))
+def test_pav_matches_minmax_oracle(data):
+    y = np.array([a for a, _ in data])
+    w = np.array([b for _, b in data])
+    fit = _pav_nonincreasing(y, w)
+    assert np.all(np.diff(fit) <= 0.0)
+    assert np.allclose(fit, minmax_isotonic_nonincreasing(y, w), rtol=0, atol=1e-12)
+
+
+def test_project_cone_matches_minmax_isotonic_oracle(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        scheme = ON if rng.random() < 0.5 else INTER
+        cell = Cell.periodic(scheme, n)
+        u = Profile(cell, rng.normal(0, 2, size=n))
+        got = project_cone(u).values
+
+        # symmetrize and clip, fit the right half with mirrored pairs weighted 2
+        v = u.values.copy()
+        d = cell.doubled_indices()
+        sym = cell.symmetric_doubled_max()
+        mask = np.abs(d) <= sym
+        v[mask] = 0.5 * (v[mask] + v[mask][::-1])
+        v = np.clip(v, 0.0, None)
+        right = d >= 0
+        w = np.where((d[right] > 0) & (d[right] <= sym), 2.0, 1.0)
+        fit = minmax_isotonic_nonincreasing(v[right], w)
+        expect = v.copy()
+        expect[right] = fit
+        mirror = (d < 0) & mask
+        expect[mirror] = fit[np.searchsorted(d[right], -d[mirror])]
+        assert np.allclose(got, expect, rtol=0, atol=1e-12)
+
+
 def test_restrict_even_cell_example():
     u = Profile(Cell.periodic(ON, 4), [1.0, 2.0, 3.0, 4.0])  # a,b,c,d on -1,0,1,2
     out = restrict(u, Cell.truncated(ON, 5.0))
@@ -154,7 +206,7 @@ def test_embed_round_trip_compact_support():
     j = cell.indices()
     vals = np.where(np.abs(j) <= 2, 3.0 - np.abs(j), 0.0)
     u = Profile(cell, vals)
-    per = embed(u, Cell.periodic(ON, 9))
+    per = restrict(u, Cell.periodic(ON, 9))
     back = restrict(per, cell)
     assert np.allclose(back.values, u.values)
 
@@ -165,7 +217,7 @@ def test_embed_nonexpansive_and_cone(rng):
     vals = np.exp(-0.7 * j) * 2.0
     u = Profile(cell, vals)
     for n in (5, 6, 9, 12):
-        e = embed(u, Cell.periodic(ON, n))
+        e = restrict(u, Cell.periodic(ON, n))
         assert power(e) <= power(u) + 1e-12
         assert in_cone(e, tol=1e-14)
 

@@ -40,8 +40,14 @@ def test_config_validation_messages():
 
 
 def test_config_round_trip():
-    cfg = small_cfg(scheme=INTER, cone_guard=ConeGuard.PROJECT, tau=0.5)
+    cfg = small_cfg(scheme=INTER, cone_guard=ConeGuard.OFF, tau=0.5)
     assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_from_dict_names_unknown_keys():
+    data = {**small_cfg().to_dict(), "seed": 0, "bogus": 3}
+    with pytest.raises(ValueError, match="unknown solver config keys: bogus, seed"):
+        SolverConfig.from_dict(data)
 
 
 def test_ansatz_power_and_cone():
