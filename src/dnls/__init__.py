@@ -14,7 +14,7 @@ from .potentials import (CATALOG, AssumptionReport, Check, DomainError,
                          custom, eval_dpsi, eval_psi, exp_quadratic,
                          nonconvex_rational, parse_potential_spec, power_law,
                          quartic, saturable_arctan, saturable_log)
-from .solver import (ConeGuard, DecayFit, HomoclinicResult, HomoclinicVerdict,
+from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
                      RunDiagnostics, SolverConfig, TailTooShortError,
                      WaveSolution, decay_fit, homoclinic, initial_ansatz,
                      iterate_once, oracle_maximize, solve)
@@ -22,7 +22,7 @@ from .solver import (ConeGuard, DecayFit, HomoclinicResult, HomoclinicVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check", "ConeGuard",
+    "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
     "DecayFit", "DegenerateProfileError", "DomainError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "PotentialKind",

@@ -24,7 +24,7 @@ from .evolution import relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, profile_to_csv
 from .potentials import check_assumptions, parse_potential_spec
-from .solver import ConeGuard, SolverConfig, homoclinic, oracle_maximize, solve
+from .solver import SolverConfig, homoclinic, oracle_maximize, solve
 
 USAGE_ERROR = 1
 OPERATIONAL_ERROR = 2
@@ -61,11 +61,7 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--N", type=int, default=None, dest="n")
     sp.add_argument("--tau", type=float, default=None)
     sp.add_argument("--tol-residual", type=float, default=None)
-    sp.add_argument("--tol-step", type=float, default=None)
     sp.add_argument("--max-iters", type=int, default=None)
-    sp.add_argument("--cone-guard", choices=["off", "monitor"], default=None)
-    sp.add_argument("--no-backtracking", action="store_true")
-    sp.add_argument("--ansatz-samples", type=int, default=None)
     sp.add_argument("--config", default=None,
                     help="JSON file mirroring the solver config field names")
     sp.add_argument("--out", default="wave", help="output path prefix")
@@ -81,19 +77,11 @@ def _config_from_args(args) -> SolverConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         base = SolverConfig.from_dict({**base.to_dict(), **data})
-    overrides = {}
-    for attr, key in [("alpha", "alpha"), ("rho", "rho"), ("n", "n"), ("tau", "tau"),
-                      ("tol_residual", "tol_residual"), ("tol_step", "tol_step"),
-                      ("max_iters", "max_iters"), ("ansatz_samples", "ansatz_samples")]:
-        val = getattr(args, attr)
-        if val is not None:
-            overrides[key] = val
+    overrides = {name: getattr(args, name)
+                 for name in ("alpha", "rho", "n", "tau", "tol_residual", "max_iters")
+                 if getattr(args, name) is not None}
     if args.scheme is not None:
         overrides["scheme"] = IndexScheme(args.scheme)
-    if args.cone_guard is not None:
-        overrides["cone_guard"] = ConeGuard(args.cone_guard)
-    if args.no_backtracking:
-        overrides["backtracking"] = False
     return replace(base, **overrides)
 
 
@@ -108,12 +96,8 @@ def _solve_outputs(sol, cfg: SolverConfig, out: Path):
 def cmd_solve(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    try:
-        cfg.validate()
-        potential = parse_potential_spec(args.potential)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg.validate()
+    potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     out = Path(args.out)
     outputs = _solve_outputs(sol, cfg, out)
@@ -143,26 +127,17 @@ def _sweep_grid(args):
 def cmd_sweep(args) -> int:
     started = time.time()
     base = _config_from_args(args)
-    try:
-        potential = parse_potential_spec(args.potential)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    potential = parse_potential_spec(args.potential)
     grid = _sweep_grid(args)
     if not grid:
-        print("error: empty sweep grid", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("empty sweep grid")
 
     def cfg_for(value) -> SolverConfig:
         if args.param == "N":
             return replace(base, n=int(round(value)))
         return replace(base, **{args.param: value})
 
-    results = []
-    for value in grid:
-        cfg = cfg_for(value)
-        cfg.validate()
-        results.append(solve(cfg, potential))
+    results = [solve(cfg_for(value), potential) for value in grid]
 
     out = Path(args.out)
     outputs = []
@@ -199,12 +174,8 @@ def cmd_sweep(args) -> int:
 def cmd_homoclinic(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    try:
-        potential = parse_potential_spec(args.potential)
-        n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    potential = parse_potential_spec(args.potential)
+    n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
     out = Path(args.out)
     outputs = []
@@ -225,11 +196,7 @@ def cmd_homoclinic(args) -> int:
 
 def cmd_check_potential(args) -> int:
     started = time.time()
-    try:
-        potential = parse_potential_spec(args.potential)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    potential = parse_potential_spec(args.potential)
     report = check_assumptions(potential, x_max=args.x_max, samples=args.samples)
     out = Path(args.out)
     path = Path(str(out) + ".json")
@@ -245,14 +212,8 @@ def cmd_check_potential(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    try:
-        cfg.validate()
-        if cfg.n > 4:
-            raise ValueError("the oracle covers N <= 4 only")
-        potential = parse_potential_spec(args.potential)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg.validate()
+    potential = parse_potential_spec(args.potential)
     best, p_best = oracle_maximize(cfg, potential, grid_points=args.grid_points)
     sol = solve(cfg, potential)
     gap = abs(sol.energies.p_total - p_best) / max(abs(p_best), 1e-300)
@@ -276,12 +237,8 @@ def cmd_oracle(args) -> int:
 def cmd_evolve(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    try:
-        cfg.validate()
-        potential = parse_potential_spec(args.potential)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cfg.validate()
+    potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     if not sol.converged:
         print("solver did not converge; nothing to evolve", file=sys.stderr)

@@ -30,11 +30,6 @@ class TailTooShortError(RuntimeError):
     """Raised when a profile has no usable exponential tail to fit."""
 
 
-class ConeGuard(Enum):
-    OFF = "off"
-    MONITOR = "monitor"
-
-
 # acceptance slack for the monotone-energy backtracking test; for energies
 # beyond ~45 the nominal 1e-14 would be sub-ulp and acceptance would turn
 # into a rounding lottery, so the slack never falls below one part in 2^52
@@ -48,6 +43,10 @@ _MAX_HALVINGS = 30
 _NEAR_CONSTANT_TOL = 1e-8
 # slack used when monitoring cone membership of iterates
 _CONE_MONITOR_TOL = 1e-12
+# sup-norm of an iterate change below which a step counts as tiny
+_TOL_STEP = 1e-12
+# least number of weight tuples the ansatz grid samples
+_ANSATZ_SAMPLES = 100
 # relative step of the central difference for psi''; near the cube root of
 # the machine epsilon, where truncation and roundoff errors balance
 _D2PSI_STEP = 1e-5
@@ -61,14 +60,21 @@ class SolverConfig:
     n: int = 25
     tau: float = 1.0
     tol_residual: float = 1e-10
-    tol_step: float = 1e-12
     max_iters: int = 1_000_000
-    cone_guard: ConeGuard = ConeGuard.MONITOR
-    backtracking: bool = True
-    ansatz_samples: int = 100
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        for name, kinds, what in (("alpha", (int, float), "a real number"),
+                                  ("rho", (int, float), "a real number"),
+                                  ("tau", (int, float), "a real number"),
+                                  ("tol_residual", (int, float), "a real number"),
+                                  ("n", int, "an integer"),
+                                  ("max_iters", int, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, not {value}")
+        if self.n < 2:
             raise ValueError("N must be >= 2")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -76,12 +82,10 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if not 0 < self.tau <= 1e3:
             raise ValueError("tau must lie in (0, 1e3]")
-        if self.tol_residual <= 0 or self.tol_step <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.ansatz_samples < 1:
-            raise ValueError("ansatz_samples must be positive")
 
     def cell(self) -> Cell:
         return Cell.periodic(self.scheme, self.n)
@@ -94,11 +98,7 @@ class SolverConfig:
             "n": self.n,
             "tau": self.tau,
             "tol_residual": self.tol_residual,
-            "tol_step": self.tol_step,
             "max_iters": self.max_iters,
-            "cone_guard": self.cone_guard.value,
-            "backtracking": self.backtracking,
-            "ansatz_samples": self.ansatz_samples,
         }
 
     @staticmethod
@@ -109,8 +109,6 @@ class SolverConfig:
         kwargs = dict(data)
         if "scheme" in kwargs:
             kwargs["scheme"] = IndexScheme(kwargs["scheme"])
-        if "cone_guard" in kwargs:
-            kwargs["cone_guard"] = ConeGuard(kwargs["cone_guard"])
         return SolverConfig(**kwargs)
 
 
@@ -233,7 +231,7 @@ def _ansatz_candidates(cfg: SolverConfig, p: Potential):
         1.0 + np.cos(np.pi * aj / cfg.n),
         np.exp(-20.0 * (aj / cfg.n) ** 2),
     ])
-    cands = _simplex_weights(cfg.ansatz_samples) @ terms
+    cands = _simplex_weights(_ANSATZ_SAMPLES) @ terms
     norms = np.einsum("ij,ij->i", cands, cands)
     cands *= np.sqrt(cfg.rho / norms)[:, None]
     return cands, row_energies(cands, p, cfg.alpha)
@@ -244,7 +242,7 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
 
     Candidates are kappa_1 + kappa_2*chi_j + kappa_3*(1+cos(pi j/N))
     + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, sampled on a
-    deterministic simplex grid of at least ``ansatz_samples`` weight tuples.
+    deterministic simplex grid of at least 100 weight tuples.
     Each candidate is rescaled to power rho; the energy maximizer wins, ties
     broken by enumeration order. Every term is even and non-increasing in
     |j| and every weight is non-negative, so each candidate lies in the cone.
@@ -263,30 +261,30 @@ _RES_GROWTH = 1e-2
 
 
 def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
-          tau: float, p0: float | None = None):
-    """One normalized ascent step with backtracking.
+          tau: float):
+    """One normalized ascent step, always backtracked.
 
     The trial step is halved (up to 30 times) until the candidate is
     admissible: the energy must not decrease beyond slack, the candidate must
-    stay in the cone (unless the guard is off), and, once energy gains are
-    too small to measure, the standing-wave residual must not grow by more
-    than a token factor. The continuous flow satisfies all three, so a
-    violation marks a too-large discrete step; the residual test keeps the
-    endgame contracting where energy comparisons drown in roundoff. If no
-    admissible step is found the input is returned unchanged (surfaced as
-    stagnation by the caller).
+    stay in the cone, and, once energy gains are too small to measure, the
+    standing-wave residual must not grow by more than a token factor. The
+    continuous flow satisfies all three, so a violation marks a too-large
+    discrete step; the residual test keeps the endgame contracting where
+    energy comparisons drown in roundoff. The tests run in that order and
+    each runs only when the ones before it pass. If no admissible step is
+    found the input is returned unchanged (surfaced as stagnation by the
+    caller).
 
     Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, halvings, stalled);
     flow_of_w carries (multiplier, field, residual) at the accepted point.
     """
     sqrt_rho = math.sqrt(cfg.rho)
-    if p0 is None:
-        # baseline energy of the renormalized point: candidates pass through
-        # the same normalization, so its ulp-level radial shift of P (about
-        # rho*sigma*eps) cancels out of the comparison and the gain vanishes
-        # as tau goes to zero
-        base = v * (sqrt_rho / float(np.sqrt(v @ v)))
-        p0 = _p_value(base, p, cfg.alpha)
+    # baseline energy of the renormalized point: candidates pass through
+    # the same normalization, so its ulp-level radial shift of P (about
+    # rho*sigma*eps) cancels out of the comparison and the gain vanishes
+    # as tau goes to zero
+    base = v * (sqrt_rho / float(np.sqrt(v @ v)))
+    p0 = _p_value(base, p, cfg.alpha)
     # the smooth 2-norm of the field serves as the contraction measure; the
     # sup residual can rise at a kink when the leading site switches. The
     # ulp-level renormalization jitter shifts the field by about
@@ -294,7 +292,6 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     res0 = float(np.linalg.norm(flow0[1]))
     res_limit = res0 * (1.0 + _RES_GROWTH) \
         + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
-    check_cone = cfg.cone_guard is not ConeGuard.OFF
     halvings = 0
     f = flow0[1]
     for attempt in range(_MAX_HALVINGS + 1):
@@ -304,22 +301,21 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
             raise DegenerateProfileError("ascent step collapsed to the zero profile")
         w *= sqrt_rho / norm
         p1 = _p_value(w, p, cfg.alpha)
-        slack = cone_slack(Profile(cell, w)) if check_cone else 0.0
-        flow_w = _flow(w, p, cfg.alpha)
-        if not cfg.backtracking:
-            return w, flow_w, p0, p1, slack, tau, halvings, False
         gain = p1 - p0
-        admissible = gain >= -_energy_slack(p0) and slack <= _CONE_MONITOR_TOL
-        if admissible and (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
-                           or float(np.linalg.norm(flow_w[1])) <= res_limit):
-            return w, flow_w, p0, p1, slack, tau, halvings, False
+        if gain >= -_energy_slack(p0):
+            slack = cone_slack(Profile(cell, w))
+            if slack <= _CONE_MONITOR_TOL:
+                flow_w = _flow(w, p, cfg.alpha)
+                if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
+                        or float(np.linalg.norm(flow_w[1])) <= res_limit):
+                    return w, flow_w, p0, p1, slack, tau, halvings, False
         tau *= 0.5
         halvings = attempt + 1
     return v, flow0, p0, p0, 0.0, tau, halvings, True
 
 
 def iterate_once(u: Profile, cfg: SolverConfig, p: Potential) -> Profile:
-    """Apply the normalized ascent map once (with backtracking if enabled)."""
+    """Apply the normalized ascent map once, backtracked as in every solver step."""
     v = u.values
     if float(v @ v) == 0.0:
         raise DegenerateProfileError("iteration undefined for the zero profile")
@@ -350,23 +346,21 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         steps += 1
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
         diag.max_halvings = max(diag.max_halvings, halvings)
-        if cfg.cone_guard is not ConeGuard.OFF:
-            diag.max_cone_slack = max(diag.max_cone_slack, slack)
-            if slack > _CONE_MONITOR_TOL:
-                diag.cone_violations += 1
+        diag.max_cone_slack = max(diag.max_cone_slack, slack)
+        if slack > _CONE_MONITOR_TOL:
+            diag.cone_violations += 1
         drift = abs(float(w @ w) - cfg.rho) / cfg.rho
         diag.max_power_drift = max(diag.max_power_drift, drift)
         step_size = float(np.max(np.abs(w - v)))
         v = w
         flow0 = flow_w
         sig_flow, f, res = flow0
-        if cfg.backtracking:
-            # one freak deep backtrack must not destroy the carried size
-            tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
+        # one freak deep backtrack must not destroy the carried size
+        tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
         # a tiny step only counts as stagnation when nothing bigger was on
         # offer (a full-size trial barely moved, an exact no-op, or every
         # size rejected) or when it persists across many iterations
-        tiny_streak = tiny_streak + 1 if step_size <= cfg.tol_step else 0
+        tiny_streak = tiny_streak + 1 if step_size <= _TOL_STEP else 0
         if (stalled or step_size == 0.0 or tiny_streak >= 40
                 or (tiny_streak and tau_used >= cfg.tau)):
             diag.stop_reason = "residual" if res <= cfg.tol_residual else "stagnation"

@@ -6,6 +6,7 @@ PASS/FAIL lines. Heavy runs are shared through module-scoped fixtures.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,8 +88,7 @@ def all_runs(arctan_waves, threshold_sweep, quartic_strong_coupling, quartic_wea
     runs += [(cfg, sol) for _, cfg, sol in threshold_sweep]
     runs += list(quartic_strong_coupling)
     cfg_weak, homo = quartic_weak_coupling
-    runs += [(SolverConfig(**{**cfg_weak.to_dict(), "scheme": INTER, "n": n,
-                              "cone_guard": cfg_weak.cone_guard}), sol)
+    runs += [(replace(cfg_weak, n=n), sol)
              for n, sol in zip(homo.n_sequence, homo.solutions)]
     runs += [(cfg, sol) for cfg, sol, _, _ in oracle_grid]
     return runs

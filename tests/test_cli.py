@@ -176,6 +176,10 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     ('{"bogus": 3, "alpha": 1.0}', "unknown solver config keys: bogus"),
     ('{"alpha": 1.0, "seed": 0}', "unknown solver config keys: seed"),
+    ('{"cone_guard": "off"}', "unknown solver config keys: cone_guard"),
+    ('{"alpha": "x"}', "alpha must be a real number, not str"),
+    ('{"n": 9.0}', "n must be an integer, not float"),
+    ('{"tol_residual": NaN}', "tol_residual must be finite, not nan"),
     ("[1, 2]", "must hold a JSON object"),
     ("{not json", "error:"),
 ])

@@ -1,20 +1,25 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dnls.functionals import energy, power, residual, sigma
-from dnls.lattice import Cell, IndexScheme, Profile, in_cone
+import dnls.solver
+from dnls.functionals import (DegenerateProfileError, energy, power, residual,
+                              sigma)
+from dnls.lattice import Cell, IndexScheme, Profile, cone_slack, in_cone
 from dnls.potentials import (CATALOG, custom, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
-from dnls.solver import (_NEAR_CONSTANT_TOL, ConeGuard, HomoclinicVerdict,
+from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
+                         _NEAR_CONSTANT_TOL, _RES_GROWTH, HomoclinicVerdict,
                          RunDiagnostics, SolverConfig, TailTooShortError,
-                         _flat_lambda1, _is_near_constant, _p_value, _run,
-                         decay_fit, homoclinic, initial_ansatz, iterate_once,
+                         _energy_slack, _flat_lambda1, _flow,
+                         _is_near_constant, _p_value, _run, decay_fit,
+                         homoclinic, initial_ansatz, iterate_once,
                          oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
@@ -37,10 +42,12 @@ def test_config_validation_messages():
         SolverConfig(alpha=1.0, rho=1.0, tau=0.0).validate()
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, rho=1.0, tau=2e3).validate()
+    with pytest.raises(ValueError, match="alpha must be finite, not inf"):
+        SolverConfig(alpha=math.inf, rho=1.0).validate()
 
 
 def test_config_round_trip():
-    cfg = small_cfg(scheme=INTER, cone_guard=ConeGuard.OFF, tau=0.5)
+    cfg = small_cfg(scheme=INTER, tau=0.5)
     assert SolverConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -233,6 +240,58 @@ def test_flat_stability_costs_no_iterations_on_large_cells():
     assert sol.near_constant
 
 
+def eager_step(v, cfg, p, flow0, cell, tau):
+    """Reference ascent step that evaluates the energy, the cone slack and
+    the flow of every trial before deciding on it."""
+    sqrt_rho = math.sqrt(cfg.rho)
+    base = v * (sqrt_rho / float(np.sqrt(v @ v)))
+    p0 = _p_value(base, p, cfg.alpha)
+    res0 = float(np.linalg.norm(flow0[1]))
+    res_limit = res0 * (1.0 + _RES_GROWTH) \
+        + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
+    halvings = 0
+    f = flow0[1]
+    for attempt in range(_MAX_HALVINGS + 1):
+        w = v + tau * f
+        norm = float(np.sqrt(w @ w))
+        if norm == 0.0:
+            raise DegenerateProfileError("ascent step collapsed to the zero profile")
+        w *= sqrt_rho / norm
+        p1 = _p_value(w, p, cfg.alpha)
+        slack = cone_slack(Profile(cell, w))
+        flow_w = _flow(w, p, cfg.alpha)
+        gain = p1 - p0
+        admissible = gain >= -_energy_slack(p0) and slack <= _CONE_MONITOR_TOL
+        if admissible and (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
+                           or float(np.linalg.norm(flow_w[1])) <= res_limit):
+            return w, flow_w, p0, p1, slack, tau, halvings, False
+        tau *= 0.5
+        halvings = attempt + 1
+    return v, flow0, p0, p0, 0.0, tau, halvings, True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 16), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
+def test_lazy_step_matches_eager_step(name, scheme, n, alpha, rho):
+    # the step skips the cone test and the flow of trials that an earlier
+    # test already rejected; the run must not change by a single bit
+    p = CATALOG[name]()
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=2000)
+    v0 = initial_ansatz(cfg, p).values
+    runs = []
+    for step in (dnls.solver._step, eager_step):
+        diag = RunDiagnostics()
+        with mock.patch.object(dnls.solver, "_step", step):
+            out = _run(v0.copy(), cfg, p, cfg.cell(), diag, cfg.max_iters)
+        runs.append((out, diag))
+    (v, sig, res, steps), diag = runs[0]
+    (v_ref, sig_ref, res_ref, steps_ref), diag_ref = runs[1]
+    assert np.array_equal(v, v_ref)
+    assert (sig, res, steps) == (sig_ref, res_ref, steps_ref)
+    assert diag == diag_ref
+
+
 def test_solve_determinism():
     cfg = small_cfg(n=11)
     a = solve(cfg, saturable_log())
@@ -358,18 +417,6 @@ def test_power_law_scaling_identity():
     t1 = solve(SolverConfig(alpha=0.8, rho=lam2 * 1.5, n=9), pot).energies.t_value
     t2 = solve(SolverConfig(alpha=0.8 / lam2, rho=1.5, n=9), pot).energies.t_value
     assert t1 == pytest.approx(t2, abs=1e-6)
-
-
-def test_solve_with_backtracking_disabled_small_tau():
-    cfg = small_cfg(tau=0.01, backtracking=False, max_iters=200000)
-    sol = solve(cfg, saturable_log())
-    assert sol.converged
-
-
-def test_solve_cone_guard_off_matches_monitor():
-    a = solve(small_cfg(), quartic())
-    b = solve(small_cfg(cone_guard=ConeGuard.OFF), quartic())
-    assert np.allclose(a.profile.values, b.profile.values, atol=1e-12)
 
 
 def test_exp_quadratic_threshold_jump():
