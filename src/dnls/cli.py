@@ -85,14 +85,6 @@ def _config_from_args(args) -> SolverConfig:
     return replace(base, **overrides)
 
 
-def _solve_outputs(sol, cfg: SolverConfig, out: Path):
-    json_path = Path(str(out) + ".json")
-    csv_path = Path(str(out) + ".profile.csv")
-    _dump_json(sol.to_dict(cfg), json_path)
-    profile_to_csv(sol.profile, csv_path)
-    return [json_path, csv_path]
-
-
 def cmd_solve(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
@@ -100,7 +92,9 @@ def cmd_solve(args) -> int:
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     out = Path(args.out)
-    outputs = _solve_outputs(sol, cfg, out)
+    outputs = [Path(str(out) + ".json"), Path(str(out) + ".profile.csv")]
+    _dump_json(sol.to_dict(cfg), outputs[0])
+    profile_to_csv(sol.profile, outputs[1])
     _write_manifest(out, "solve", cfg.to_dict(), outputs, started)
     print(f"converged={sol.converged} sigma={sol.sigma:.12g} "
           f"residual={sol.residual:.3e} iterations={sol.iterations}")
@@ -131,6 +125,13 @@ def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
     if not grid:
         raise ValueError("empty sweep grid")
+    tags = {}
+    for value in grid:
+        tag = f"{args.param}={value:g}"
+        if tag in tags:
+            raise ValueError(f"sweep values {tags[tag]!r} and {value!r} share the "
+                             f"artifact name {tag}")
+        tags[tag] = value
 
     def cfg_for(value) -> SolverConfig:
         if args.param == "N":
@@ -142,8 +143,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     outputs = []
     rows = []
-    for value, sol in zip(grid, results):
-        tag = f"{args.param}={value:g}"
+    for tag, value, sol in zip(tags, grid, results):
         point_path = Path(f"{out}.{tag}.json")
         _dump_json(sol.to_dict(cfg_for(value)), point_path)
         outputs.append(point_path)

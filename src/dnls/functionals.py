@@ -69,18 +69,29 @@ def potential_energy(u: Profile, p: Potential) -> float:
     return float(np.sum(p.psi(v * v)))
 
 
+def p_value(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> float:
+    """P on raw values by math.fsum, correctly rounded whatever the term order.
+
+    Step acceptance compares energies whose difference can sit below the
+    roundoff of a naive sum.
+    """
+    c = 2.0 * alpha * v
+    terms = [c[:-1] * v[1:], p.psi(v * v)]
+    if periodic:
+        terms.append(c[-1:] * v[:1])
+    return math.fsum(np.concatenate(terms).tolist())
+
+
 def energy(u: Profile, p: Potential, alpha: float) -> EnergyBreakdown:
     """Full energy breakdown; t_value is None for the zero profile."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n = power(u)
-    lc = coupling(u)
-    w = potential_energy(u, p)
-    ptot = alpha * lc + w
+    ptot = p_value(u.values, u.periodic, p, alpha)
     tv = ptot / (alpha * n) if n > 0 else None
-    return EnergyBreakdown(power=n, coupling=lc, potential_energy=w,
-                           p_total=ptot, hamiltonian=2.0 * alpha * n - ptot,
-                           t_value=tv)
+    return EnergyBreakdown(power=n, coupling=coupling(u),
+                           potential_energy=potential_energy(u, p), p_total=ptot,
+                           hamiltonian=2.0 * alpha * n - ptot, t_value=tv)
 
 
 def grad_values(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
@@ -93,28 +104,46 @@ def grad_p(u: Profile, p: Potential, alpha: float) -> Profile:
     return u.with_values(grad_values(u.values, u.periodic, p, alpha))
 
 
+def _field(g: np.ndarray, v: np.ndarray, mult: float):
+    """Field g - mult*v and the standing-wave residual, half its sup norm."""
+    f = g - mult * v
+    return f, 0.5 * float(np.max(np.abs(f)))
+
+
+def flow(v: np.ndarray, periodic: bool, p: Potential, alpha: float):
+    """Flow multiplier, field grad P - multiplier*v, and residual (half its sup norm)."""
+    n = float(v @ v)
+    if n == 0.0:
+        raise DegenerateProfileError("multiplier undefined for the zero profile")
+    g = grad_values(v, periodic, p, alpha)
+    mult = float(g @ v) / n
+    return (mult, *_field(g, v, mult))
+
+
 def sigma(u: Profile, p: Potential, alpha: float) -> float:
     """Rayleigh-type flow multiplier <grad P(u), u> / ||u||^2.
 
     At a standing wave this equals twice the wave frequency, since the
     gradient there is twice the frequency times the profile.
     """
-    v = u.values
-    n = float(v @ v)
-    if n == 0.0:
-        raise DegenerateProfileError("multiplier undefined for the zero profile")
-    return float(grad_values(v, u.periodic, p, alpha) @ v) / n
+    return flow(u.values, u.periodic, p, alpha)[0]
 
 
 def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
-    """Sup norm of sigma*u_j - alpha (u_{j+1}+u_{j-1}) - dpsi(u_j^2) u_j."""
+    """Sup norm of sigma*u_j - alpha (u_{j+1}+u_{j-1}) - dpsi(u_j^2) u_j.
+
+    Taken as 0.5 max|grad P(u) - 2 sigma u|, bit for bit ``flow``'s at multiplier/2.
+    """
     v = u.values
-    r = sig * v - alpha * neighbor_sum(v, u.periodic) - p.dpsi(v * v) * v
-    return float(np.max(np.abs(r))) if v.size else 0.0
+    return _field(grad_values(v, u.periodic, p, alpha), v, 2.0 * sig)[1]
 
 
 def row_energies(rows: np.ndarray, p: Potential, alpha: float) -> np.ndarray:
-    """P of every row of a (B, N) array of profiles on a periodic cell."""
+    """P of every row of a (B, N) array of profiles on a periodic cell.
+
+    The only batched scorer (ansatz and oracle grids). It sums plainly: a per-row
+    fsum as in ``p_value`` would make the 491k-row oracle scans far slower.
+    """
     return (2.0 * alpha * np.einsum("ij,ij->i", rows, np.roll(rows, -1, axis=1))
             + np.sum(p.psi(rows * rows), axis=1))
 

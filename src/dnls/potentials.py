@@ -39,15 +39,12 @@ class Potential:
     """Immutable potential; safe to share across concurrent evaluations.
 
     ``psi`` and ``dpsi`` are vectorized callables on non-negative arguments.
-    ``smooth`` declares that the pair is continuously differentiable, which
-    enables the finite-difference consistency check.
     """
 
     kind: PotentialKind
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    smooth: bool = True
 
     @property
     def label(self) -> str:
@@ -59,9 +56,9 @@ class Potential:
 
 
 def power_law(eta: float, c: float = 1.0) -> Potential:
-    """psi(x) = c x^(1+eta)/(1+eta), dpsi(x) = c x^eta with eta, c > 0."""
-    if eta <= 0 or c <= 0:
-        raise ValueError("power potential needs eta > 0 and c > 0")
+    """psi(x) = c x^(1+eta)/(1+eta), dpsi(x) = c x^eta with finite eta, c > 0."""
+    if not (0 < eta < np.inf and 0 < c < np.inf):
+        raise ValueError(f"power potential needs finite eta > 0 and c > 0, not eta={eta}, c={c}")
     return Potential(
         PotentialKind.POWER,
         psi=lambda x: c * x ** (1.0 + eta) / (1.0 + eta),
@@ -115,14 +112,13 @@ def quartic() -> Potential:
     )
 
 
-def custom(psi, dpsi, name: str = "custom", smooth: bool = True) -> Potential:
+def custom(psi, dpsi, name: str = "custom") -> Potential:
     """Wrap a user-supplied (psi, dpsi) callback pair.
 
     Consistency of the pair is not assumed; run ``check_assumptions`` to
     validate normalization, growth, and the finite-difference match.
     """
-    return Potential(PotentialKind.CUSTOM, psi=psi, dpsi=dpsi,
-                     params={"name": name}, smooth=smooth)
+    return Potential(PotentialKind.CUSTOM, psi=psi, dpsi=dpsi, params={"name": name})
 
 
 CATALOG = {
@@ -145,6 +141,10 @@ def parse_potential_spec(spec: str) -> Potential:
         for item in filter(None, body.split(",")):
             key, _, val = item.partition("=")
             kv[key.strip()] = float(val)
+        unknown = sorted(set(kv) - {"eta", "c"})
+        if unknown:
+            raise ValueError(f"unknown power potential keys: {', '.join(unknown)}; "
+                             "expected eta and c")
         return power_law(eta=kv.get("eta", 1.0), c=kv.get("c", 1.0))
     raise ValueError(
         f"unknown potential {spec!r}; expected one of "
@@ -214,7 +214,7 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     """Verify the growth assumptions on a geometric-plus-linear grid over (0, x_max].
 
     Reports every violated inequality with both sides. The finite-difference
-    consistency of (psi, dpsi) is checked away from zero for smooth potentials.
+    consistency of (psi, dpsi) is checked away from zero.
     """
     if x_max <= 0:
         raise ValueError("x_max must be positive")
@@ -267,20 +267,18 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     if not positive.size:
         bad(x_max, Check.NON_DEGENERACY, float(psi_vals[-1]), 0.0)
 
-    if p.smooth:
-        fd_xs = np.geomspace(0.05 * x_max, x_max, 64)
-        h = 6e-6 * fd_xs
-        with np.errstate(all="ignore"):
-            fd = (np.asarray(p.psi(fd_xs + h), float)
-                  - np.asarray(p.psi(fd_xs - h), float)) / (2.0 * h)
-            exact = np.asarray(p.dpsi(fd_xs), float)
-        scale = np.maximum(np.abs(exact), 1e-300)
-        rel = np.abs(fd - exact) / scale
-        for x, f, e, r in zip(fd_xs, fd, exact, rel):
-            if not np.isfinite(r) or r > 1e-6:
-                bad(x, Check.CONSISTENCY, f, e)
+    fd_xs = np.geomspace(0.05 * x_max, x_max, 64)
+    h = 6e-6 * fd_xs
+    with np.errstate(all="ignore"):
+        fd = (np.asarray(p.psi(fd_xs + h), float)
+              - np.asarray(p.psi(fd_xs - h), float)) / (2.0 * h)
+        exact = np.asarray(p.dpsi(fd_xs), float)
+    scale = np.maximum(np.abs(exact), 1e-300)
+    rel = np.abs(fd - exact) / scale
+    for x, f, e, r in zip(fd_xs, fd, exact, rel):
+        if not np.isfinite(r) or r > 1e-6:
+            bad(x, Check.CONSISTENCY, f, e)
 
     grid = (f"geometric 1e-08..{x_max:g} plus uniform, {xs.size} points; "
-            f"fd check on [{0.05 * x_max:g}, {x_max:g}]"
-            + ("" if p.smooth else " (skipped: declared non-smooth)"))
+            f"fd check on [{0.05 * x_max:g}, {x_max:g}]")
     return AssumptionReport(passed=not violations, violations=violations, grid=grid)

@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .functionals import (DegenerateProfileError, EnergyBreakdown, energy,
-                          grad_values, residual, row_energies)
+from .functionals import (DegenerateProfileError, EnergyBreakdown, energy, flow,
+                          p_value, row_energies)
 from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
 from .potentials import Potential, check_assumptions
 
@@ -189,24 +189,6 @@ class WaveSolution:
         return out
 
 
-def _p_value(v: np.ndarray, p: Potential, alpha: float) -> float:
-    # compensated summation: step acceptance compares energies whose true
-    # difference can sit below the roundoff of a naive sum. The sum is
-    # correctly rounded, so the order of the terms does not change it.
-    c = 2.0 * alpha * v
-    return math.fsum(np.concatenate([c[:-1] * v[1:], c[-1:] * v[:1], p.psi(v * v)]).tolist())
-
-
-def _flow(v: np.ndarray, p: Potential, alpha: float):
-    """Gradient, flow multiplier, constrained field, and standing-wave residual."""
-    g = grad_values(v, True, p, alpha)
-    n = float(v @ v)
-    sig_flow = float(g @ v) / n
-    f = g - sig_flow * v
-    res = 0.5 * float(np.max(np.abs(f)))
-    return sig_flow, f, res
-
-
 def _simplex_weights(n_samples: int) -> np.ndarray:
     """All non-negative integer 4-tuples with the smallest sum whose count reaches n_samples."""
     total = 1
@@ -221,8 +203,16 @@ def _simplex_weights(n_samples: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _ansatz_candidates(cfg: SolverConfig, p: Potential):
-    """All ansatz candidates (rescaled to power rho) and their energies."""
+def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
+    """Best starting profile from a four-term family of even unimodal shapes.
+
+    Candidates are kappa_1 + kappa_2*chi_j + kappa_3*(1+cos(pi j/N))
+    + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, sampled on a
+    deterministic simplex grid of at least 100 weight tuples.
+    Each candidate is rescaled to power rho; the energy maximizer wins, ties
+    broken by enumeration order. Every term is even and non-increasing in
+    |j| and every weight is non-negative, so each candidate lies in the cone.
+    """
     cell = cfg.cell()
     aj = np.abs(cell.indices())
     terms = np.stack([
@@ -234,21 +224,7 @@ def _ansatz_candidates(cfg: SolverConfig, p: Potential):
     cands = _simplex_weights(_ANSATZ_SAMPLES) @ terms
     norms = np.einsum("ij,ij->i", cands, cands)
     cands *= np.sqrt(cfg.rho / norms)[:, None]
-    return cands, row_energies(cands, p, cfg.alpha)
-
-
-def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
-    """Best starting profile from a four-term family of even unimodal shapes.
-
-    Candidates are kappa_1 + kappa_2*chi_j + kappa_3*(1+cos(pi j/N))
-    + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, sampled on a
-    deterministic simplex grid of at least 100 weight tuples.
-    Each candidate is rescaled to power rho; the energy maximizer wins, ties
-    broken by enumeration order. Every term is even and non-increasing in
-    |j| and every weight is non-negative, so each candidate lies in the cone.
-    """
-    cands, p_vals = _ansatz_candidates(cfg, p)
-    return Profile(cfg.cell(), cands[int(np.argmax(p_vals))])
+    return Profile(cell, cands[int(np.argmax(row_energies(cands, p, cfg.alpha)))])
 
 
 # energy gains above this relative scale are clearly measurable; below it
@@ -284,7 +260,7 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     # rho*sigma*eps) cancels out of the comparison and the gain vanishes
     # as tau goes to zero
     base = v * (sqrt_rho / float(np.sqrt(v @ v)))
-    p0 = _p_value(base, p, cfg.alpha)
+    p0 = p_value(base, True, p, cfg.alpha)
     # the smooth 2-norm of the field serves as the contraction measure; the
     # sup residual can rise at a kink when the leading site switches. The
     # ulp-level renormalization jitter shifts the field by about
@@ -300,12 +276,12 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
         if norm == 0.0:
             raise DegenerateProfileError("ascent step collapsed to the zero profile")
         w *= sqrt_rho / norm
-        p1 = _p_value(w, p, cfg.alpha)
+        p1 = p_value(w, True, p, cfg.alpha)
         gain = p1 - p0
         if gain >= -_energy_slack(p0):
             slack = cone_slack(Profile(cell, w))
             if slack <= _CONE_MONITOR_TOL:
-                flow_w = _flow(w, p, cfg.alpha)
+                flow_w = flow(w, True, p, cfg.alpha)
                 if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
                         or float(np.linalg.norm(flow_w[1])) <= res_limit):
                     return w, flow_w, p0, p1, slack, tau, halvings, False
@@ -317,9 +293,7 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
 def iterate_once(u: Profile, cfg: SolverConfig, p: Potential) -> Profile:
     """Apply the normalized ascent map once, backtracked as in every solver step."""
     v = u.values
-    if float(v @ v) == 0.0:
-        raise DegenerateProfileError("iteration undefined for the zero profile")
-    w = _step(v.copy(), cfg, p, _flow(v, p, cfg.alpha), u.cell, cfg.tau)[0]
+    w = _step(v.copy(), cfg, p, flow(v, True, p, cfg.alpha), u.cell, cfg.tau)[0]
     return u.with_values(w)
 
 
@@ -332,7 +306,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     admissibility tests inside the step. Fixed points of the map do not
     depend on the step size.
     """
-    flow0 = _flow(v, p, cfg.alpha)
+    flow0 = flow(v, True, p, cfg.alpha)
     sig_flow, f, res = flow0
     steps = 0
     tau_trial = cfg.tau
@@ -347,8 +321,6 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
         diag.max_halvings = max(diag.max_halvings, halvings)
         diag.max_cone_slack = max(diag.max_cone_slack, slack)
-        if slack > _CONE_MONITOR_TOL:
-            diag.cone_violations += 1
         drift = abs(float(w @ w) - cfg.rho) / cfg.rho
         diag.max_power_drift = max(diag.max_power_drift, drift)
         step_size = float(np.max(np.abs(w - v)))
@@ -433,26 +405,24 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
                 v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
                                               cfg.max_iters - iterations)
                 iterations += steps2
-                if _p_value(v2, p, cfg.alpha) >= _p_value(v, p, cfg.alpha):
+                if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
                     v, sig_flow, res = v2, sig2, res2
 
+    # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
-    freq = 0.5 * sig_flow
-    final_residual = residual(profile, freq, p, cfg.alpha)
-    converged = final_residual <= cfg.tol_residual
     sol = WaveSolution(
         profile=profile,
-        sigma=freq,
+        sigma=0.5 * sig_flow,
         energies=energy(profile, p, cfg.alpha),
-        residual=final_residual,
+        residual=res,
         iterations=iterations,
-        converged=converged,
+        converged=res <= cfg.tol_residual,
         in_cone=in_cone(profile, tol=_CONE_MONITOR_TOL),
         near_constant=_is_near_constant(v, cfg),
         decay=None,
         diagnostics=diag,
     )
-    if converged and sol.sigma > 2.0 * cfg.alpha:
+    if sol.converged and sol.sigma > 2.0 * cfg.alpha:
         try:
             sol.decay = decay_fit(sol, cfg)
         except TailTooShortError:

@@ -106,6 +106,27 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert "empty sweep grid" in capsys.readouterr().err
 
 
+def test_sweep_refuses_values_sharing_an_artifact_name(tmp_path, capsys):
+    # both values format as rho=2, so the second point would overwrite the first
+    code = main(["sweep", "--param", "rho", "--values", "2.0000001,2.0000002,2.5",
+                 "--potential", "quartic", "--alpha", "1", "--N", "9",
+                 "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "2.0000001 and 2.0000002 share the artifact name rho=2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_converged_is_the_stop_rule_verdict(tmp_path):
+    # the run stops on its residual at once; the artifact must call it converged
+    code = main(["solve", "--potential", "nonconvex-rational", "--alpha", "3", "--rho", "8",
+                 "--N", "9", "--tol-residual", "1e-15", "--out", str(tmp_path / "w")])
+    assert code == 0
+    data = read_json(tmp_path / "w.json")
+    assert data["converged"] is True and data["iterations"] == 0
+    assert data["diagnostics"]["stop_reason"] == "residual"
+    assert data["residual"] <= 1e-15
+
+
 def test_homoclinic_command(tmp_path):
     out = tmp_path / "homo"
     code = main(["homoclinic", "--potential", "quartic", "--alpha", "0.3",

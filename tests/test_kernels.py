@@ -12,10 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls.evolution import hamiltonian_of
-from dnls.functionals import coupling, coupling_values
+from dnls.functionals import coupling, coupling_values, p_value
 from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
 from dnls.potentials import CATALOG
-from dnls.solver import _p_value
 
 reals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -32,8 +31,9 @@ def dirichlet_neighbor_sum(v):
     return out
 
 
-def roll_p_value(v, p, alpha):
-    return math.fsum(np.concatenate([2.0 * alpha * v * np.roll(v, -1), p.psi(v * v)]))
+def roll_p_value(v, periodic, p, alpha):
+    bonds = 2.0 * alpha * v * np.roll(v, -1)
+    return math.fsum(np.concatenate([bonds if periodic else bonds[:-1], p.psi(v * v)]))
 
 
 def roll_coupling(a, periodic):
@@ -72,12 +72,12 @@ def test_neighbor_sum_truncated_matches_dirichlet(vals):
 
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(CATALOG)),
-       alpha=st.floats(0.01, 10.0),
+       alpha=st.floats(0.01, 10.0), periodic=st.booleans(),
        vals=st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=64))
-def test_compensated_energy_matches_roll(name, alpha, vals):
+def test_compensated_energy_matches_roll(name, alpha, periodic, vals):
     v = np.array(vals)
     p = CATALOG[name]()
-    assert _p_value(v, p, alpha) == roll_p_value(v, p, alpha)
+    assert p_value(v, periodic, p, alpha) == roll_p_value(v, periodic, p, alpha)
 
 
 @settings(max_examples=300, deadline=None)

@@ -168,6 +168,16 @@ def test_parse_potential_spec():
     assert eval_dpsi(p, 4.0) == pytest.approx(2.0 * 4.0**1.5, rel=1e-14)
     with pytest.raises(ValueError):
         parse_potential_spec("cubic-nonsense")
+    with pytest.raises(ValueError, match="unknown power potential keys: et;"):
+        parse_potential_spec("power:et=2")
+    with pytest.raises(ValueError, match="unknown power potential keys: d, e;"):
+        parse_potential_spec("power:eta=2,e=1,d=3")
+    with pytest.raises(ValueError, match="finite eta > 0 and c > 0, not eta=nan, c=1.0"):
+        parse_potential_spec("power:eta=nan")
+    with pytest.raises(ValueError, match="not eta=1.5, c=inf"):
+        parse_potential_spec("power:eta=1.5,c=inf")
+    with pytest.raises(ValueError, match="not eta=-inf"):
+        parse_potential_spec("power:eta=-inf")
 
 
 def test_check_assumptions_validates_arguments():

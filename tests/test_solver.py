@@ -4,23 +4,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dnls.solver
-from dnls.functionals import (DegenerateProfileError, energy, power, residual,
-                              sigma)
-from dnls.lattice import Cell, IndexScheme, Profile, cone_slack, in_cone
+from dnls.functionals import (DegenerateProfileError, energy, flow, p_value,
+                              power, residual, sigma)
+from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
+                          project_cone)
 from dnls.potentials import (CATALOG, custom, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
                          _NEAR_CONSTANT_TOL, _RES_GROWTH, HomoclinicVerdict,
                          RunDiagnostics, SolverConfig, TailTooShortError,
-                         _energy_slack, _flat_lambda1, _flow,
-                         _is_near_constant, _p_value, _run, decay_fit,
-                         homoclinic, initial_ansatz, iterate_once,
-                         oracle_maximize, solve)
+                         _energy_slack, _flat_lambda1, _is_near_constant,
+                         _run, decay_fit, homoclinic, initial_ansatz,
+                         iterate_once, oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
@@ -127,8 +127,9 @@ def test_solve_reports_flow_multiplier_consistency():
     cfg = small_cfg()
     sol = solve(cfg, quartic())
     s_flow = sigma(sol.profile, quartic(), cfg.alpha)
-    assert sol.sigma == pytest.approx(0.5 * s_flow, rel=1e-10)
-    assert residual(sol.profile, sol.sigma, quartic(), cfg.alpha) <= cfg.tol_residual
+    assert sol.sigma == 0.5 * s_flow
+    assert residual(sol.profile, sol.sigma, quartic(), cfg.alpha) == sol.residual
+    assert sol.residual <= cfg.tol_residual
 
 
 def test_fixed_point_characterization():
@@ -173,7 +174,7 @@ def kick_restart_reference(cfg, p):
         kicked[d == d.min()] += 1e-3 * math.sqrt(cfg.rho)
         kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
         v2 = _run(kicked, cfg, p, cell, diag, cfg.max_iters - steps)[0]
-        if _p_value(v2, p, cfg.alpha) >= _p_value(v, p, cfg.alpha):
+        if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
             v = v2
     return v, diag.stop_reason
 
@@ -188,7 +189,7 @@ def test_flat_verdict_matches_kick_restart(name, scheme, n, alpha, rho):
     ref, ref_stop = kick_restart_reference(cfg, p)
     # a run cut by the iteration budget has no fixed point to compare
     assume("max_iters" not in (sol.diagnostics.stop_reason, ref_stop))
-    p_ref = _p_value(ref, p, alpha)
+    p_ref = p_value(ref, True, p, alpha)
     assert abs(sol.energies.p_total - p_ref) <= 1e-10 * abs(p_ref)
     dist = float(np.max(np.abs(ref - math.sqrt(rho / n))))
     if _NEAR_CONSTANT_TOL < dist <= 1e-6:
@@ -208,7 +209,7 @@ def test_flat_unstable_branch_matches_kick_restart():
     assert sol.diagnostics.restarted
     assert sol.converged and not sol.near_constant
     ref, _ = kick_restart_reference(cfg, nonconvex_rational())
-    p_ref = _p_value(ref, nonconvex_rational(), cfg.alpha)
+    p_ref = p_value(ref, True, nonconvex_rational(), cfg.alpha)
     assert sol.energies.p_total == pytest.approx(p_ref, rel=1e-10)
 
 
@@ -245,7 +246,7 @@ def eager_step(v, cfg, p, flow0, cell, tau):
     the flow of every trial before deciding on it."""
     sqrt_rho = math.sqrt(cfg.rho)
     base = v * (sqrt_rho / float(np.sqrt(v @ v)))
-    p0 = _p_value(base, p, cfg.alpha)
+    p0 = p_value(base, True, p, cfg.alpha)
     res0 = float(np.linalg.norm(flow0[1]))
     res_limit = res0 * (1.0 + _RES_GROWTH) \
         + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
@@ -257,9 +258,9 @@ def eager_step(v, cfg, p, flow0, cell, tau):
         if norm == 0.0:
             raise DegenerateProfileError("ascent step collapsed to the zero profile")
         w *= sqrt_rho / norm
-        p1 = _p_value(w, p, cfg.alpha)
+        p1 = p_value(w, True, p, cfg.alpha)
         slack = cone_slack(Profile(cell, w))
-        flow_w = _flow(w, p, cfg.alpha)
+        flow_w = flow(w, True, p, cfg.alpha)
         gain = p1 - p0
         admissible = gain >= -_energy_slack(p0) and slack <= _CONE_MONITOR_TOL
         if admissible and (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
@@ -290,6 +291,47 @@ def test_lazy_step_matches_eager_step(name, scheme, n, alpha, rho):
     assert np.array_equal(v, v_ref)
     assert (sig, res, steps) == (sig_ref, res_ref, steps_ref)
     assert diag == diag_ref
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 16), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0),
+       tol=st.sampled_from([1e-10, 1e-14, 1e-15]), max_iters=st.sampled_from([50, 3000]))
+# the stop rule met a 1e-15 tolerance at once, yet a second residual formula
+# rounded above it and reported the wave as not converged
+@example(name="nonconvex-rational", scheme=ON, n=9, alpha=3.0, rho=8.0, tol=1e-15,
+         max_iters=1_000_000)
+def test_converged_is_the_stop_rule_verdict(name, scheme, n, alpha, rho, tol, max_iters):
+    p = CATALOG[name]()
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, tol_residual=tol,
+                       max_iters=max_iters)
+    sol = solve(cfg, p)
+    assert sol.converged == (sol.diagnostics.stop_reason == "residual")
+    assert residual(sol.profile, sol.sigma, p, alpha) == sol.residual
+    assert sol.sigma == 0.5 * sigma(sol.profile, p, alpha)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 16), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
+def test_accepted_iterates_are_cone_fixed_points(name, scheme, n, alpha, rho):
+    # checked with the PAV projection, independently of the step's cone_slack test
+    accepted = []
+    step = dnls.solver._step
+
+    def recording_step(*args):
+        out = step(*args)
+        if not out[-1]:
+            accepted.append(out[0].copy())
+        return out
+
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=2000)
+    with mock.patch.object(dnls.solver, "_step", recording_step):
+        sol = solve(cfg, CATALOG[name]())
+    for w in accepted:
+        projected = project_cone(Profile(cfg.cell(), w)).values
+        assert float(np.max(np.abs(projected - w))) <= 1e-12
+    assert sol.diagnostics.cone_violations == 0
 
 
 def test_solve_determinism():
