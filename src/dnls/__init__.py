@@ -6,34 +6,33 @@ from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
                           coupling, energy, exp_profile, grad_p,
                           participation_ratio, potential_energy, power,
                           residual, sigma, t_lower_bounds)
-from .lattice import (Cell, IndexScheme, Profile, cell_indices, cone_slack,
-                      in_cone, neighbor_sum, profile_from_csv, profile_to_csv,
+from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
+                      neighbor_sum, profile_from_csv, profile_to_csv,
                       project_cone, restrict, stagger)
-from .potentials import (CATALOG, AssumptionReport, Check, DomainError,
-                         Potential, PotentialKind, Violation, check_assumptions,
-                         custom, eval_dpsi, eval_psi, exp_quadratic,
-                         nonconvex_rational, parse_potential_spec, power_law,
-                         quartic, saturable_arctan, saturable_log)
+from .potentials import (CATALOG, AssumptionReport, Check, Potential,
+                         PotentialKind, Violation, check_assumptions, custom,
+                         exp_quadratic, nonconvex_rational,
+                         parse_potential_spec, power_law, quartic,
+                         saturable_arctan, saturable_log)
 from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
                      RunDiagnostics, SolverConfig, TailTooShortError,
                      WaveSolution, decay_fit, homoclinic, initial_ansatz,
-                     iterate_once, oracle_maximize, solve)
+                     oracle_maximize, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
-    "DecayFit", "DegenerateProfileError", "DomainError", "EnergyBreakdown",
+    "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "PotentialKind",
     "Profile", "RunDiagnostics", "SolverConfig", "TailTooShortError",
-    "Violation", "WaveSolution", "box_profile", "cell_indices",
-    "check_assumptions", "cone_slack", "coupling", "custom", "decay_fit",
-    "energy", "eval_dpsi", "eval_psi", "exp_profile",
+    "Violation", "WaveSolution", "box_profile", "check_assumptions",
+    "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
     "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",
-    "integrate", "iterate_once", "neighbor_sum", "nonconvex_rational",
-    "oracle_maximize", "parse_potential_spec", "participation_ratio",
-    "potential_energy", "power", "power_law", "profile_from_csv", "profile_to_csv",
+    "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
+    "parse_potential_spec", "participation_ratio", "potential_energy",
+    "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
     "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
     "stagger", "t_lower_bounds",

@@ -88,7 +88,6 @@ def _config_from_args(args) -> SolverConfig:
 def cmd_solve(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    cfg.validate()
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     out = Path(args.out)
@@ -127,6 +126,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep grid")
     tags = {}
     for value in grid:
+        if args.param == "N" and not value.is_integer():
+            raise ValueError(f"sweep values of N must be integers, not {value!r}")
         tag = f"{args.param}={value:g}"
         if tag in tags:
             raise ValueError(f"sweep values {tags[tag]!r} and {value!r} share the "
@@ -135,7 +136,7 @@ def cmd_sweep(args) -> int:
 
     def cfg_for(value) -> SolverConfig:
         if args.param == "N":
-            return replace(base, n=int(round(value)))
+            return replace(base, n=int(value))
         return replace(base, **{args.param: value})
 
     results = [solve(cfg_for(value), potential) for value in grid]
@@ -212,7 +213,6 @@ def cmd_check_potential(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    cfg.validate()
     potential = parse_potential_spec(args.potential)
     best, p_best = oracle_maximize(cfg, potential, grid_points=args.grid_points)
     sol = solve(cfg, potential)
@@ -237,7 +237,6 @@ def cmd_oracle(args) -> int:
 def cmd_evolve(args) -> int:
     started = time.time()
     cfg = _config_from_args(args)
-    cfg.validate()
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     if not sol.converged:
@@ -305,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force maximum on tiny cells")
     _add_solver_flags(sp)
-    sp.add_argument("--grid-points", type=int, default=100_000)
+    sp.add_argument("--grid-points", type=int, default=100_000,
+                    help="samples per free amplitude ratio, at least 3; "
+                         "capped at 701 when two ratios are free")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("evolve", help="validate a wave as a relative equilibrium")

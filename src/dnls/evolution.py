@@ -44,8 +44,8 @@ class EvolutionState:
         self.amplitudes = amps
 
     @staticmethod
-    def from_profile(u: Profile, time: float = 0.0) -> "EvolutionState":
-        return EvolutionState(time=time, amplitudes=u.values.astype(complex), cell=u.cell)
+    def from_profile(u: Profile) -> "EvolutionState":
+        return EvolutionState(time=0.0, amplitudes=u.values.astype(complex), cell=u.cell)
 
 
 def rhs(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:

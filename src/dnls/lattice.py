@@ -14,7 +14,6 @@ discrete step that leaves it, and ``project_cone`` maps any profile onto it.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,6 +75,7 @@ class Cell:
         return 2 * np.arange(-k, k + 2, dtype=np.int64) - 1
 
     def indices(self) -> np.ndarray:
+        """Ordered site indices j (half-integers inter-site)."""
         return self.doubled_indices() / 2.0
 
     @property
@@ -86,16 +86,6 @@ class Cell:
         """Largest doubled index D with both +-D in the cell (edge of the symmetrized cell)."""
         d = self.doubled_indices()
         return int(min(-d[0], d[-1]))
-
-
-def cell_indices(cell: Cell) -> list:
-    """Ordered cell indices as numbers (ints on-site, half-integer floats inter-site)."""
-    if not cell.is_finite:
-        raise ValueError("cell_indices is defined for finite cells")
-    d = cell.doubled_indices()
-    if cell.scheme is IndexScheme.ON_SITE:
-        return [int(x) // 2 for x in d]
-    return [float(x) / 2.0 for x in d]
 
 
 @dataclass(frozen=True)

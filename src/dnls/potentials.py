@@ -20,10 +20,6 @@ from typing import Callable
 import numpy as np
 
 
-class DomainError(ValueError):
-    """Raised when a potential is evaluated at x < 0."""
-
-
 class PotentialKind(Enum):
     POWER = "power"
     SATURABLE_LOG = "saturable-log"
@@ -38,7 +34,8 @@ class PotentialKind(Enum):
 class Potential:
     """Immutable potential; safe to share across concurrent evaluations.
 
-    ``psi`` and ``dpsi`` are vectorized callables on non-negative arguments.
+    ``psi`` and ``dpsi`` are vectorized callables on non-negative arguments;
+    every caller passes squares or a positive grid, so no domain check is made.
     """
 
     kind: PotentialKind
@@ -150,27 +147,6 @@ def parse_potential_spec(spec: str) -> Potential:
         f"unknown potential {spec!r}; expected one of "
         f"{sorted(CATALOG)} or power:eta=<r>,c=<r>"
     )
-
-
-def _check_domain(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("potential evaluated at x < 0")
-    return arr
-
-
-def eval_psi(p: Potential, x):
-    """Evaluate psi(x) for x >= 0; raises DomainError for negative input."""
-    arr = _check_domain(x)
-    out = p.psi(arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else np.asarray(out)
-
-
-def eval_dpsi(p: Potential, x):
-    """Evaluate dpsi(x) for x >= 0; raises DomainError for negative input."""
-    arr = _check_domain(x)
-    out = p.dpsi(arr)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else np.asarray(out)
 
 
 class Check(Enum):

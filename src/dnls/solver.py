@@ -290,13 +290,6 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     return v, flow0, p0, p0, 0.0, tau, halvings, True
 
 
-def iterate_once(u: Profile, cfg: SolverConfig, p: Potential) -> Profile:
-    """Apply the normalized ascent map once, backtracked as in every solver step."""
-    v = u.values
-    w = _step(v.copy(), cfg, p, flow(v, True, p, cfg.alpha), u.cell, cfg.tau)[0]
-    return u.with_values(w)
-
-
 def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
          diag: RunDiagnostics, budget: int):
     """Iterate to a stopping rule; returns (values, flow multiplier, residual, steps).
@@ -376,7 +369,8 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     kept with no further iterations when lambda_1 < 0, or when the even k=1
     mode cos(2 pi j/N) vanishes on the cell (N=2 inter-site, where flat is
     the only even profile). Otherwise the run is repeated once from its end
-    point kicked along that mode, and the higher-energy outcome is kept.
+    point kicked along that mode, and the higher-energy outcome is kept with
+    its own stop reason.
     Non-convergence is reported through the returned flags, not raised.
     """
     cfg.validate()
@@ -400,6 +394,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
             diag.flat_lambda1 = _flat_lambda1(cfg, p)
             if diag.flat_lambda1 >= 0.0 and iterations < cfg.max_iters:
                 diag.restarted = True
+                stop = diag.stop_reason
                 kicked = v + 1e-3 * math.sqrt(cfg.rho) * mode
                 kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
                 v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
@@ -407,6 +402,8 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
                 iterations += steps2
                 if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
                     v, sig_flow, res = v2, sig2, res2
+                else:
+                    diag.stop_reason = stop
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
@@ -554,12 +551,15 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
 
     After symmetrization and normalization at most two amplitude ratios
     remain free; those are scanned on a uniform grid with ``grid_points``
-    samples per dimension and sharpened by windowed refinement. Returns the
-    best profile and its energy, independent of the ascent iteration.
+    samples per dimension (at least 3; capped at 701 when two ratios are
+    free) and sharpened by windowed refinement. Returns the best profile and
+    its energy, independent of the ascent iteration.
     """
     cfg.validate()
     if cfg.n > 4:
         raise ValueError("the brute-force oracle covers N <= 4 only")
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be at least 3, not {grid_points}")
     cell = cfg.cell()
     d = np.abs(cell.doubled_indices())
     levels = np.unique(d)
@@ -578,13 +578,9 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         k = int(np.argmax(p_all))
         return ratios[k], float(p_all[k]), vals[k]
 
-    g = max(int(grid_points), 3)
+    g = int(grid_points)
     if dims == 2:
         g = min(g, 701)  # refinement recovers the resolution of a huge flat grid
-    if dims == 0:
-        _, p_best, v_best = best_on([])
-        return Profile(cell, v_best), p_best
-
     grids = [np.linspace(0.0, 1.0, g) for _ in range(dims)]
     spacing = [1.0 / (g - 1)] * dims
     r_best, p_best, v_best = best_on(grids)

@@ -1,0 +1,41 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+import dnls
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+PUBLIC = [
+    "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
+    "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
+    "EquilibriumReport", "EvolutionState", "HomoclinicResult",
+    "HomoclinicVerdict", "IndexScheme", "Potential", "PotentialKind",
+    "Profile", "RunDiagnostics", "SolverConfig", "TailTooShortError",
+    "Violation", "WaveSolution", "box_profile", "check_assumptions",
+    "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
+    "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",
+    "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
+    "parse_potential_spec", "participation_ratio", "potential_energy",
+    "power", "power_law", "profile_from_csv", "profile_to_csv",
+    "project_cone", "quartic", "relative_equilibrium_check", "residual",
+    "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
+    "stagger", "t_lower_bounds",
+]
+
+
+def test_public_names():
+    assert dnls.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(dnls, name), name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark patches these by name; a missing one breaks only the trace
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = {**tracer.SPANS, **tracer.COUNTERS}
+    assert targets
+    for label, (module, name) in targets.items():
+        assert callable(getattr(importlib.import_module(module), name, None)), label

@@ -116,6 +116,19 @@ def test_sweep_refuses_values_sharing_an_artifact_name(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):
+    # N=9.4 was rounded to 9: two identical solves under two names
+    code = main(["sweep", "--param", "N", "--values", "9,9.4", "--potential", "quartic",
+                 "--alpha", "1", "--rho", "2", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "sweep values of N must be integers, not 9.4" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    code = main(["sweep", "--param", "N", "--values", "5,7.0", "--potential", "quartic",
+                 "--alpha", "1", "--rho", "2", "--out", str(tmp_path / "s")])
+    assert code == 0
+    assert read_json(tmp_path / "s.N=7.json")["config"]["n"] == 7
+
+
 def test_solve_converged_is_the_stop_rule_verdict(tmp_path):
     # the run stops on its residual at once; the artifact must call it converged
     code = main(["solve", "--potential", "nonconvex-rational", "--alpha", "3", "--rho", "8",
@@ -158,10 +171,14 @@ def test_oracle_command_cross_checks_solver(tmp_path):
 
 
 def test_oracle_command_rejects_big_cells(tmp_path, capsys):
-    code = main(["oracle", "--N", "7", "--potential", "quartic", "--alpha", "1",
-                 "--rho", "2", "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "N <= 4" in capsys.readouterr().err
+    for flags, message in ((["--N", "7"], "N <= 4"),
+                           (["--N", "3", "--grid-points", "1"],
+                            "grid_points must be at least 3, not 1")):
+        code = main(["oracle", *flags, "--potential", "quartic", "--alpha", "1",
+                     "--rho", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_evolve_command(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from dnls.functionals import coupling, power
 from dnls.lattice import (Cell, IndexScheme, Profile, _pav_nonincreasing,
-                          cell_indices, cone_slack, in_cone, profile_from_csv,
-                          profile_to_csv, project_cone, restrict, stagger)
+                          cone_slack, in_cone, profile_from_csv, profile_to_csv,
+                          project_cone, restrict, stagger)
 
 from conftest import random_cone_profile
 
@@ -16,10 +16,10 @@ ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
 
 def test_cell_indices_examples():
-    assert cell_indices(Cell.periodic(ON, 5)) == [-2, -1, 0, 1, 2]
-    assert cell_indices(Cell.periodic(ON, 4)) == [-1, 0, 1, 2]
-    assert cell_indices(Cell.periodic(INTER, 4)) == [-1.5, -0.5, 0.5, 1.5]
-    assert cell_indices(Cell.periodic(INTER, 5)) == [-1.5, -0.5, 0.5, 1.5, 2.5]
+    assert Cell.periodic(ON, 5).indices().tolist() == [-2, -1, 0, 1, 2]
+    assert Cell.periodic(ON, 4).indices().tolist() == [-1, 0, 1, 2]
+    assert Cell.periodic(INTER, 4).indices().tolist() == [-1.5, -0.5, 0.5, 1.5]
+    assert Cell.periodic(INTER, 5).indices().tolist() == [-1.5, -0.5, 0.5, 1.5, 2.5]
 
 
 @pytest.mark.parametrize("scheme", [ON, INTER])
@@ -50,8 +50,6 @@ def test_truncated_cells():
     assert list(c.indices()) == [-3, -2, -1, 0, 1, 2, 3]
     c = Cell.truncated(INTER, 2.0)
     assert list(c.indices()) == [-1.5, -0.5, 0.5, 1.5]
-    with pytest.raises(ValueError):
-        cell_indices(c)
 
 
 def test_cell_validation():

@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.potentials import (CATALOG, Check, DomainError, check_assumptions,
-                             custom, eval_dpsi, eval_psi, exp_quadratic,
-                             nonconvex_rational, parse_potential_spec,
-                             power_law, quartic, saturable_arctan,
-                             saturable_log)
+from dnls.potentials import (CATALOG, Check, check_assumptions, custom,
+                             exp_quadratic, nonconvex_rational,
+                             parse_potential_spec, power_law, quartic,
+                             saturable_arctan, saturable_log)
 from dnls.solver import _d2psi
 
 
 def test_power_law_psi_value():
     # psi(x) = c x^(1+eta)/(1+eta): eta=1, c=1 at x=2 -> 2^2/2
-    assert eval_psi(power_law(1.0, 1.0), 2.0) == pytest.approx(2.0, abs=1e-15)
+    assert power_law(1.0, 1.0).psi(2.0) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_saturable_log_psi_value():
-    assert eval_psi(saturable_log(), 1.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
+    assert saturable_log().psi(1.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
 
 
 def test_saturable_arctan_normalized():
-    assert eval_psi(saturable_arctan(), 0.0) == 0.0
+    assert saturable_arctan().psi(0.0) == 0.0
 
 
 @pytest.mark.parametrize("p,x,expected", [
@@ -34,25 +33,18 @@ def test_saturable_arctan_normalized():
     (quartic(), 2.0, 32.0),
 ])
 def test_dpsi_values(p, x, expected):
-    assert eval_dpsi(p, x) == pytest.approx(expected, rel=1e-14)
+    assert p.dpsi(x) == pytest.approx(expected, rel=1e-14)
 
 
 def test_exp_quadratic_dpsi_matches_series():
     # dpsi(x) = e^x - x - 1 ~ x^2/2 for small x
     x = 1e-4
-    assert eval_dpsi(exp_quadratic(), x) == pytest.approx(x * x / 2.0, rel=1e-3)
-
-
-def test_negative_argument_rejected():
-    with pytest.raises(DomainError):
-        eval_psi(quartic(), -0.5)
-    with pytest.raises(DomainError):
-        eval_dpsi(saturable_log(), np.array([0.5, -1.0]))
+    assert exp_quadratic().dpsi(x) == pytest.approx(x * x / 2.0, rel=1e-3)
 
 
 def test_vectorized_evaluation():
     xs = np.linspace(0.0, 5.0, 11)
-    out = eval_psi(quartic(), xs)
+    out = quartic().psi(xs)
     assert out.shape == xs.shape
     assert np.allclose(out, xs**4)
 
@@ -60,8 +52,8 @@ def test_vectorized_evaluation():
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_catalog_normalization_exact(name):
     p = CATALOG[name]()
-    assert eval_psi(p, 0.0) == 0.0
-    assert eval_dpsi(p, 0.0) == 0.0
+    assert p.psi(0.0) == 0.0
+    assert p.dpsi(0.0) == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -74,7 +66,7 @@ def test_catalog_passes_assumptions(name):
 def test_catalog_superlinear_slack(name):
     p = CATALOG[name]()
     xs = np.geomspace(1e-8, 100.0, 400)
-    slack = xs * eval_dpsi(p, xs) - eval_psi(p, xs)
+    slack = xs * p.dpsi(xs) - p.psi(xs)
     assert np.min(slack) >= -1e-12
 
 
@@ -156,8 +148,8 @@ def test_psi_superhomogeneous_in_lambda():
         p = CATALOG[name]()
         xs = np.geomspace(1e-4, 30.0, 60)
         for lam in (1.0, 1.5, 4.0, 20.0):
-            lhs = eval_psi(p, lam * xs)
-            rhs = lam * eval_psi(p, xs)
+            lhs = p.psi(lam * xs)
+            rhs = lam * p.psi(xs)
             assert np.all(lhs - rhs >= -1e-10 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -165,7 +157,7 @@ def test_parse_potential_spec():
     assert parse_potential_spec("quartic").label == "quartic"
     p = parse_potential_spec("power:eta=1.5,c=2")
     assert p.params == {"eta": 1.5, "c": 2.0}
-    assert eval_dpsi(p, 4.0) == pytest.approx(2.0 * 4.0**1.5, rel=1e-14)
+    assert p.dpsi(4.0) == pytest.approx(2.0 * 4.0**1.5, rel=1e-14)
     with pytest.raises(ValueError):
         parse_potential_spec("cubic-nonsense")
     with pytest.raises(ValueError, match="unknown power potential keys: et;"):

@@ -19,8 +19,8 @@ from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
                          _NEAR_CONSTANT_TOL, _RES_GROWTH, HomoclinicVerdict,
                          RunDiagnostics, SolverConfig, TailTooShortError,
                          _energy_slack, _flat_lambda1, _is_near_constant,
-                         _run, decay_fit, homoclinic, initial_ansatz,
-                         iterate_once, oracle_maximize, solve)
+                         _run, _step, decay_fit, homoclinic, initial_ansatz,
+                         oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
@@ -76,18 +76,24 @@ def test_ansatz_recovers_constant_when_coupling_dominates():
     assert eb.p_total == pytest.approx(const_p, rel=1e-12)
 
 
+def stepped(u, cfg, p):
+    """One backtracked ascent step from u, taken whatever its residual."""
+    v = u.values
+    return _step(v, cfg, p, flow(v, True, p, cfg.alpha), u.cell, cfg.tau)[0]
+
+
 def test_iterate_once_fixes_constant_profile():
     cfg = small_cfg(n=8)
     u = Profile(cfg.cell(), np.full(8, math.sqrt(cfg.rho / 8)))
-    out = iterate_once(u, cfg, saturable_log())
-    assert np.max(np.abs(out.values - u.values)) <= 1e-14
+    out = stepped(u, cfg, saturable_log())
+    assert np.max(np.abs(out - u.values)) <= 1e-14
 
 
 def test_iterate_once_fixes_converged_wave():
     cfg = small_cfg()
     sol = solve(cfg, quartic())
-    out = iterate_once(sol.profile, cfg, quartic())
-    assert np.max(np.abs(out.values - sol.profile.values)) <= 1e-9
+    out = stepped(sol.profile, cfg, quartic())
+    assert np.max(np.abs(out - sol.profile.values)) <= 1e-9
 
 
 def test_iterate_once_increases_energy_from_ansatz():
@@ -95,7 +101,9 @@ def test_iterate_once_increases_energy_from_ansatz():
     pot = saturable_arctan()
     u = initial_ansatz(cfg, pot)
     before = energy(u, pot, cfg.alpha).p_total
-    after = energy(iterate_once(u, cfg, pot), pot, cfg.alpha).p_total
+    v, _, _, steps = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
+    assert steps == 1
+    after = energy(u.with_values(v), pot, cfg.alpha).p_total
     assert after >= before - 1e-14
 
 
@@ -104,7 +112,9 @@ def test_iterate_once_preserves_power():
     pot = saturable_arctan()
     u = initial_ansatz(cfg, pot)
     for _ in range(5):
-        u = iterate_once(u, cfg, pot)
+        v, _, _, steps = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
+        assert steps == 1
+        u = u.with_values(v)
         assert abs(power(u) - cfg.rho) <= 1e-12 * cfg.rho
 
 
@@ -135,8 +145,7 @@ def test_solve_reports_flow_multiplier_consistency():
 def test_fixed_point_characterization():
     cfg = small_cfg()
     sol = solve(cfg, quartic())
-    stepped = iterate_once(sol.profile, cfg, quartic())
-    moved = float(np.max(np.abs(stepped.values - sol.profile.values)))
+    moved = float(np.max(np.abs(stepped(sol.profile, cfg, quartic()) - sol.profile.values)))
     res = residual(sol.profile, sol.sigma, quartic(), cfg.alpha)
     assert (res <= 1e-10) == (moved <= 1e-9)
 
@@ -211,6 +220,26 @@ def test_flat_unstable_branch_matches_kick_restart():
     ref, _ = kick_restart_reference(cfg, nonconvex_rational())
     p_ref = p_value(ref, True, nonconvex_rational(), cfg.alpha)
     assert sol.energies.p_total == pytest.approx(p_ref, rel=1e-10)
+
+
+def test_losing_kicked_run_keeps_the_first_stop_reason():
+    # the kicked run ends lower and unconverged; the kept run's verdict stands
+    cfg = SolverConfig(alpha=0.5, rho=2.0, scheme=INTER, n=3)
+    first_stops = []
+
+    def run(v, cfg, p, cell, diag, budget):
+        if not first_stops:
+            out = _run(v, cfg, p, cell, diag, budget)
+            first_stops.append(diag.stop_reason)
+            return out
+        diag.stop_reason = "max_iters"
+        return 0.5 * v, 0.0, 1.0, 1
+
+    with mock.patch.object(dnls.solver, "_run", run):
+        sol = solve(cfg, nonconvex_rational())
+    assert sol.diagnostics.restarted and sol.near_constant
+    assert sol.diagnostics.stop_reason == first_stops[0] == "residual"
+    assert sol.converged == (sol.diagnostics.stop_reason == "residual")
 
 
 def test_stable_flat_converges_where_the_crawl_stagnated():
