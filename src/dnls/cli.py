@@ -236,6 +236,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_evolve(args) -> int:
     started = time.time()
+    if args.sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
     cfg = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
@@ -246,13 +248,12 @@ def cmd_evolve(args) -> int:
     out = Path(args.out)
     series_path = Path(str(out) + ".series.csv")
     indices = sol.profile.cell.indices()
-    stride = max(args.sample_every, 1)
     with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "j", "re", "im", "abs"])
 
         def sample(step, t, amps):
-            if step % stride:
+            if step % args.sample_every:
                 return
             for j, a in zip(indices, amps):
                 writer.writerow([repr(float(t)), f"{j:g}", repr(a.real),
@@ -263,8 +264,9 @@ def cmd_evolve(args) -> int:
     json_path = Path(str(out) + ".json")
     _dump_json({"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()},
                json_path)
-    _write_manifest(out, "evolve", {**cfg.to_dict(), "t_end": args.t_end,
-                                    "dt": args.dt}, [series_path, json_path], started)
+    _write_manifest(out, "evolve", {**cfg.to_dict(), "t_end": args.t_end, "dt": args.dt,
+                                    "sample_every": args.sample_every},
+                    [series_path, json_path], started)
     print(f"modulus_drift={report.modulus_drift:.3e} "
           f"sigma_mismatch={report.sigma_mismatch:.3e}")
     return 0
@@ -305,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="brute-force maximum on tiny cells")
     _add_solver_flags(sp)
     sp.add_argument("--grid-points", type=int, default=100_000,
-                    help="samples per free amplitude ratio, at least 3; "
-                         "capped at 701 when two ratios are free")
-    sp.set_defaults(func=cmd_oracle)
+                    help="samples per free amplitude ratio of the one global scan, "
+                         "at least 3 and capped at 701 when two ratios are free; "
+                         "the scan runs in bounded memory and a local zoom "
+                         "sharpens its best point")
+    sp.set_defaults(func=cmd_oracle, out="oracle")
 
     sp = sub.add_parser("evolve", help="validate a wave as a relative equilibrium")
     _add_solver_flags(sp)

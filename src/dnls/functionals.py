@@ -141,8 +141,9 @@ def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
 def row_energies(rows: np.ndarray, p: Potential, alpha: float) -> np.ndarray:
     """P of every row of a (B, N) array of profiles on a periodic cell.
 
-    The only batched scorer (ansatz and oracle grids). It sums plainly: a per-row
-    fsum as in ``p_value`` would make the 491k-row oracle scans far slower.
+    The only batched scorer (ansatz samples and oracle blocks). It sums plainly:
+    a per-row fsum as in ``p_value`` would make the oracle's scan of up to 491k
+    rows far slower.
     """
     return (2.0 * alpha * np.einsum("ij,ij->i", rows, np.roll(rows, -1, axis=1))
             + np.sum(p.psi(rows * rows), axis=1))

@@ -546,14 +546,26 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
                             sup_diffs, tail_fracs, max_amps, verdict, margin)
 
 
+# rows per block of the oracle's global scan, so that its memory does not grow
+# with the grid; and points per dimension of each window of its local zoom
+_ORACLE_BLOCK = 1 << 15
+_ORACLE_ZOOM = 41
+
+
 def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     """Brute-force maximum of P on cone-and-sphere for cells of at most 4 sites.
 
     After symmetrization and normalization at most two amplitude ratios
-    remain free; those are scanned on a uniform grid with ``grid_points``
-    samples per dimension (at least 3; capped at 701 when two ratios are
-    free) and sharpened by windowed refinement. Returns the best profile and
-    its energy, independent of the ascent iteration.
+    remain free. One global scan covers a uniform grid with ``grid_points``
+    samples per free ratio (at least 3; capped at 701 when two ratios are
+    free). It scores the grid in blocks of fixed size and keeps only the
+    running best, so its memory does not grow with the grid. A local zoom
+    then rescans windows of +-2 spacings around the best point, each with
+    41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
+    for a grid of g samples per ratio, where five rescans of g samples per
+    window would end, or stops shrinking. A cell with no free ratio scores
+    its one profile. Returns the best profile and its energy, independent of
+    the ascent iteration.
     """
     cfg.validate()
     if cfg.n > 4:
@@ -567,29 +579,40 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     mult = np.bincount(site_level).astype(float)
     dims = levels.size - 1
 
-    def best_on(grids):
-        mesh = np.meshgrid(*grids, indexing="ij") if grids else []
-        ratios = np.stack([m.ravel() for m in mesh], axis=1) if grids else np.zeros((1, 0))
+    def score(ratios, best):
         amps = np.cumprod(np.hstack([np.ones((ratios.shape[0], 1)), ratios]), axis=1)
-        scale = np.sqrt(cfg.rho / np.einsum("ij,j,ij->i", amps, mult, amps))
-        amps *= scale[:, None]
+        amps *= np.sqrt(cfg.rho / np.einsum("ij,j,ij->i", amps, mult, amps))[:, None]
         vals = amps[:, site_level]
         p_all = row_energies(vals, p, cfg.alpha)
         k = int(np.argmax(p_all))
-        return ratios[k], float(p_all[k]), vals[k]
+        if p_all[k] > best[1]:
+            return ratios[k].copy(), float(p_all[k]), vals[k].copy()
+        return best
 
+    def scan(lo, hi, n, best):
+        """``best`` raised to the best row of np.linspace(lo, hi, n) per ratio."""
+        step = (hi - lo) / (n - 1)
+        for start in range(0, n**dims, _ORACLE_BLOCK):
+            rows = np.arange(start, min(start + _ORACLE_BLOCK, n**dims))
+            idx = np.stack(np.unravel_index(rows, (n,) * dims), axis=1)
+            best = score(np.where(idx == n - 1, hi, idx * step + lo), best)
+        return best
+
+    if dims == 0:
+        _, p_best, v_best = score(np.zeros((1, 0)), (None, -math.inf, None))
+        return Profile(cell, v_best), p_best
     g = int(grid_points)
     if dims == 2:
-        g = min(g, 701)  # refinement recovers the resolution of a huge flat grid
-    grids = [np.linspace(0.0, 1.0, g) for _ in range(dims)]
-    spacing = [1.0 / (g - 1)] * dims
-    r_best, p_best, v_best = best_on(grids)
-    for _ in range(5):
-        grids = []
-        for i in range(dims):
-            lo = max(0.0, r_best[i] - 2.0 * spacing[i])
-            hi = min(1.0, r_best[i] + 2.0 * spacing[i])
-            grids.append(np.linspace(lo, hi, g))
-            spacing[i] = (hi - lo) / (g - 1)
-        r_best, p_best, v_best = best_on(grids)
-    return Profile(cell, v_best), p_best
+        g = min(g, 701)  # the zoom recovers the resolution of a huge flat grid
+    best = scan(np.zeros(dims), np.ones(dims), g, (None, -math.inf, None))
+    spacing = np.full(dims, 1.0 / (g - 1))
+    final = spacing[0] * (4.0 * spacing[0]) ** 5
+    while spacing.max() > final:
+        lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
+        hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
+        finer = (hi - lo) / (_ORACLE_ZOOM - 1)
+        if finer.max() >= spacing.max():
+            break
+        spacing = finer
+        best = scan(lo, hi, _ORACLE_ZOOM, best)
+    return Profile(cell, best[2]), best[1]

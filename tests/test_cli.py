@@ -1,5 +1,6 @@
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ def test_oracle_command_rejects_big_cells(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_readme_oracle_example_keeps_the_solve_example_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--potential", "saturable-arctan", "--alpha", "1", "--rho", "10",
+                 "--scheme", "onsite", "--N", "25", "--tau", "1", "--out", "wave"]) == 0
+    assert main(["oracle", "--N", "3", "--potential", "quartic", "--alpha", "1",
+                 "--rho", "2"]) == 0
+    assert read_json(tmp_path / "wave.manifest.json")["command"] == "solve"
+    assert read_json(tmp_path / "oracle.manifest.json")["command"] == "oracle"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "oracle.json", "oracle.manifest.json", "oracle.profile.csv",
+        "wave.json", "wave.manifest.json", "wave.profile.csv"]
+
+
 def test_evolve_command(tmp_path):
     out = tmp_path / "evo"
     code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
@@ -197,6 +211,18 @@ def test_evolve_command(tmp_path):
     assert len(rows) - 1 == 6 * 9
     ts = sorted({float(r[0]) for r in rows[1:]})
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.5, abs=1e-12)
+    assert read_json(tmp_path / "evo.manifest.json")["config"]["sample_every"] == 100
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_evolve_refuses_sample_every_below_one(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
+                 "--rho", "3", "--N", "9", "--t-end", "0.1", "--dt", "0.01",
+                 "--sample-every", str(value), "--out", str(tmp_path / "evo")])
+    assert code == 1
+    assert f"error: sample_every must be at least 1, not {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import dnls.solver
 from dnls.functionals import (DegenerateProfileError, energy, flow, p_value,
-                              power, residual, sigma)
+                              power, residual, row_energies, sigma)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                           project_cone)
 from dnls.potentials import (CATALOG, custom, exp_quadratic,
@@ -433,6 +435,86 @@ def test_oracle_dominates_constant_profile():
     _, p_best = oracle_maximize(cfg, saturable_log(), grid_points=400)
     const = Profile(cfg.cell(), np.full(4, 1.0))
     assert p_best >= energy(const, saturable_log(), 1.0).p_total - 1e-12
+
+
+def six_scan_oracle(cfg, p, grid_points):
+    """Reference: the uniform grid scanned whole, then five windowed rescans of it."""
+    cell = cfg.cell()
+    d = np.abs(cell.doubled_indices())
+    levels = np.unique(d)
+    site_level = np.searchsorted(levels, d)
+    mult = np.bincount(site_level).astype(float)
+    dims = levels.size - 1
+
+    def best_on(grids):
+        mesh = np.meshgrid(*grids, indexing="ij") if grids else []
+        ratios = np.stack([m.ravel() for m in mesh], axis=1) if grids else np.zeros((1, 0))
+        amps = np.cumprod(np.hstack([np.ones((ratios.shape[0], 1)), ratios]), axis=1)
+        amps *= np.sqrt(cfg.rho / np.einsum("ij,j,ij->i", amps, mult, amps))[:, None]
+        vals = amps[:, site_level]
+        p_all = row_energies(vals, p, cfg.alpha)
+        k = int(np.argmax(p_all))
+        return ratios[k], float(p_all[k]), vals[k]
+
+    g = min(grid_points, 701) if dims == 2 else grid_points
+    spacing = [1.0 / (g - 1)] * dims
+    r_best, p_best, v_best = best_on([np.linspace(0.0, 1.0, g)] * dims)
+    for _ in range(5):
+        lo = [max(0.0, r_best[i] - 2.0 * spacing[i]) for i in range(dims)]
+        hi = [min(1.0, r_best[i] + 2.0 * spacing[i]) for i in range(dims)]
+        spacing = [(b - a) / (g - 1) for a, b in zip(lo, hi)]
+        r_best, p_best, v_best = best_on([np.linspace(a, b, g) for a, b in zip(lo, hi)])
+    return v_best, p_best
+
+
+def assert_oracle_matches_six_scans(cfg, p, grid_points):
+    best, p_best = oracle_maximize(cfg, p, grid_points=grid_points)
+    v_ref, p_ref = six_scan_oracle(cfg, p, grid_points)
+    assert p_best >= p_ref - 1e-12 * abs(p_ref)
+    assert np.max(np.abs(best.values - v_ref)) <= 1e-6
+
+
+def test_oracle_matches_six_scans_on_acceptance_cells():
+    for n, scheme, name, alpha, rho in itertools.product(
+            (2, 3, 4), (ON, INTER), ("quartic", "saturable-log"), (0.5, 1.0), (1.0, 2.0)):
+        cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, tau=1.0)
+        assert_oracle_matches_six_scans(cfg, CATALOG[name](), 2001)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 4), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0),
+       grid_points=st.integers(101, 100_000))
+# random draws mostly land on the flat profile, a grid point; these peak inside the box
+@example(name="exp-quadratic", scheme=INTER, n=3, alpha=0.5, rho=4.0, grid_points=50_001)
+@example(name="quartic", scheme=INTER, n=4, alpha=0.5, rho=4.0, grid_points=40_000)
+@example(name="saturable-arctan", scheme=INTER, n=4, alpha=0.25, rho=10.0,
+         grid_points=100_000)
+@example(name="nonconvex-rational", scheme=ON, n=4, alpha=0.5, rho=4.0, grid_points=2001)
+@example(name="saturable-arctan", scheme=ON, n=4, alpha=0.25, rho=10.0, grid_points=701)
+@example(name="exp-quadratic", scheme=ON, n=4, alpha=0.5, rho=4.0, grid_points=301)
+def test_oracle_matches_six_scans(name, scheme, n, alpha, rho, grid_points):
+    # one free ratio scans all grid_points (several blocks from 32,769 on); two use 701
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
+    assert_oracle_matches_six_scans(cfg, CATALOG[name](), grid_points)
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=4)  # two free ratios, 491,401 rows
+    tracemalloc.start()
+    try:
+        oracle_maximize(cfg, quartic(), grid_points=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_oracle_scores_a_cell_without_free_ratio_once():
+    cfg = SolverConfig(alpha=1.0, rho=4.0, scheme=INTER, n=2)
+    with mock.patch.object(dnls.solver, "row_energies", wraps=row_energies) as scorer:
+        oracle_maximize(cfg, saturable_log(), grid_points=100)
+    assert scorer.call_count == 1 and scorer.call_args.args[0].shape == (1, 2)
 
 
 def test_oracle_rejects_large_cells():
