@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sp)
     sp.add_argument("--grid-points", type=int, default=100_000,
                     help="samples per free amplitude ratio of the one global scan, "
-                         "at least 3 and capped at 701 when two ratios are free; "
+                         "at least 3 and capped at 701 when two ratios are free "
+                         "and at 491401 when one is; "
                          "the scan runs in bounded memory and a local zoom "
                          "sharpens its best point")
     sp.set_defaults(func=cmd_oracle, out="oracle")

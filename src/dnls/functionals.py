@@ -56,7 +56,7 @@ def power(u: Profile) -> float:
 def coupling_values(a: np.ndarray, periodic: bool) -> float:
     """2 Re sum conj(a_j) a_{j+1}: L(u) for real input, the complex coupling otherwise."""
     if periodic:
-        return 2.0 * float(np.real(np.conj(a) @ np.roll(a, -1)))
+        return 2.0 * float(np.real(np.conj(a) @ np.concatenate((a[1:], a[:1]))))
     return 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
 
 

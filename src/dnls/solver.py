@@ -558,7 +558,8 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     After symmetrization and normalization at most two amplitude ratios
     remain free. One global scan covers a uniform grid with ``grid_points``
     samples per free ratio (at least 3; capped at 701 when two ratios are
-    free). It scores the grid in blocks of fixed size and keeps only the
+    free and at 701**2 = 491,401 when one is, so no scan exceeds 491,401
+    rows). It scores the grid in blocks of fixed size and keeps only the
     running best, so its memory does not grow with the grid. A local zoom
     then rescans windows of +-2 spacings around the best point, each with
     41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
@@ -601,9 +602,9 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     if dims == 0:
         _, p_best, v_best = score(np.zeros((1, 0)), (None, -math.inf, None))
         return Profile(cell, v_best), p_best
-    g = int(grid_points)
-    if dims == 2:
-        g = min(g, 701)  # the zoom recovers the resolution of a huge flat grid
+    # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
+    # recovers the resolution of a huge flat grid
+    g = min(int(grid_points), 701 ** (2 // dims))
     best = scan(np.zeros(dims), np.ones(dims), g, (None, -math.inf, None))
     spacing = np.full(dims, 1.0 / (g - 1))
     final = spacing[0] * (4.0 * spacing[0]) ** 5

@@ -9,6 +9,8 @@ import dnls.cli
 import dnls.evolution
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
+from dnls.potentials import saturable_log
+from dnls.solver import SolverConfig
 
 
 def read_json(path):
@@ -223,6 +225,32 @@ def test_evolve_refuses_sample_every_below_one(tmp_path, capsys, monkeypatch, va
     assert code == 1
     assert f"error: sample_every must be at least 1, not {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def small_evolve_wave():
+    """The wave of ``dnls evolve --potential saturable-log --alpha 0.8 --rho 3 --N 9``."""
+    sol = dnls.cli.solve(SolverConfig(alpha=0.8, rho=3.0, n=9), saturable_log())
+    assert sol.converged
+    return sol
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t-end", "inf", "t_end must be non-negative and finite, not inf"),
+    ("--t-end", "nan", "t_end must be non-negative and finite, not nan"),
+    ("--dt", "nan", "dt must be positive and finite, not nan"),
+    ("--dt", "inf", "dt must be positive and finite, not inf"),
+])
+def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, small_evolve_wave,
+                                         flag, value, message):
+    monkeypatch.setattr(dnls.cli, "solve", lambda cfg, p: small_evolve_wave)
+    times = {"--t-end": "0.1", "--dt": "0.01", flag: value}
+    code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
+                 "--rho", "3", "--N", "9", *[x for kv in times.items() for x in kv],
+                 "--out", str(tmp_path / "evo")])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "evo.json").exists()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from dnls.evolution import (BlowUpError, EvolutionState, hamiltonian_of,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dnls.evolution import (BlowUpError, EvolutionState, _field, hamiltonian_of,
                             integrate, power_of, relative_equilibrium_check,
                             rhs)
-from dnls.lattice import Cell, IndexScheme, Profile, stagger
-from dnls.potentials import quartic, saturable_arctan, saturable_log
+from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum, stagger
+from dnls.potentials import (CATALOG, custom, quartic, saturable_arctan,
+                             saturable_log)
 from dnls.solver import SolverConfig, solve
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
@@ -49,6 +53,10 @@ def test_integrate_validates_arguments(small_wave):
         integrate(state, saturable_log(), 0.8, t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         integrate(state, saturable_log(), 0.8, t_end=-1.0, dt=0.1)
+    for t_end, dt, name in ((math.inf, 0.1, "t_end"), (math.nan, 0.1, "t_end"),
+                            (1.0, math.nan, "dt"), (1.0, math.inf, "dt")):
+        with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
+            integrate(state, saturable_log(), 0.8, t_end=t_end, dt=dt)
 
 
 def test_conservation_short_run(small_wave):
@@ -151,3 +159,122 @@ def test_callback_sampling(small_wave):
               callback=lambda k, t, a: seen.append((k, t)))
     assert [k for k, _ in seen] == [0, 1, 2, 3, 4, 5]
     assert seen[-1][1] == pytest.approx(0.05, abs=1e-12)
+
+
+def reference_rhs(a, periodic, p, alpha):
+    mod2 = a.real**2 + a.imag**2
+    return 1j * (alpha * neighbor_sum(a, periodic) + p.dpsi(mod2) * a)
+
+
+def reference_invariants(a, periodic, p, alpha):
+    power = float(np.sum(a.real**2 + a.imag**2))
+    if periodic:
+        coupling = 2.0 * float(np.real(np.conj(a) @ np.roll(a, -1)))
+    else:
+        coupling = 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
+    ptot = alpha * coupling + float(np.sum(p.psi(a.real**2 + a.imag**2)))
+    return power, 2.0 * alpha * power - ptot
+
+
+def reference_integrate(state, p, alpha, t_end, dt, callback=None):
+    """Reference: the plain RK4 loop, each stage and invariant formed from scratch."""
+    periodic = state.cell.is_finite
+    a = state.amplitudes.astype(complex).copy()
+    n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+    h = t_end / n_steps if n_steps else 0.0
+    p0, h0 = reference_invariants(a, periodic, p, alpha)
+    max_dp = 0.0
+    max_dh = 0.0
+    if callback is not None:
+        callback(0, state.time, a)
+    for k in range(n_steps):
+        if np.max(np.abs(a)) > 1e6:
+            raise BlowUpError("amplitude exceeded 1e6")
+        k1 = reference_rhs(a, periodic, p, alpha)
+        k2 = reference_rhs(a + 0.5 * h * k1, periodic, p, alpha)
+        k3 = reference_rhs(a + 0.5 * h * k2, periodic, p, alpha)
+        k4 = reference_rhs(a + h * k3, periodic, p, alpha)
+        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        power, ham = reference_invariants(a, periodic, p, alpha)
+        max_dp = max(max_dp, abs(power - p0))
+        max_dh = max(max_dh, abs(ham - h0))
+        if callback is not None:
+            callback(k + 1, state.time + (k + 1) * h, a)
+    final = EvolutionState(time=state.time + t_end, amplitudes=a, cell=state.cell)
+    return final, {
+        "steps": n_steps,
+        "dt": h,
+        "power_drift": max_dp,
+        "power_drift_rel": max_dp / p0 if p0 > 0 else 0.0,
+        "hamiltonian_drift": max_dh,
+        "hamiltonian_drift_rel": max_dh / abs(h0) if h0 != 0 else max_dh,
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), periodic=st.booleans(),
+       inter=st.booleans(), n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.05, 2.0), data=st.sampled_from(["complex", "real", "zero"]),
+       alpha=st.floats(-2.0, 2.0), steps=st.integers(1, 200))
+def test_integrate_matches_the_plain_rk4_loop(name, periodic, inter, n, seed, scale, data,
+                                              alpha, steps):
+    p = CATALOG[name]()
+    if periodic:
+        cell = Cell.periodic(INTER if inter else ON, n)
+    else:  # a truncated lattice of n sites: on-site for odd n, inter-site for even
+        cell = Cell.truncated(ON if n % 2 else INTER, n / 2.0)
+    assert cell.size == n
+    rng = np.random.default_rng(seed)
+    # real and zero data hold exact zeros, where a reordered product could flip their sign
+    a0 = scale * (rng.normal(size=n) + 1j * rng.normal(size=n) * (data == "complex"))
+    a0 = a0 * (data != "zero")
+    # a step well inside the stability bound 0.1/(1 + 2|alpha| + dpsi(max|A|^2))
+    dt = 0.05 / (1.0 + 2.0 * abs(alpha) + float(p.dpsi(np.max(np.abs(a0)) ** 2)))
+    state = EvolutionState(0.25, a0, cell)
+    got, want = [], []
+    out, diag = integrate(state, p, alpha, steps * dt, dt,
+                          callback=lambda k, t, a: got.append((k, t, a.tobytes())))
+    ref, ref_diag = reference_integrate(state, p, alpha, steps * dt, dt,
+                                        callback=lambda k, t, a: want.append((k, t, a.tobytes())))
+    assert out.amplitudes.tobytes() == ref.amplitudes.tobytes()
+    assert diag == ref_diag
+    assert got == want
+    assert out.time == ref.time
+    dot = rhs(a0, periodic, p, alpha).tobytes()
+    assert dot == (1j * _field(a0, a0.real**2 + a0.imag**2, periodic, p, alpha)).tobytes()
+    assert dot == reference_rhs(a0, periodic, p, alpha).tobytes()
+    assert power_of(out.amplitudes) == reference_invariants(out.amplitudes, periodic, p, alpha)[0]
+    assert (hamiltonian_of(out.amplitudes, periodic, p, alpha)
+            == reference_invariants(out.amplitudes, periodic, p, alpha)[1])
+
+
+def test_callback_arrays_are_never_modified():
+    state = EvolutionState(0.0, np.exp(-np.abs(np.arange(-3, 4))).astype(complex),
+                           Cell.periodic(ON, 7))
+    seen = []
+    integrate(state, quartic(), 1.0, t_end=0.05, dt=0.01,
+              callback=lambda k, t, a: seen.append((a, a.copy())))
+    assert len(seen) == 6
+    assert all(np.array_equal(kept, copy) for kept, copy in seen)
+    assert len({id(kept) for kept, _ in seen}) == 6
+
+
+def test_rk4_step_kernel_budget():
+    # four dpsi calls per step (one per stage) and one psi call per step (the
+    # invariants of the new state), plus one psi call for the initial invariants
+    calls = {"psi": 0, "dpsi": 0}
+    base = quartic()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    p = custom(counted("psi", base.psi), counted("dpsi", base.dpsi), name="counted quartic")
+    state = EvolutionState(0.0, np.full(5, 0.5, dtype=complex), Cell.periodic(ON, 5))
+    for steps in (0, 1, 7):
+        calls.update(psi=0, dpsi=0)
+        _, diag = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01)
+        assert diag["steps"] == steps
+        assert calls == {"psi": steps + 1, "dpsi": 4 * steps}

@@ -517,6 +517,17 @@ def test_oracle_scores_a_cell_without_free_ratio_once():
     assert scorer.call_count == 1 and scorer.call_args.args[0].shape == (1, 2)
 
 
+def test_oracle_caps_the_scan_of_one_free_ratio():
+    # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    with mock.patch.object(dnls.solver, "row_energies", wraps=row_energies) as scorer:
+        _, p_best = oracle_maximize(cfg, quartic(), grid_points=10**9)
+    rows = sum(call.args[0].shape[0] for call in scorer.call_args_list)
+    assert 701**2 <= rows <= 701**2 + 41 * scorer.call_count
+    assert p_best == pytest.approx(oracle_maximize(cfg, quartic(), grid_points=20_000)[1],
+                                   rel=1e-12)
+
+
 def test_oracle_rejects_large_cells():
     with pytest.raises(ValueError):
         oracle_maximize(SolverConfig(alpha=1.0, rho=1.0, n=5), quartic())
