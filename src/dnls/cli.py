@@ -1,10 +1,11 @@
 """Command-line front end: solve, sweep, homoclinic, check-potential, oracle, evolve.
 
-Every command writes plot-ready JSON/CSV artifacts plus a run manifest.
-Exit codes: 0 success, 1 usage or validation error, 2 operational failure
-(e.g. non-convergence). Identical flags produce byte-identical artifacts
-except for the wall time recorded in the manifest. ``--config`` reads a JSON
-object keyed by solver config field names; explicit flags win over it.
+Every command writes plot-ready JSON/CSV artifacts and a run manifest under
+the ``--out`` prefix, creating its directory. Exit codes: 0 success, 1 usage,
+validation or write error, 2 operational failure (e.g. non-convergence).
+Identical flags produce byte-identical artifacts except for the wall time in
+the manifest. ``--config`` reads a JSON object keyed by solver config field
+names; explicit flags win over it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import relative_equilibrium_check
+from .evolution import _check_times, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, profile_to_csv
 from .potentials import check_assumptions, parse_potential_spec
@@ -39,6 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
+def _out_prefix(args) -> Path:
+    """The ``--out`` path prefix, with its parent directory created."""
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    return Path(args.out)
 
 
 def _write_manifest(out: Path, command: str, config: dict, outputs, started: float) -> None:
@@ -90,7 +97,7 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
-    out = Path(args.out)
+    out = _out_prefix(args)
     outputs = [Path(str(out) + ".json"), Path(str(out) + ".profile.csv")]
     _dump_json(sol.to_dict(cfg), outputs[0])
     profile_to_csv(sol.profile, outputs[1])
@@ -141,7 +148,7 @@ def cmd_sweep(args) -> int:
 
     results = [solve(cfg_for(value), potential) for value in grid]
 
-    out = Path(args.out)
+    out = _out_prefix(args)
     outputs = []
     rows = []
     for tag, value, sol in zip(tags, grid, results):
@@ -178,7 +185,7 @@ def cmd_homoclinic(args) -> int:
     potential = parse_potential_spec(args.potential)
     n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
-    out = Path(args.out)
+    out = _out_prefix(args)
     outputs = []
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
         point = Path(f"{out}.N={n}.json")
@@ -199,7 +206,7 @@ def cmd_check_potential(args) -> int:
     started = time.time()
     potential = parse_potential_spec(args.potential)
     report = check_assumptions(potential, x_max=args.x_max, samples=args.samples)
-    out = Path(args.out)
+    out = _out_prefix(args)
     path = Path(str(out) + ".json")
     _dump_json({"potential": potential.label, **report.to_dict()}, path)
     _write_manifest(out, "check-potential",
@@ -217,7 +224,7 @@ def cmd_oracle(args) -> int:
     best, p_best = oracle_maximize(cfg, potential, grid_points=args.grid_points)
     sol = solve(cfg, potential)
     gap = abs(sol.energies.p_total - p_best) / max(abs(p_best), 1e-300)
-    out = Path(args.out)
+    out = _out_prefix(args)
     json_path = Path(str(out) + ".json")
     csv_path = Path(str(out) + ".profile.csv")
     _dump_json({
@@ -238,6 +245,7 @@ def cmd_evolve(args) -> int:
     started = time.time()
     if args.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
+    _check_times(args.t_end, args.dt)
     cfg = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
@@ -245,7 +253,7 @@ def cmd_evolve(args) -> int:
         print("solver did not converge; nothing to evolve", file=sys.stderr)
         return OPERATIONAL_ERROR
 
-    out = Path(args.out)
+    out = _out_prefix(args)
     series_path = Path(str(out) + ".series.csv")
     indices = sol.profile.cell.indices()
     with open(series_path, "w", newline="") as fh:
@@ -331,7 +339,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:

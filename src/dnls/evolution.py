@@ -81,6 +81,14 @@ def hamiltonian_of(a: np.ndarray, periodic: bool, p: Potential, alpha: float) ->
     return _invariants(a, _mod2(a), periodic, p, alpha)[1]
 
 
+def _check_times(t_end: float, dt: float) -> None:
+    """Refuse a step or an end time that ``integrate`` cannot run."""
+    if not math.isfinite(dt) or dt <= 0:
+        raise ValueError(f"dt must be positive and finite, not {dt}")
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ValueError(f"t_end must be non-negative and finite, not {t_end}")
+
+
 def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
               dt: float, callback=None):
     """Fixed-step classical fourth-order Runge-Kutta up to t_end.
@@ -96,10 +104,7 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     the array it receives is never modified afterwards, so it may be kept.
     ``t_end`` and ``dt`` must be finite.
     """
-    if not math.isfinite(dt) or dt <= 0:
-        raise ValueError(f"dt must be positive and finite, not {dt}")
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ValueError(f"t_end must be non-negative and finite, not {t_end}")
+    _check_times(t_end, dt)
     periodic = state.cell.is_finite
     a = state.amplitudes.astype(complex)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0

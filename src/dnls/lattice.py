@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,22 @@ class Cell:
         d = self.doubled_indices()
         return int(min(-d[0], d[-1]))
 
+    @cached_property
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(site_level, mult, right)``: the only pairing of j with -j.
+
+        Each site's level |2j| // 2, which numbers the distinct |j| of the
+        cell from 0; the float multiplicity of each level; and the mask of
+        j >= 0. No cell reaches further left than right, so ``v[right]``
+        lists the levels in order.
+        """
+        d = self.doubled_indices()
+        site_level = np.abs(d) // 2
+        out = (site_level, np.bincount(site_level).astype(float), d >= 0)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class Profile:
@@ -133,19 +150,10 @@ def neighbor_sum(values: np.ndarray, periodic: bool) -> np.ndarray:
 def cone_slack(u: Profile) -> float:
     """Largest violation of non-negativity, evenness, or unimodality (0 on the cone)."""
     v = u.values
-    if v.size == 0:
-        return 0.0
-    worst = max(0.0, -float(np.min(v)))
-    d = u.cell.doubled_indices()
-    sym = u.cell.symmetric_doubled_max()
-    mask = np.abs(d) <= sym
-    block = v[mask]
-    if block.size:
-        worst = max(worst, float(np.max(np.abs(block - block[::-1]))))
-    right = v[d >= 0]
-    if right.size >= 2:
-        worst = max(worst, float(np.max(np.diff(right))))
-    return worst
+    site_level, _, right = u.cell.fold
+    half = v[right]
+    return max(0.0, -float(np.min(v)), float(np.max(np.abs(v - half[site_level]))),
+               float(np.max(np.diff(half), initial=0.0)))
 
 
 def in_cone(u: Profile, tol: float = 0.0) -> bool:
@@ -176,29 +184,12 @@ def _pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 def project_cone(u: Profile) -> Profile:
     """Symmetrize, clip negatives, and enforce unimodality by isotonic regression.
 
-    The monotone fit is least squares with site multiplicities as weights, so
-    mirrored pairs count twice. Idempotent on cone members.
+    The monotone fit of the clipped level means is least squares with the
+    level multiplicities as weights. Idempotent on cone members.
     """
-    if not u.cell.is_finite:
-        raise ValueError("project_cone is defined for finite cells")
-    v = u.values.copy()
-    d = u.cell.doubled_indices()
-    sym = u.cell.symmetric_doubled_max()
-    mask = np.abs(d) <= sym
-    block = v[mask]
-    v[mask] = 0.5 * (block + block[::-1])
-    np.clip(v, 0.0, None, out=v)
-
-    right_mask = d >= 0
-    right = v[right_mask]
-    # weight 2 for sites with a mirrored partner, 1 for center/unpaired sites
-    w = np.where((d[right_mask] > 0) & (d[right_mask] <= sym), 2.0, 1.0)
-    fitted = _pav_nonincreasing(right, w)
-    v[right_mask] = fitted
-    mirror = (d < 0) & mask
-    v[mirror] = fitted[np.searchsorted(d[right_mask], -d[mirror])]
-    np.clip(v, 0.0, None, out=v)
-    return u.with_values(v)
+    site_level, mult, _ = u.cell.fold
+    means = np.clip(np.bincount(site_level, u.values) / mult, 0.0, None)
+    return u.with_values(_pav_nonincreasing(means, mult)[site_level])
 
 
 def restrict(u: Profile, target: Cell) -> Profile:
@@ -206,16 +197,14 @@ def restrict(u: Profile, target: Cell) -> Profile:
 
     Onto a finite target this is the periodic continuation of the restriction.
     """
-    src_d = u.cell.doubled_indices()
+    src_d, tgt_d = u.cell.doubled_indices(), target.doubled_indices()
     sym = u.cell.symmetric_doubled_max()
-    lookup = {int(dd): val for dd, val in zip(src_d, u.values) if abs(dd) <= sym}
-    tgt_d = target.doubled_indices()
-    tsym = target.symmetric_doubled_max() if target.is_finite else None
+    if target.is_finite:
+        sym = min(sym, target.symmetric_doubled_max())
+    # a site within +-sym of the same parity as the source is a source site
+    keep = (np.abs(tgt_d) <= sym) & ((tgt_d - src_d[0]) % 2 == 0)
     out = np.zeros(tgt_d.size)
-    for i, dd in enumerate(tgt_d):
-        if tsym is not None and abs(int(dd)) > tsym:
-            continue
-        out[i] = lookup.get(int(dd), 0.0)
+    out[keep] = u.values[(tgt_d[keep] - src_d[0]) // 2]
     return Profile(target, out)
 
 

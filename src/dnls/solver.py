@@ -248,10 +248,10 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     discrete step; the residual test keeps the endgame contracting where
     energy comparisons drown in roundoff. The tests run in that order and
     each runs only when the ones before it pass. If no admissible step is
-    found the input is returned unchanged (surfaced as stagnation by the
-    caller).
+    found the input itself is returned, a step of size zero that the caller
+    surfaces as stagnation.
 
-    Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, halvings, stalled);
+    Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, halvings);
     flow_of_w carries (multiplier, field, residual) at the accepted point.
     """
     sqrt_rho = math.sqrt(cfg.rho)
@@ -284,10 +284,10 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
                 flow_w = flow(w, True, p, cfg.alpha)
                 if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
                         or float(np.linalg.norm(flow_w[1])) <= res_limit):
-                    return w, flow_w, p0, p1, slack, tau, halvings, False
+                    return w, flow_w, p0, p1, slack, tau, halvings
         tau *= 0.5
         halvings = attempt + 1
-    return v, flow0, p0, p0, 0.0, tau, halvings, True
+    return v, flow0, p0, p0, 0.0, tau, halvings
 
 
 def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
@@ -308,7 +308,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         if res <= cfg.tol_residual:
             diag.stop_reason = "residual"
             return v, sig_flow, res, steps
-        w, flow_w, p0, p1, slack, tau_used, halvings, stalled = _step(
+        w, flow_w, p0, p1, slack, tau_used, halvings = _step(
             v, cfg, p, flow0, cell, tau_trial)
         steps += 1
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
@@ -323,10 +323,10 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         # one freak deep backtrack must not destroy the carried size
         tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
         # a tiny step only counts as stagnation when nothing bigger was on
-        # offer (a full-size trial barely moved, an exact no-op, or every
-        # size rejected) or when it persists across many iterations
+        # offer (a full-size trial barely moved, or an exact no-op such as
+        # every size rejected) or when it persists across many iterations
         tiny_streak = tiny_streak + 1 if step_size <= _TOL_STEP else 0
-        if (stalled or step_size == 0.0 or tiny_streak >= 40
+        if (step_size == 0.0 or tiny_streak >= 40
                 or (tiny_streak and tau_used >= cfg.tau)):
             diag.stop_reason = "residual" if res <= cfg.tol_residual else "stagnation"
             return v, sig_flow, res, steps
@@ -448,8 +448,6 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit:
     v = prof.values
     right = j > 0
     jr, vr = j[right], v[right]
-    order = np.argsort(jr)
-    jr, vr = jr[order], vr[order]
 
     floor = 1e-13 * math.sqrt(cfg.rho)
     inner_mask = vr < 0.1 * float(np.max(v))
@@ -574,11 +572,8 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
     cell = cfg.cell()
-    d = np.abs(cell.doubled_indices())
-    levels = np.unique(d)
-    site_level = np.searchsorted(levels, d)
-    mult = np.bincount(site_level).astype(float)
-    dims = levels.size - 1
+    site_level, mult, _ = cell.fold
+    dims = mult.size - 1
 
     def score(ratios, best):
         amps = np.cumprod(np.hstack([np.ones((ratios.shape[0], 1)), ratios]), axis=1)

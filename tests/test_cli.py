@@ -9,8 +9,6 @@ import dnls.cli
 import dnls.evolution
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
-from dnls.potentials import saturable_log
-from dnls.solver import SolverConfig
 
 
 def read_json(path):
@@ -227,30 +225,47 @@ def test_evolve_refuses_sample_every_below_one(tmp_path, capsys, monkeypatch, va
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.fixture(scope="module")
-def small_evolve_wave():
-    """The wave of ``dnls evolve --potential saturable-log --alpha 0.8 --rho 3 --N 9``."""
-    sol = dnls.cli.solve(SolverConfig(alpha=0.8, rho=3.0, n=9), saturable_log())
-    assert sol.converged
-    return sol
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--t-end", "inf", "t_end must be non-negative and finite, not inf"),
     ("--t-end", "nan", "t_end must be non-negative and finite, not nan"),
     ("--dt", "nan", "dt must be positive and finite, not nan"),
     ("--dt", "inf", "dt must be positive and finite, not inf"),
+    ("--t-end", "-1", "t_end must be non-negative and finite, not -1.0"),
+    ("--dt", "0", "dt must be positive and finite, not 0.0"),
 ])
-def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, small_evolve_wave,
-                                         flag, value, message):
-    monkeypatch.setattr(dnls.cli, "solve", lambda cfg, p: small_evolve_wave)
+def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, flag, value, message):
+    # the times are checked before the solve, and nothing is written
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
     times = {"--t-end": "0.1", "--dt": "0.01", flag: value}
     code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
                  "--rho", "3", "--N", "9", *[x for kv in times.items() for x in kv],
-                 "--out", str(tmp_path / "evo")])
+                 "--out", str(tmp_path / "sub" / "evo")])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "evo.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_sweep_example_creates_its_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--param", "rho", "--from", "2.0", "--to", "3.0", "--step", "0.1",
+                 "--potential", "exp-quadratic", "--alpha", "1", "--N", "41",
+                 "--out", "sweep/run"]) == 0
+    manifest = read_json(tmp_path / "sweep" / "run.manifest.json")
+    assert len(manifest["outputs"]) == 12
+    assert all((tmp_path / out).is_file() for out in manifest["outputs"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-potential", "--potential", "quartic", "--samples", "50"],
+    ["solve", "--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--N", "9"],
+])
+def test_unwritable_out_prefix_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    (tmp_path / "plain").write_text("a regular file\n")
+    code = main([*argv, "--out", str(tmp_path / "plain" / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "plain" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):

@@ -181,6 +181,132 @@ def test_project_cone_matches_minmax_isotonic_oracle(rng):
         assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
+def fold_cells():
+    cells = [Cell.periodic(scheme, n) for scheme in (ON, INTER) for n in range(1, 65)]
+    cells += [Cell.truncated(ON, j) for j in (0.5, 1.0, 3.0, 7.5, 20.0)]
+    cells += [Cell.truncated(INTER, j) for j in (0.5, 1.0, 3.0, 7.5, 20.0)]
+    return cells
+
+
+def cell_id(cell):
+    return f"{cell.scheme.value}-" + (f"N{cell.n}" if cell.is_finite else f"jmax{cell.j_max:g}")
+
+
+@pytest.mark.parametrize("cell", fold_cells(), ids=cell_id)
+def test_fold_matches_a_per_site_mirror_search(cell):
+    site_level, mult, right = cell.fold
+    d = cell.doubled_indices().tolist()
+    levels = sorted({abs(x) for x in d})
+    for i, x in enumerate(d):
+        mirror = [k for k, y in enumerate(d) if y == -x]
+        assert site_level[i] == levels.index(abs(x))
+        assert right[i] == (x >= 0)
+        if mirror:
+            assert site_level[mirror[0]] == site_level[i]
+        assert mult[site_level[i]] == (2.0 if mirror and x != 0 else 1.0)
+    assert mult.dtype == float and mult.sum() == len(d)
+    # the right half lists the levels in order
+    assert [abs(x) for x, r in zip(d, right) if r] == levels
+    for a in (site_level, mult, right):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    assert cell.fold is cell.fold  # computed once per cell
+
+
+def test_fold_keeps_cell_equality_and_hash():
+    a, b = Cell.periodic(INTER, 7), Cell.periodic(INTER, 7)
+    a.fold  # fills the cache of a only
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != Cell.periodic(ON, 7)
+
+
+def reference_cone_slack(u):
+    """Cone slack from the reversed symmetrized block, independent of the fold."""
+    v = u.values
+    worst = max(0.0, -float(np.min(v)))
+    d = u.cell.doubled_indices()
+    sym = u.cell.symmetric_doubled_max()
+    mask = np.abs(d) <= sym
+    block = v[mask]
+    if block.size:
+        worst = max(worst, float(np.max(np.abs(block - block[::-1]))))
+    right = v[d >= 0]
+    if right.size >= 2:
+        worst = max(worst, float(np.max(np.diff(right))))
+    return worst
+
+
+def reference_project_cone(u):
+    """Cone projection with 2/1 weights and a mirror search, independent of the fold."""
+    v = u.values.copy()
+    d = u.cell.doubled_indices()
+    sym = u.cell.symmetric_doubled_max()
+    mask = np.abs(d) <= sym
+    block = v[mask]
+    v[mask] = 0.5 * (block + block[::-1])
+    np.clip(v, 0.0, None, out=v)
+    right_mask = d >= 0
+    right = v[right_mask]
+    w = np.where((d[right_mask] > 0) & (d[right_mask] <= sym), 2.0, 1.0)
+    fitted = _pav_nonincreasing(right, w)
+    v[right_mask] = fitted
+    mirror = (d < 0) & mask
+    v[mirror] = fitted[np.searchsorted(d[right_mask], -d[mirror])]
+    np.clip(v, 0.0, None, out=v)
+    return u.with_values(v)
+
+
+def fold_test_profiles(rng, cell):
+    """Random, cone-member, near-cone and signed-zero profiles on a cell."""
+    n = cell.size
+    level = np.abs(cell.doubled_indices()) // 2
+    member = np.cumsum(rng.uniform(0.0, 1.0, size=level.max() + 1))[::-1][level]
+    flat = np.full(n, 0.5)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    return [rng.normal(0.0, 2.0, size=n), rng.uniform(-1e-12, 1.0, size=n),
+            member, member + rng.normal(0.0, 1e-13, size=n), flat,
+            flat + rng.normal(0.0, 1e-15, size=n), zeros, -member,
+            np.round(rng.normal(0.0, 1.0, size=n), 1)]
+
+
+@pytest.mark.parametrize("cell", fold_cells(), ids=cell_id)
+def test_cone_slack_and_projection_match_their_references(cell):
+    rng = np.random.default_rng(cell.size + 1000 * (cell.scheme is INTER) + cell.is_finite)
+    for vals in fold_test_profiles(rng, cell):
+        u = Profile(cell, vals)
+        got, want = cone_slack(u), reference_cone_slack(u)
+        assert got == want and type(got) is float
+        if cell.is_finite:
+            assert project_cone(u).values.tobytes() == reference_project_cone(u).values.tobytes()
+        else:
+            v = project_cone(u)
+            assert in_cone(v, tol=1e-12)
+            assert project_cone(v).values.tobytes() == v.values.tobytes()
+
+
+def reference_restrict(u, target):
+    """restrict as a site-by-site lookup of the doubled index."""
+    sym = u.cell.symmetric_doubled_max()
+    lookup = {int(dd): val for dd, val in zip(u.cell.doubled_indices(), u.values)
+              if abs(dd) <= sym}
+    tsym = target.symmetric_doubled_max() if target.is_finite else None
+    out = [0.0 if tsym is not None and abs(int(dd)) > tsym else lookup.get(int(dd), 0.0)
+           for dd in target.doubled_indices()]
+    return Profile(target, np.array(out))
+
+
+def test_restrict_matches_a_site_lookup(rng):
+    cells = [Cell.periodic(scheme, n) for scheme in (ON, INTER) for n in (1, 2, 5, 8, 13)]
+    cells += [Cell.truncated(scheme, j) for scheme in (ON, INTER) for j in (0.5, 3.0, 6.5)]
+    for src in cells:
+        for target in cells:
+            u = Profile(src, rng.normal(size=src.size))
+            got, want = restrict(u, target), reference_restrict(u, target)
+            assert got.cell == target
+            assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_restrict_even_cell_example():
     u = Profile(Cell.periodic(ON, 4), [1.0, 2.0, 3.0, 4.0])  # a,b,c,d on -1,0,1,2
     out = restrict(u, Cell.truncated(ON, 5.0))
