@@ -10,10 +10,9 @@ from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                       neighbor_sum, profile_from_csv, profile_to_csv,
                       project_cone, restrict, stagger)
 from .potentials import (CATALOG, AssumptionReport, Check, Potential,
-                         PotentialKind, Violation, check_assumptions, custom,
-                         exp_quadratic, nonconvex_rational,
-                         parse_potential_spec, power_law, quartic,
-                         saturable_arctan, saturable_log)
+                         Violation, check_assumptions, custom, exp_quadratic,
+                         nonconvex_rational, parse_potential_spec, power_law,
+                         quartic, saturable_arctan, saturable_log)
 from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
                      RunDiagnostics, SolverConfig, TailTooShortError,
                      WaveSolution, decay_fit, homoclinic, initial_ansatz,
@@ -25,8 +24,8 @@ __all__ = [
     "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
     "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
-    "HomoclinicVerdict", "IndexScheme", "Potential", "PotentialKind",
-    "Profile", "RunDiagnostics", "SolverConfig", "TailTooShortError",
+    "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
+    "RunDiagnostics", "SolverConfig", "TailTooShortError",
     "Violation", "WaveSolution", "box_profile", "check_assumptions",
     "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
     "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",

@@ -15,13 +15,13 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .evolution import _check_times, relative_equilibrium_check
+from .evolution import _check_equilibrium_times, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, profile_to_csv
 from .potentials import check_assumptions, parse_potential_spec
@@ -84,9 +84,8 @@ def _config_from_args(args) -> SolverConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         base = SolverConfig.from_dict({**base.to_dict(), **data})
-    overrides = {name: getattr(args, name)
-                 for name in ("alpha", "rho", "n", "tau", "tol_residual", "max_iters")
-                 if getattr(args, name) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                 if getattr(args, f.name) is not None}
     if args.scheme is not None:
         overrides["scheme"] = IndexScheme(args.scheme)
     return replace(base, **overrides)
@@ -245,7 +244,7 @@ def cmd_evolve(args) -> int:
     started = time.time()
     if args.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
-    _check_times(args.t_end, args.dt)
+    _check_equilibrium_times(args.t_end, args.dt)
     cfg = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)

@@ -15,12 +15,12 @@ solver output by measuring modulus drift and the phase rotation rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .functionals import coupling_values
-from .lattice import Cell, Profile, neighbor_sum
+from .functionals import coupling_values, field_values
+from .lattice import Cell, Profile
 from .potentials import Potential
 
 _BLOWUP_LIMIT = 1e6
@@ -53,15 +53,9 @@ def _mod2(a: np.ndarray) -> np.ndarray:
     return a.real**2 + a.imag**2
 
 
-def _field(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
-           alpha: float) -> np.ndarray:
-    """alpha (A_{j+1}+A_{j-1}) + dpsi(|A_j|^2) A_j, with |A|^2 given as ``mod2``."""
-    return alpha * neighbor_sum(a, periodic) + p.dpsi(mod2) * a
-
-
 def rhs(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
     """dA/dt = i [alpha (A_{j+1}+A_{j-1}) + dpsi(|A_j|^2) A_j]."""
-    return 1j * _field(a, _mod2(a), periodic, p, alpha)
+    return 1j * field_values(a, _mod2(a), periodic, p, alpha)
 
 
 def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
@@ -72,21 +66,19 @@ def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
     return power, 2.0 * alpha * power - ptot
 
 
-def power_of(a: np.ndarray) -> float:
-    return float(_mod2(a).sum())
-
-
-def hamiltonian_of(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> float:
-    """2 alpha N(A) - P(A) with the complex coupling 2 Re sum conj(A_j) A_{j+1}."""
-    return _invariants(a, _mod2(a), periodic, p, alpha)[1]
-
-
 def _check_times(t_end: float, dt: float) -> None:
     """Refuse a step or an end time that ``integrate`` cannot run."""
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, not {dt}")
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be non-negative and finite, not {t_end}")
+
+
+def _check_equilibrium_times(t_end: float, dt: float) -> None:
+    """Refuse what ``integrate`` refuses, and t_end = 0: one sample measures no rotation."""
+    _check_times(t_end, dt)
+    if t_end == 0:
+        raise ValueError(f"t_end must be positive to measure a phase rotation, not {t_end}")
 
 
 def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
@@ -123,13 +115,13 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     for k in range(n_steps):
         if mod2.max() > limit2:
             raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + k * h:g}")
-        f1 = _field(a, mod2, periodic, p, alpha)
+        f1 = field_values(a, mod2, periodic, p, alpha)
         b = a + ihh * f1
-        f2 = _field(b, _mod2(b), periodic, p, alpha)
+        f2 = field_values(b, _mod2(b), periodic, p, alpha)
         b = a + ihh * f2
-        f3 = _field(b, _mod2(b), periodic, p, alpha)
+        f3 = field_values(b, _mod2(b), periodic, p, alpha)
         b = a + ih * f3
-        f4 = _field(b, _mod2(b), periodic, p, alpha)
+        f4 = field_values(b, _mod2(b), periodic, p, alpha)
         a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         mod2 = _mod2(a)
         power, ham = _invariants(a, mod2, periodic, p, alpha)
@@ -163,15 +155,7 @@ class EquilibriumReport:
     dt: float
 
     def to_dict(self) -> dict:
-        return {
-            "modulus_drift": self.modulus_drift,
-            "sigma_measured": self.sigma_measured,
-            "sigma_mismatch": self.sigma_mismatch,
-            "power_drift_rel": self.power_drift_rel,
-            "hamiltonian_drift_rel": self.hamiltonian_drift_rel,
-            "t_end": self.t_end,
-            "dt": self.dt,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
@@ -182,7 +166,10 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
     rotation rate at the central site against the solver frequency, and the
     conservation drifts. ``callback`` is passed on to ``integrate``, so a
     caller can sample the same trajectory without integrating it again.
+    ``t_end`` must be positive and finite, so the rate is fitted to at least
+    two samples.
     """
+    _check_equilibrium_times(t_end, dt)
     if not sol.converged:
         raise ValueError("relative-equilibrium check requires a converged solution")
     u = sol.profile.values
@@ -202,7 +189,7 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
 
     _, diag = integrate(state, p, alpha, t_end, dt, callback=watch)
     theta = np.unwrap(np.angle(np.asarray(phases)))
-    rate = float(np.polyfit(np.asarray(times), theta, 1)[0]) if len(times) > 1 else 0.0
+    rate = float(np.polyfit(np.asarray(times), theta, 1)[0])
     return EquilibriumReport(
         modulus_drift=drift,
         sigma_measured=rate,

@@ -16,7 +16,7 @@ boundaries, matching the zero extension of restricted profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,14 +38,7 @@ class EnergyBreakdown:
     t_value: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "coupling": self.coupling,
-            "potential_energy": self.potential_energy,
-            "p_total": self.p_total,
-            "hamiltonian": self.hamiltonian,
-            "t_value": self.t_value,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def power(u: Profile) -> float:
@@ -94,18 +87,24 @@ def energy(u: Profile, p: Potential, alpha: float) -> EnergyBreakdown:
                            hamiltonian=2.0 * alpha * n - ptot, t_value=tv)
 
 
-def grad_values(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
-    """Gradient of P on raw values: 2 alpha (v_{j+1}+v_{j-1}) + 2 dpsi(v_j^2) v_j."""
-    return 2.0 * alpha * neighbor_sum(v, periodic) + 2.0 * p.dpsi(v * v) * v
+def field_values(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
+                 alpha: float) -> np.ndarray:
+    """alpha (a_{j+1}+a_{j-1}) + dpsi(|a_j|^2) a_j, with |a|^2 given as ``mod2``.
+
+    The right-hand side of both the standing-wave equation and the lattice
+    Schrödinger flow; for real v the gradient of P is 2 * field_values(v, v*v, ...).
+    """
+    return alpha * neighbor_sum(a, periodic) + p.dpsi(mod2) * a
 
 
 def grad_p(u: Profile, p: Potential, alpha: float) -> Profile:
     """Gradient of P as a profile on the cell of u."""
-    return u.with_values(grad_values(u.values, u.periodic, p, alpha))
+    v = u.values
+    return u.with_values(2.0 * field_values(v, v * v, u.periodic, p, alpha))
 
 
-def _field(g: np.ndarray, v: np.ndarray, mult: float):
-    """Field g - mult*v and the standing-wave residual, half its sup norm."""
+def _tangent(g: np.ndarray, v: np.ndarray, mult: float):
+    """Tangent field g - mult*v and the standing-wave residual, half its sup norm."""
     f = g - mult * v
     return f, 0.5 * float(np.max(np.abs(f)))
 
@@ -115,9 +114,9 @@ def flow(v: np.ndarray, periodic: bool, p: Potential, alpha: float):
     n = float(v @ v)
     if n == 0.0:
         raise DegenerateProfileError("multiplier undefined for the zero profile")
-    g = grad_values(v, periodic, p, alpha)
+    g = 2.0 * field_values(v, v * v, periodic, p, alpha)
     mult = float(g @ v) / n
-    return (mult, *_field(g, v, mult))
+    return (mult, *_tangent(g, v, mult))
 
 
 def sigma(u: Profile, p: Potential, alpha: float) -> float:
@@ -135,7 +134,7 @@ def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
     Taken as 0.5 max|grad P(u) - 2 sigma u|, bit for bit ``flow``'s at multiplier/2.
     """
     v = u.values
-    return _field(grad_values(v, u.periodic, p, alpha), v, 2.0 * sig)[1]
+    return _tangent(2.0 * field_values(v, v * v, u.periodic, p, alpha), v, 2.0 * sig)[1]
 
 
 def row_energies(rows: np.ndarray, p: Potential, alpha: float) -> np.ndarray:

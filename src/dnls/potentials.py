@@ -1,6 +1,7 @@
 """Nonlinear on-site potentials and numerical checks of their growth assumptions.
 
-A potential is a pair (psi, dpsi) defined on x >= 0 with psi(0) = dpsi(0) = 0.
+A potential is a label and a pair (psi, dpsi) defined on x >= 0 with
+psi(0) = dpsi(0) = 0.
 The energy maximization relies on three structural properties:
 
   normalization    psi(0) = dpsi(0) = 0
@@ -13,43 +14,26 @@ numerically by ``check_assumptions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 
-class PotentialKind(Enum):
-    POWER = "power"
-    SATURABLE_LOG = "saturable-log"
-    SATURABLE_ARCTAN = "saturable-arctan"
-    EXP_QUADRATIC = "exp-quadratic"
-    NONCONVEX_RATIONAL = "nonconvex-rational"
-    QUARTIC = "quartic"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class Potential:
     """Immutable potential; safe to share across concurrent evaluations.
 
-    ``psi`` and ``dpsi`` are vectorized callables on non-negative arguments;
-    every caller passes squares or a positive grid, so no domain check is made.
+    ``label`` names it: a catalog key, ``power:eta=<r>,c=<r>``, or the name
+    given to ``custom``. ``psi`` and ``dpsi`` are vectorized callables on
+    non-negative arguments; every caller passes squares or a positive grid,
+    so no domain check is made.
     """
 
-    kind: PotentialKind
+    label: str
     psi: Callable[[np.ndarray], np.ndarray]
     dpsi: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
-
-    @property
-    def label(self) -> str:
-        if self.kind is PotentialKind.POWER:
-            return "power:eta={eta},c={c}".format(**self.params)
-        if self.kind is PotentialKind.CUSTOM:
-            return self.params.get("name", "custom")
-        return self.kind.value
 
 
 def power_law(eta: float, c: float = 1.0) -> Potential:
@@ -57,17 +41,16 @@ def power_law(eta: float, c: float = 1.0) -> Potential:
     if not (0 < eta < np.inf and 0 < c < np.inf):
         raise ValueError(f"power potential needs finite eta > 0 and c > 0, not eta={eta}, c={c}")
     return Potential(
-        PotentialKind.POWER,
+        f"power:eta={eta},c={c}",
         psi=lambda x: c * x ** (1.0 + eta) / (1.0 + eta),
         dpsi=lambda x: c * x**eta,
-        params={"eta": eta, "c": c},
     )
 
 
 def saturable_log() -> Potential:
     """psi(x) = x - log(1+x), dpsi(x) = x/(1+x)."""
     return Potential(
-        PotentialKind.SATURABLE_LOG,
+        "saturable-log",
         psi=lambda x: x - np.log1p(x),
         dpsi=lambda x: x / (1.0 + x),
     )
@@ -76,7 +59,7 @@ def saturable_log() -> Potential:
 def saturable_arctan() -> Potential:
     """psi(x) = x - arctan(x), dpsi(x) = x^2/(1+x^2)."""
     return Potential(
-        PotentialKind.SATURABLE_ARCTAN,
+        "saturable-arctan",
         psi=lambda x: x - np.arctan(x),
         dpsi=lambda x: x * x / (1.0 + x * x),
     )
@@ -85,7 +68,7 @@ def saturable_arctan() -> Potential:
 def exp_quadratic() -> Potential:
     """psi(x) = e^x - x^2/2 - x - 1, dpsi(x) = e^x - x - 1."""
     return Potential(
-        PotentialKind.EXP_QUADRATIC,
+        "exp-quadratic",
         psi=lambda x: np.expm1(x) - 0.5 * x * x - x,
         dpsi=lambda x: np.expm1(x) - x,
     )
@@ -94,7 +77,7 @@ def exp_quadratic() -> Potential:
 def nonconvex_rational() -> Potential:
     """psi(x) = x^3/(1+x^2), dpsi(x) = x^2 (3+x^2)/(1+x^2)^2; not convex."""
     return Potential(
-        PotentialKind.NONCONVEX_RATIONAL,
+        "nonconvex-rational",
         psi=lambda x: x**3 / (1.0 + x * x),
         dpsi=lambda x: x * x * (3.0 + x * x) / (1.0 + x * x) ** 2,
     )
@@ -103,7 +86,7 @@ def nonconvex_rational() -> Potential:
 def quartic() -> Potential:
     """psi(x) = x^4, dpsi(x) = 4 x^3."""
     return Potential(
-        PotentialKind.QUARTIC,
+        "quartic",
         psi=lambda x: x**4,
         dpsi=lambda x: 4.0 * x**3,
     )
@@ -115,16 +98,11 @@ def custom(psi, dpsi, name: str = "custom") -> Potential:
     Consistency of the pair is not assumed; run ``check_assumptions`` to
     validate normalization, growth, and the finite-difference match.
     """
-    return Potential(PotentialKind.CUSTOM, psi=psi, dpsi=dpsi, params={"name": name})
+    return Potential(name, psi=psi, dpsi=dpsi)
 
 
-CATALOG = {
-    "saturable-log": saturable_log,
-    "saturable-arctan": saturable_arctan,
-    "exp-quadratic": exp_quadratic,
-    "nonconvex-rational": nonconvex_rational,
-    "quartic": quartic,
-}
+CATALOG = {f().label: f for f in (saturable_log, saturable_arctan, exp_quadratic,
+                                   nonconvex_rational, quartic)}
 
 
 def parse_potential_spec(spec: str) -> Potential:
@@ -192,8 +170,8 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     Reports every violated inequality with both sides. The finite-difference
     consistency of (psi, dpsi) is checked away from zero.
     """
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
+    if not 0 < x_max < np.inf:
+        raise ValueError(f"x_max must be positive and finite, not {x_max}")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 

@@ -91,15 +91,8 @@ class SolverConfig:
         return Cell.periodic(self.scheme, self.n)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "scheme": self.scheme.value,
-            "n": self.n,
-            "tau": self.tau,
-            "tol_residual": self.tol_residual,
-            "max_iters": self.max_iters,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "scheme": self.scheme.value}
 
     @staticmethod
     def from_dict(data: dict) -> "SolverConfig":
@@ -121,13 +114,7 @@ class DecayFit:
     fit_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "fitted_rate": self.fitted_rate,
-            "bound_rate": self.bound_rate,
-            "linear_rate": self.linear_rate,
-            "tail_window": list(self.tail_window),
-            "fit_residual": self.fit_residual,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -147,16 +134,8 @@ class RunDiagnostics:
 
     def to_dict(self) -> dict:
         inc = self.min_energy_increment
-        return {
-            "max_power_drift": self.max_power_drift,
-            "min_energy_increment": None if math.isinf(inc) else inc,
-            "cone_violations": self.cone_violations,
-            "max_cone_slack": self.max_cone_slack,
-            "max_halvings": self.max_halvings,
-            "restarted": self.restarted,
-            "flat_lambda1": self.flat_lambda1,
-            "stop_reason": self.stop_reason,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "min_energy_increment": None if math.isinf(inc) else inc}
 
 
 @dataclass
@@ -513,6 +492,8 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     n_sequence = [int(n) for n in n_sequence]
     if len(n_sequence) < 2 or any(b <= a for a, b in zip(n_sequence, n_sequence[1:])):
         raise ValueError("n_sequence must be at least two strictly increasing sizes")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, not {margin}")
 
     common = Cell.truncated(cfg.scheme, max(n_sequence) / 2.0 + 1.0)
     solutions, restricted = [], []

@@ -10,8 +10,8 @@ PUBLIC = [
     "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
     "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
-    "HomoclinicVerdict", "IndexScheme", "Potential", "PotentialKind",
-    "Profile", "RunDiagnostics", "SolverConfig", "TailTooShortError",
+    "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
+    "RunDiagnostics", "SolverConfig", "TailTooShortError",
     "Violation", "WaveSolution", "box_profile", "check_assumptions",
     "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
     "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",

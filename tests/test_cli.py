@@ -7,6 +7,7 @@ import pytest
 
 import dnls.cli
 import dnls.evolution
+import dnls.solver
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
 
@@ -232,6 +233,7 @@ def test_evolve_refuses_sample_every_below_one(tmp_path, capsys, monkeypatch, va
     ("--dt", "inf", "dt must be positive and finite, not inf"),
     ("--t-end", "-1", "t_end must be non-negative and finite, not -1.0"),
     ("--dt", "0", "dt must be positive and finite, not 0.0"),
+    ("--t-end", "0", "t_end must be positive to measure a phase rotation, not 0.0"),
 ])
 def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, flag, value, message):
     # the times are checked before the solve, and nothing is written
@@ -240,6 +242,28 @@ def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, flag, va
     code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8",
                  "--rho", "3", "--N", "9", *[x for kv in times.items() for x in kv],
                  "--out", str(tmp_path / "sub" / "evo")])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-potential", "--potential", "quartic", "--x-max", "nan"],
+     "x_max must be positive and finite, not nan"),
+    (["check-potential", "--potential", "quartic", "--x-max", "inf"],
+     "x_max must be positive and finite, not inf"),
+    (["check-potential", "--potential", "quartic", "--x-max", "0"],
+     "x_max must be positive and finite, not 0.0"),
+    *[(["homoclinic", "--potential", "quartic", "--alpha", "0.3", "--rho", "2",
+        "--N-seq", "9,17", "--margin", value],
+       f"margin must be positive and finite, not {float(value)}")
+      for value in ("nan", "inf", "-1", "0")],
+])
+def test_non_finite_numeric_inputs_are_usage_errors(tmp_path, capsys, monkeypatch, argv,
+                                                    message):
+    # refused before any solve, and nothing is written
+    monkeypatch.setattr(dnls.solver, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main([*argv, "--out", str(tmp_path / "sub" / "run")])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.evolution import (BlowUpError, EvolutionState, _field, hamiltonian_of,
-                            integrate, power_of, relative_equilibrium_check,
-                            rhs)
+from dnls.evolution import (BlowUpError, EvolutionState, _invariants, integrate,
+                            relative_equilibrium_check, rhs)
+from dnls.functionals import field_values
 from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum, stagger
 from dnls.potentials import (CATALOG, custom, quartic, saturable_arctan,
                              saturable_log)
@@ -57,6 +57,10 @@ def test_integrate_validates_arguments(small_wave):
                             (1.0, math.nan, "dt"), (1.0, math.inf, "dt")):
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite"):
             integrate(state, saturable_log(), 0.8, t_end=t_end, dt=dt)
+    # zero steps leave one sample, which measures no phase rotation
+    assert integrate(state, saturable_log(), 0.8, t_end=0.0, dt=0.1)[1]["steps"] == 0
+    with pytest.raises(ValueError, match="t_end must be positive to measure a phase rotation"):
+        relative_equilibrium_check(sol, saturable_log(), 0.8, t_end=0.0, dt=0.1)
 
 
 def test_conservation_short_run(small_wave):
@@ -131,8 +135,8 @@ def test_truncated_cell_boundary():
 def test_power_and_hamiltonian_helpers(small_wave):
     cfg, sol = small_wave
     a = sol.profile.values.astype(complex)
-    assert power_of(a) == pytest.approx(cfg.rho, rel=1e-12)
-    h = hamiltonian_of(a, True, saturable_log(), cfg.alpha)
+    power, h = _invariants(a, a.real**2 + a.imag**2, True, saturable_log(), cfg.alpha)
+    assert power == pytest.approx(cfg.rho, rel=1e-12)
     assert h == pytest.approx(sol.energies.hamiltonian, rel=1e-12)
 
 
@@ -241,11 +245,11 @@ def test_integrate_matches_the_plain_rk4_loop(name, periodic, inter, n, seed, sc
     assert got == want
     assert out.time == ref.time
     dot = rhs(a0, periodic, p, alpha).tobytes()
-    assert dot == (1j * _field(a0, a0.real**2 + a0.imag**2, periodic, p, alpha)).tobytes()
+    assert dot == (1j * field_values(a0, a0.real**2 + a0.imag**2, periodic, p, alpha)).tobytes()
     assert dot == reference_rhs(a0, periodic, p, alpha).tobytes()
-    assert power_of(out.amplitudes) == reference_invariants(out.amplitudes, periodic, p, alpha)[0]
-    assert (hamiltonian_of(out.amplitudes, periodic, p, alpha)
-            == reference_invariants(out.amplitudes, periodic, p, alpha)[1])
+    b = out.amplitudes
+    assert (_invariants(b, b.real**2 + b.imag**2, periodic, p, alpha)
+            == reference_invariants(b, periodic, p, alpha))
 
 
 def test_callback_arrays_are_never_modified():

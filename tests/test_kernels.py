@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls.evolution import hamiltonian_of
-from dnls.functionals import coupling, coupling_values, p_value
+from dnls.evolution import _invariants, rhs
+from dnls.functionals import (coupling, coupling_values, field_values, flow,
+                              grad_p, p_value, residual)
 from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
 from dnls.potentials import CATALOG
 
@@ -100,4 +101,41 @@ def test_profile_coupling_and_hamiltonian_match_roll(n, data):
     mod2 = a.real**2 + a.imag**2
     ref = 2.0 * 0.7 * float(np.sum(mod2)) - (0.7 * roll_coupling(a, True)
                                              + float(np.sum(p.psi(mod2))))
-    assert hamiltonian_of(a, True, p, 0.7) == ref
+    assert _invariants(a, mod2, True, p, 0.7)[1] == ref
+
+
+def grad_values_reference(v, periodic, p, alpha):
+    """The gradient of P as the ascent wrote it before it shared ``field_values``."""
+    return 2.0 * alpha * neighbor_sum(v, periodic) + 2.0 * p.dpsi(v * v) * v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), periodic=st.booleans(),
+       inter=st.booleans(), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-8.0, 1.5), alpha=st.floats(0.01, 10.0))
+@example(name="exp-quadratic", periodic=True, inter=False, n=5, seed=0,
+         log_scale=1.5, alpha=1.0)  # dpsi overflows to inf
+def test_gradient_of_p_is_twice_the_shared_field(name, periodic, inter, n, seed,
+                                                 log_scale, alpha):
+    p = CATALOG[name]()
+    if periodic:
+        cell = Cell.periodic(IndexScheme.INTER_SITE if inter else IndexScheme.ON_SITE, n)
+    else:  # a truncated lattice of n sites: on-site for odd n, inter-site for even
+        cell = Cell.truncated(IndexScheme.ON_SITE if n % 2 else IndexScheme.INTER_SITE, n / 2.0)
+    assert cell.size == n
+    v = 10.0**log_scale * np.random.default_rng(seed).normal(size=n)
+    u = Profile(cell, v)
+    with np.errstate(all="ignore"):
+        g = grad_values_reference(v, periodic, p, alpha)
+        mult, f, res = flow(v, periodic, p, alpha)
+        ref_mult = float(g @ v) / float(v @ v)
+        ref_f = g - ref_mult * v
+        if np.all(np.isfinite(g)):  # a profile holds finite values only
+            assert same_bits(grad_p(u, p, alpha).values, g)
+        assert same_bits(mult, ref_mult)
+        assert same_bits(f, ref_f)
+        assert same_bits(res, 0.5 * float(np.max(np.abs(ref_f))))
+        assert same_bits(residual(u, 0.5 * mult, p, alpha), res)
+        a = v * np.exp(1j * np.linspace(0.0, 3.0, n))
+        assert same_bits(rhs(a, periodic, p, alpha),
+                         1j * field_values(a, a.real**2 + a.imag**2, periodic, p, alpha))

@@ -156,7 +156,7 @@ def test_psi_superhomogeneous_in_lambda():
 def test_parse_potential_spec():
     assert parse_potential_spec("quartic").label == "quartic"
     p = parse_potential_spec("power:eta=1.5,c=2")
-    assert p.params == {"eta": 1.5, "c": 2.0}
+    assert p.label == "power:eta=1.5,c=2.0"
     assert p.dpsi(4.0) == pytest.approx(2.0 * 4.0**1.5, rel=1e-14)
     with pytest.raises(ValueError):
         parse_potential_spec("cubic-nonsense")
@@ -173,7 +173,8 @@ def test_parse_potential_spec():
 
 
 def test_check_assumptions_validates_arguments():
-    with pytest.raises(ValueError):
-        check_assumptions(quartic(), -1.0, 100)
+    for x_max in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="x_max must be positive and finite"):
+            check_assumptions(quartic(), x_max, 100)
     with pytest.raises(ValueError):
         check_assumptions(quartic(), 1.0, 1)

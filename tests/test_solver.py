@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dnls.solver
+from dnls.evolution import relative_equilibrium_check
 from dnls.functionals import (DegenerateProfileError, energy, flow, p_value,
                               power, residual, row_energies, sigma)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
@@ -384,6 +386,62 @@ def test_solution_serialization_keys():
     assert d["config"]["scheme"] == "onsite"
 
 
+# the hand-written record serializers that the field walks replaced
+def config_dict_reference(c):
+    return {"alpha": c.alpha, "rho": c.rho, "scheme": c.scheme.value, "n": c.n,
+            "tau": c.tau, "tol_residual": c.tol_residual, "max_iters": c.max_iters}
+
+
+def energies_dict_reference(e):
+    return {"power": e.power, "coupling": e.coupling, "potential_energy": e.potential_energy,
+            "p_total": e.p_total, "hamiltonian": e.hamiltonian, "t_value": e.t_value}
+
+
+def decay_dict_reference(d):
+    return {"fitted_rate": d.fitted_rate, "bound_rate": d.bound_rate,
+            "linear_rate": d.linear_rate, "tail_window": list(d.tail_window),
+            "fit_residual": d.fit_residual}
+
+
+def diagnostics_dict_reference(d):
+    inc = d.min_energy_increment
+    return {"max_power_drift": d.max_power_drift,
+            "min_energy_increment": None if math.isinf(inc) else inc,
+            "cone_violations": d.cone_violations, "max_cone_slack": d.max_cone_slack,
+            "max_halvings": d.max_halvings, "restarted": d.restarted,
+            "flat_lambda1": d.flat_lambda1, "stop_reason": d.stop_reason}
+
+
+def equilibrium_dict_reference(r):
+    return {"modulus_drift": r.modulus_drift, "sigma_measured": r.sigma_measured,
+            "sigma_mismatch": r.sigma_mismatch, "power_drift_rel": r.power_drift_rel,
+            "hamiltonian_drift_rel": r.hamiltonian_drift_rel, "t_end": r.t_end, "dt": r.dt}
+
+
+def test_records_serialize_as_their_hand_written_references():
+    waves = [  # a decaying wave, a flat wave, a run cut by the iteration budget
+        (SolverConfig(alpha=1.0, rho=10.0, n=25), saturable_arctan()),
+        (small_cfg(alpha=50.0, rho=1.0), quartic()),
+        (SolverConfig(alpha=1.0, rho=2.0, scheme=INTER, n=8, max_iters=2,
+                      tol_residual=1e-30), quartic()),
+    ]
+    sols = [solve(cfg, p) for cfg, p in waves]
+    assert sols[0].decay is not None and sols[0].diagnostics.stop_reason == "residual"
+    assert sols[1].diagnostics.flat_lambda1 is not None
+    assert math.isinf(sols[1].diagnostics.min_energy_increment)
+    assert sols[2].diagnostics.stop_reason == "max_iters"
+    pairs = []
+    for (cfg, _), sol in zip(waves, sols):
+        pairs += [(cfg, config_dict_reference), (sol.energies, energies_dict_reference),
+                  (sol.diagnostics, diagnostics_dict_reference)]
+        if sol.decay is not None:
+            pairs.append((sol.decay, decay_dict_reference))
+    report = relative_equilibrium_check(sols[0], saturable_arctan(), 1.0, t_end=0.05, dt=0.01)
+    pairs.append((report, equilibrium_dict_reference))
+    for record, reference in pairs:
+        assert json.dumps(record.to_dict()) == json.dumps(reference(record)), record
+
+
 def test_decay_fit_matches_linearized_rate():
     cfg = SolverConfig(alpha=1.0, rho=10.0, n=25)
     sol = solve(cfg, saturable_arctan())
@@ -551,12 +609,17 @@ def test_homoclinic_delocalizing_small():
     assert res.tail_fractions[0] > 0.0
 
 
-def test_homoclinic_validates_sequence():
+def test_homoclinic_validates_sequence(monkeypatch):
     cfg = small_cfg()
     with pytest.raises(ValueError):
         homoclinic(cfg, quartic(), [9])
     with pytest.raises(ValueError):
         homoclinic(cfg, quartic(), [9, 9])
+    # a margin that is not finite and positive is refused before any solve
+    monkeypatch.setattr(dnls.solver, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    for margin in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="margin must be positive and finite"):
+            homoclinic(cfg, quartic(), [9, 17], margin=margin)
 
 
 def test_t_monotone_in_alpha_and_rho_solver():
