@@ -112,11 +112,12 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_grid(args):
+    for flag, value in (("--from", args.start), ("--to", args.stop), ("--step", args.step)):
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, not {value}")
     if args.values:
         return [float(x) for x in args.values.split(",") if x.strip()]
-    if args.start is None or args.stop is None or args.step is None:
-        return []
-    if args.step <= 0:
+    if None in (args.start, args.stop, args.step) or args.step <= 0:
         return []
     count = int(round((args.stop - args.start) / args.step)) + 1
     grid = [args.start + k * args.step for k in range(count)]

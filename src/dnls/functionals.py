@@ -137,15 +137,17 @@ def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:
     return _tangent(2.0 * field_values(v, v * v, u.periodic, p, alpha), v, 2.0 * sig)[1]
 
 
-def row_energies(rows: np.ndarray, p: Potential, alpha: float) -> np.ndarray:
-    """P of every row of a (B, N) array of profiles on a periodic cell.
+def level_energies(a: np.ndarray, cell: Cell, p: Potential, alpha: float) -> np.ndarray:
+    """P of B even profiles from their amplitudes a, shape (L, B), on the levels of ``cell.fold``.
 
-    The only batched scorer (ansatz samples and oracle blocks). It sums plainly:
-    a per-row fsum as in ``p_value`` would make the oracle's scan of up to 491k
-    rows far slower.
+    mult @ psi(a^2) + alpha L with L from ``cell.level_coupling``. The only
+    batched scorer (ansatz samples and oracle blocks). It sums plainly: a
+    per-profile fsum as in ``p_value`` would make the oracle's scan far slower.
     """
-    return (2.0 * alpha * np.einsum("ij,ij->i", rows, np.roll(rows, -1, axis=1))
-            + np.sum(p.psi(rows * rows), axis=1))
+    _, mult, _ = cell.fold
+    self_w, pair_w = cell.level_coupling
+    sq = a * a
+    return mult @ p.psi(sq) + alpha * (self_w @ sq + pair_w @ (a[:-1] * a[1:]))
 
 
 def participation_ratio(u: Profile) -> float:

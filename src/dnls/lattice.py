@@ -95,11 +95,31 @@ class Cell:
         Each site's level |2j| // 2, which numbers the distinct |j| of the
         cell from 0; the float multiplicity of each level; and the mask of
         j >= 0. No cell reaches further left than right, so ``v[right]``
-        lists the levels in order.
+        lists the levels in order. ``functionals.level_energies`` scores even
+        profiles on these levels, with the weights of ``level_coupling``.
         """
         d = self.doubled_indices()
         site_level = np.abs(d) // 2
         out = (site_level, np.bincount(site_level).astype(float), d >= 0)
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @cached_property
+    def level_coupling(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(self_w, pair_w)``: L = self_w @ a**2 + pair_w @ (a[:-1] * a[1:]).
+
+        For even profiles with amplitudes a on the levels of ``fold``: a bond
+        joins equal or adjacent levels, and the weights count the bonds within
+        level l and between levels k and k+1, twice each as L does.
+        """
+        site_level, mult, _ = self.fold
+        a, b = site_level[:-1], site_level[1:]  # the ends of each bond j, j+1
+        if self.is_finite:
+            a, b = site_level, np.concatenate((b, site_level[:1]))  # and the wrap-around
+        lo, same = np.minimum(a, b), a == b
+        out = (2.0 * np.bincount(lo[same], minlength=mult.size),
+               2.0 * np.bincount(lo[~same], minlength=mult.size - 1))
         for a in out:
             a.flags.writeable = False
         return out

@@ -177,7 +177,8 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
 
     n_geo = samples // 2
     n_lin = samples - n_geo
-    geo = np.geomspace(1e-8, x_max, max(n_geo, 2))
+    geo_lo = min(1e-8, x_max)
+    geo = np.geomspace(geo_lo, x_max, max(n_geo, 2))
     lin = np.linspace(x_max / n_lin, x_max, max(n_lin, 2))
     xs = np.unique(np.concatenate([geo, lin]))
     violations: list[Violation] = []
@@ -202,8 +203,8 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
 
     # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
     # decidable degeneracy exactly when it sits above a measurably positive
-    # one (well clear of the rounding noise of O(x) intermediates); near zero
-    # a very flat psi rounds to 0.0 and positivity is unknowable
+    # one (well clear of the rounding noise of O(x) intermediates) or at x_max;
+    # near zero a very flat psi rounds to 0.0 and positivity is unknowable
     noise = 8.0 * np.finfo(float).eps * xs
     positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
     first_positive = xs[positive[0]] if positive.size else np.inf
@@ -218,7 +219,7 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
             bad(x, Check.SUPER_LINEARITY, x * dps, ps)
         if ps <= 0.0 and x > first_positive:
             bad(x, Check.NON_DEGENERACY, ps, 0.0)
-    if not positive.size:
+    if not positive.size and not psi_vals[-1] > 0.0:
         bad(x_max, Check.NON_DEGENERACY, float(psi_vals[-1]), 0.0)
 
     fd_xs = np.geomspace(0.05 * x_max, x_max, 64)
@@ -233,6 +234,6 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
         if not np.isfinite(r) or r > 1e-6:
             bad(x, Check.CONSISTENCY, f, e)
 
-    grid = (f"geometric 1e-08..{x_max:g} plus uniform, {xs.size} points; "
+    grid = (f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} points; "
             f"fd check on [{0.05 * x_max:g}, {x_max:g}]")
     return AssumptionReport(passed=not violations, violations=violations, grid=grid)

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .functionals import (DegenerateProfileError, EnergyBreakdown, energy, flow,
-                          p_value, row_energies)
+                          level_energies, p_value)
 from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
 from .potentials import Potential, check_assumptions
 
@@ -47,8 +47,8 @@ _CONE_MONITOR_TOL = 1e-12
 _TOL_STEP = 1e-12
 # least number of weight tuples the ansatz grid samples
 _ANSATZ_SAMPLES = 100
-# relative step of the central difference for psi''; near the cube root of
-# the machine epsilon, where truncation and roundoff errors balance
+# step of the differences for psi'' (relative to x, absolute at 0); near the
+# cube root of the machine epsilon, where truncation and roundoff errors balance
 _D2PSI_STEP = 1e-5
 
 
@@ -203,7 +203,8 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     cands = _simplex_weights(_ANSATZ_SAMPLES) @ terms
     norms = np.einsum("ij,ij->i", cands, cands)
     cands *= np.sqrt(cfg.rho / norms)[:, None]
-    return Profile(cell, cands[int(np.argmax(row_energies(cands, p, cfg.alpha)))])
+    p_all = level_energies(cands.T[cell.fold[2]], cell, p, cfg.alpha)
+    return Profile(cell, cands[int(np.argmax(p_all))])
 
 
 # energy gains above this relative scale are clearly measurable; below it
@@ -318,7 +319,10 @@ def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
 
 
 def _d2psi(p: Potential, x: float) -> float:
-    """psi''(x) for x > 0 by a central difference of dpsi."""
+    """psi''(x) by a central difference of dpsi; at x = 0 by a one-sided one."""
+    if x == 0.0:  # second order too, with an absolute step
+        f0, f1, f2 = (float(p.dpsi(np.float64(t))) for t in (0.0, _D2PSI_STEP, 2.0 * _D2PSI_STEP))
+        return (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * _D2PSI_STEP)
     h = _D2PSI_STEP * x
     hi, lo = x + h, x - h
     return float(p.dpsi(np.float64(hi)) - p.dpsi(np.float64(lo))) / (hi - lo)
@@ -358,9 +362,9 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
         kinds = sorted({v.check.value for v in report.violations})
         raise ValueError(f"potential violates growth assumptions on [0, rho]: {kinds}")
 
-    cell = cfg.cell()
+    start = initial_ansatz(cfg, p)
+    cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived
     diag = RunDiagnostics()
-    v0 = initial_ansatz(cfg, p).values.copy()
     v, sig_flow, res, steps = _run(v0, cfg, p, cell, diag, cfg.max_iters)
     iterations = steps
 
@@ -525,7 +529,7 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
                             sup_diffs, tail_fracs, max_amps, verdict, margin)
 
 
-# rows per block of the oracle's global scan, so that its memory does not grow
+# most rows per block of the oracle's global scan, so that its memory does not grow
 # with the grid; and points per dimension of each window of its local zoom
 _ORACLE_BLOCK = 1 << 15
 _ORACLE_ZOOM = 41
@@ -534,18 +538,18 @@ _ORACLE_ZOOM = 41
 def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     """Brute-force maximum of P on cone-and-sphere for cells of at most 4 sites.
 
-    After symmetrization and normalization at most two amplitude ratios
-    remain free. One global scan covers a uniform grid with ``grid_points``
-    samples per free ratio (at least 3; capped at 701 when two ratios are
-    free and at 701**2 = 491,401 when one is, so no scan exceeds 491,401
-    rows). It scores the grid in blocks of fixed size and keeps only the
-    running best, so its memory does not grow with the grid. A local zoom
-    then rescans windows of +-2 spacings around the best point, each with
+    On the levels of ``Cell.fold`` at most two amplitude ratios stay free: a
+    profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
+    covers a uniform grid of ``grid_points`` samples per free ratio (at least
+    3; capped at 701 when two ratios are free and at 701**2 = 491,401 when
+    one is). ``level_energies`` scores it in blocks of whole runs of the last
+    ratio, at most 32,768 rows each, keeping only the running best, so memory
+    does not grow with the grid; only the best row is expanded to the sites.
+    A local zoom then rescans windows of +-2 spacings around the best point,
     41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
-    for a grid of g samples per ratio, where five rescans of g samples per
-    window would end, or stops shrinking. A cell with no free ratio scores
-    its one profile. Returns the best profile and its energy, independent of
-    the ascent iteration.
+    for g samples per ratio, where five rescans of g samples per window would
+    end, or stops shrinking. A cell with no free ratio scores its one profile.
+    Returns the best profile and its energy, independent of the ascent.
     """
     cfg.validate()
     if cfg.n > 4:
@@ -556,28 +560,30 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     site_level, mult, _ = cell.fold
     dims = mult.size - 1
 
-    def score(ratios, best):
-        amps = np.cumprod(np.hstack([np.ones((ratios.shape[0], 1)), ratios]), axis=1)
-        amps *= np.sqrt(cfg.rho / np.einsum("ij,j,ij->i", amps, mult, amps))[:, None]
-        vals = amps[:, site_level]
-        p_all = row_energies(vals, p, cfg.alpha)
-        k = int(np.argmax(p_all))
-        if p_all[k] > best[1]:
-            return ratios[k].copy(), float(p_all[k]), vals[k].copy()
-        return best
-
     def scan(lo, hi, n, best):
         """``best`` raised to the best row of np.linspace(lo, hi, n) per ratio."""
         step = (hi - lo) / (n - 1)
-        for start in range(0, n**dims, _ORACLE_BLOCK):
-            rows = np.arange(start, min(start + _ORACLE_BLOCK, n**dims))
-            idx = np.stack(np.unravel_index(rows, (n,) * dims), axis=1)
-            best = score(np.where(idx == n - 1, hi, idx * step + lo), best)
+
+        def axis(i, ks):
+            return np.where(ks == n - 1, hi[i], ks * step[i] + lo[i])
+
+        r2 = axis(1, np.arange(n)) if dims == 2 else np.ones(1)  # one run of one row
+        chunk = max(1, _ORACLE_BLOCK // r2.size)
+        for start in range(0, n, chunk):
+            r1 = axis(0, np.arange(start, min(start + chunk, n)))[:, None]
+            amps = np.stack(np.broadcast_arrays(1.0, r1, r1 * r2)[:dims + 1]).reshape(dims + 1, -1)
+            amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
+            p_all = level_energies(amps, cell, p, cfg.alpha)
+            k = int(np.argmax(p_all))
+            if p_all[k] > best[1]:
+                i, j = divmod(k, r2.size)
+                best = np.array([r1[i, 0], r2[j]][:dims]), float(p_all[k]), amps[:, k][site_level]
         return best
 
     if dims == 0:
-        _, p_best, v_best = score(np.zeros((1, 0)), (None, -math.inf, None))
-        return Profile(cell, v_best), p_best
+        amps = np.sqrt(cfg.rho / mult)[:, None]
+        p_one = float(level_energies(amps, cell, p, cfg.alpha)[0])
+        return Profile(cell, amps[site_level, 0]), p_one
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
     g = min(int(grid_points), 701 ** (2 // dims))

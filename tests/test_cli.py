@@ -108,6 +108,26 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert "empty sweep grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--from", "--to", "--step"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_refuses_non_finite_range_flags(tmp_path, capsys, monkeypatch, flag, value):
+    # refused before any solve, naming the flag, and nothing is written
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    bounds = {"--from": "2", "--to": "3", "--step": "0.5", flag: value}
+    code = main(["sweep", "--param", "rho", *[f"{k}={v}" for k, v in bounds.items()],
+                 "--potential", "quartic", "--alpha", "1", "--N", "5",
+                 "--out", str(tmp_path / "sub" / "s")])
+    assert code == 1
+    assert f"error: {flag} must be finite, not {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_potential_at_tiny_x_max_passes_quartic(tmp_path):
+    # psi is sampled on (0, x_max] only, where x**4 is positive
+    assert main(["check-potential", "--potential", "quartic", "--x-max", "1e-9",
+                 "--out", str(tmp_path / "chk")]) == 0
+
+
 def test_sweep_refuses_values_sharing_an_artifact_name(tmp_path, capsys):
     # both values format as rho=2, so the second point would overwrite the first
     code = main(["sweep", "--param", "rho", "--values", "2.0000001,2.0000002,2.5",

@@ -90,6 +90,23 @@ def test_solver_d2psi_matches_closed_form(p, closed, x):
     assert _d2psi(p, x) == pytest.approx(closed(x), rel=1e-7)
 
 
+@pytest.mark.parametrize("p,closed", [pytest.param(p, f, id=p.label)
+                                      for p, f in D2PSI_CLOSED_FORMS
+                                      if p.label in CATALOG])
+def test_solver_d2psi_at_zero_is_one_sided(p, closed):
+    # inter-site tails underflow to exactly 0; the power laws are not C^2 there
+    assert _d2psi(p, 0.0) == pytest.approx(closed(0.0), abs=1e-8)
+
+
+def test_flat_lambda1_keeps_its_central_difference():
+    # the x > 0 branch, which _flat_lambda1 reads, is bit for bit the central difference
+    p = saturable_log()
+    for x in (1e-3, 0.5, 3.0):
+        h = 1e-5 * x
+        ref = float(p.dpsi(np.float64(x + h)) - p.dpsi(np.float64(x - h))) / ((x + h) - (x - h))
+        assert _d2psi(p, x) == ref
+
+
 def test_power_family_passes():
     for eta, c in [(0.5, 1.0), (1.0, 2.0), (3.0, 0.1)]:
         assert check_assumptions(power_law(eta, c), 50.0, 600).passed
@@ -170,6 +187,27 @@ def test_parse_potential_spec():
         parse_potential_spec("power:eta=1.5,c=inf")
     with pytest.raises(ValueError, match="not eta=-inf"):
         parse_potential_spec("power:eta=-inf")
+
+
+@pytest.mark.parametrize("x_max", [1e-9, 1e-90])
+@pytest.mark.parametrize("p", [CATALOG[name]() for name in sorted(CATALOG)]
+                         + [power_law(0.5), power_law(1.5, 2.0)], ids=lambda p: p.label)
+def test_check_assumptions_samples_nothing_above_x_max(p, x_max):
+    # every sample, and so every violation, lies in (0, x_max]
+    report = check_assumptions(p, x_max=x_max, samples=400)
+    assert report.grid.startswith(f"geometric {x_max:g}..{x_max:g} plus uniform")
+    assert all(v.x <= x_max for v in report.violations)
+
+
+# quartic's x**4 underflows at 1e-90; the saturable and exponential forms lose
+# psi to cancellation below about 1e-8, so their verdicts there are not pinned
+@pytest.mark.parametrize("p,x_max", [(quartic(), 1e-9), (nonconvex_rational(), 1e-9),
+                                     (nonconvex_rational(), 1e-90), (power_law(0.5), 1e-90),
+                                     (power_law(1.5, 2.0), 1e-90)])
+def test_tiny_x_max_blames_no_sound_potential(p, x_max):
+    # psi positive but below the rounding noise of O(x) terms is no degeneracy
+    report = check_assumptions(p, x_max=x_max, samples=400)
+    assert report.passed, report.violations[:3]
 
 
 def test_check_assumptions_validates_arguments():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dnls.solver
 from dnls.evolution import relative_equilibrium_check
-from dnls.functionals import (DegenerateProfileError, energy, flow, p_value,
-                              power, residual, row_energies, sigma)
+from dnls.functionals import (DegenerateProfileError, energy, flow, level_energies,
+                              p_value, power, residual, sigma)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                           project_cone)
 from dnls.potentials import (CATALOG, custom, exp_quadratic,
@@ -78,6 +78,45 @@ def test_ansatz_recovers_constant_when_coupling_dominates():
     eb = energy(u, quartic(), cfg.alpha)
     const_p = 2 * cfg.alpha * cfg.rho + cfg.n * float(quartic().psi(np.float64(cfg.rho / cfg.n)))
     assert eb.p_total == pytest.approx(const_p, rel=1e-12)
+
+
+def row_energies(rows, p, alpha):
+    """Reference: P of every row of a (B, N) array of profiles on a periodic cell."""
+    return (2.0 * alpha * np.einsum("ij,ij->i", rows, np.roll(rows, -1, axis=1))
+            + np.sum(p.psi(rows * rows), axis=1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 64), alpha=st.floats(0.01, 10.0), data=st.data())
+def test_level_energies_match_the_site_space_reference(name, scheme, n, alpha, data):
+    cell = Cell.periodic(scheme, n)
+    site_level, mult, _ = cell.fold
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 3.0]))
+    levels = np.random.default_rng(seed).uniform(-scale, scale, size=(mult.size, 7))
+    rows = levels[site_level].T
+    p = CATALOG[name]()
+    got = level_energies(levels, cell, p, alpha)
+    assert got.shape == (7,)
+    # a plain sum of 2n non-negative or mixed-sign terms: bounded by the absolute sum
+    bound = 4 * n * np.finfo(float).eps * row_energies(np.abs(rows), p, alpha)
+    assert np.all(np.abs(got - row_energies(rows, p, alpha)) <= bound)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.one_of(st.integers(2, 64), st.sampled_from([101, 401, 1001])),
+       alpha=st.floats(0.05, 5.0), rho=st.floats(0.1, 20.0))
+def test_ansatz_picks_the_site_space_maximizer(name, scheme, n, alpha, rho):
+    # the candidates are even, so the scored levels expand to them exactly
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
+    p = CATALOG[name]()
+    with mock.patch.object(dnls.solver, "level_energies", wraps=level_energies) as scorer:
+        u = initial_ansatz(cfg, p)
+    rows = scorer.call_args.args[0][cfg.cell().fold[0]].T
+    assert rows.shape == (120, n)
+    assert u.values.tobytes() == rows[int(np.argmax(row_energies(rows, p, alpha)))].tobytes()
 
 
 def stepped(u, cfg, p):
@@ -557,6 +596,29 @@ def test_oracle_matches_six_scans(name, scheme, n, alpha, rho, grid_points):
     assert_oracle_matches_six_scans(cfg, CATALOG[name](), grid_points)
 
 
+def assert_oracle_energy_is_its_profiles(cfg, p, grid_points):
+    best, p_best = oracle_maximize(cfg, p, grid_points=grid_points)
+    p_ref = energy(best, p, cfg.alpha).p_total
+    assert abs(p_best - p_ref) <= 4 * math.ulp(p_ref)
+
+
+def test_oracle_energy_is_its_profiles_on_acceptance_cells():
+    # the level kernel's plain sum against the correctly rounded site-space energy
+    for n, scheme, name, alpha, rho in itertools.product(
+            (2, 3, 4), (ON, INTER), ("quartic", "saturable-log"), (0.5, 1.0), (1.0, 2.0)):
+        cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, tau=1.0)
+        assert_oracle_energy_is_its_profiles(cfg, CATALOG[name](), 2001)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 4), alpha=st.floats(0.01, 10.0), rho=st.floats(0.01, 30.0),
+       grid_points=st.integers(3, 3000))
+def test_oracle_energy_is_its_profiles(name, scheme, n, alpha, rho, grid_points):
+    assert_oracle_energy_is_its_profiles(SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n),
+                                         CATALOG[name](), grid_points)
+
+
 def test_oracle_memory_does_not_grow_with_the_grid():
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=4)  # two free ratios, 491,401 rows
     tracemalloc.start()
@@ -570,17 +632,18 @@ def test_oracle_memory_does_not_grow_with_the_grid():
 
 def test_oracle_scores_a_cell_without_free_ratio_once():
     cfg = SolverConfig(alpha=1.0, rho=4.0, scheme=INTER, n=2)
-    with mock.patch.object(dnls.solver, "row_energies", wraps=row_energies) as scorer:
+    with mock.patch.object(dnls.solver, "level_energies", wraps=level_energies) as scorer:
         oracle_maximize(cfg, saturable_log(), grid_points=100)
-    assert scorer.call_count == 1 and scorer.call_args.args[0].shape == (1, 2)
+    # one level (both sites at |j| = 1/2), one profile
+    assert scorer.call_count == 1 and scorer.call_args.args[0].shape == (1, 1)
 
 
 def test_oracle_caps_the_scan_of_one_free_ratio():
     # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
-    with mock.patch.object(dnls.solver, "row_energies", wraps=row_energies) as scorer:
+    with mock.patch.object(dnls.solver, "level_energies", wraps=level_energies) as scorer:
         _, p_best = oracle_maximize(cfg, quartic(), grid_points=10**9)
-    rows = sum(call.args[0].shape[0] for call in scorer.call_args_list)
+    rows = sum(call.args[0].shape[1] for call in scorer.call_args_list)
     assert 701**2 <= rows <= 701**2 + 41 * scorer.call_count
     assert p_best == pytest.approx(oracle_maximize(cfg, quartic(), grid_points=20_000)[1],
                                    rel=1e-12)
