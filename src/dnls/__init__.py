@@ -8,7 +8,7 @@ from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
                           residual, sigma, t_lower_bounds)
 from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                       neighbor_sum, profile_from_csv, profile_to_csv,
-                      project_cone, restrict, stagger)
+                      project_cone, restrict)
 from .potentials import (CATALOG, AssumptionReport, Check, Potential,
                          Violation, check_assumptions, custom, exp_quadratic,
                          nonconvex_rational, parse_potential_spec, power_law,
@@ -34,5 +34,5 @@ __all__ = [
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
     "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
-    "stagger", "t_lower_bounds",
+    "t_lower_bounds",
 ]

@@ -38,25 +38,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+class _Artifacts:
+    """The files a command writes under its ``--out`` prefix, and their manifest.
 
+    Each artifact is the prefix plus a suffix, and the first one creates the
+    prefix's directory. ``close`` lists them in write order in
+    ``<out>.manifest.json``, with the command, its ``config``, the wall time
+    and the tool version.
+    """
 
-def _out_prefix(args) -> Path:
-    """The ``--out`` path prefix, with its parent directory created."""
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    return Path(args.out)
+    def __init__(self, args):
+        self.command, self.prefix, self.started = args.command, str(Path(args.out)), time.time()
+        self.config, self.outputs = {}, []
 
+    def path(self, suffix: str) -> Path:
+        if not self.outputs:
+            Path(self.prefix).parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(Path(self.prefix + suffix))
+        return self.outputs[-1]
 
-def _write_manifest(out: Path, command: str, config: dict, outputs, started: float) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "outputs": [str(o) for o in outputs],
-        "wall_time": time.time() - started,
-        "tool_version": __version__,
-    }
-    _dump_json(manifest, Path(str(out) + ".manifest.json"))
+    def json(self, suffix: str, obj) -> None:
+        self.path(suffix).write_text(json.dumps(obj, indent=2) + "\n")
+
+    def close(self) -> None:
+        if self.outputs:  # a command that wrote nothing writes no manifest either
+            self.json(".manifest.json", {"command": self.command, "config": self.config,
+                                         "outputs": [str(o) for o in self.outputs],
+                                         "wall_time": time.time() - self.started,
+                                         "tool_version": __version__})
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
@@ -91,16 +100,13 @@ def _config_from_args(args) -> SolverConfig:
     return replace(base, **overrides)
 
 
-def cmd_solve(args) -> int:
-    started = time.time()
+def cmd_solve(args, out: _Artifacts) -> int:
     cfg = _config_from_args(args)
+    out.config = cfg.to_dict()
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
-    out = _out_prefix(args)
-    outputs = [Path(str(out) + ".json"), Path(str(out) + ".profile.csv")]
-    _dump_json(sol.to_dict(cfg), outputs[0])
-    profile_to_csv(sol.profile, outputs[1])
-    _write_manifest(out, "solve", cfg.to_dict(), outputs, started)
+    out.json(".json", sol.to_dict(cfg))
+    profile_to_csv(sol.profile, out.path(".profile.csv"))
     print(f"converged={sol.converged} sigma={sol.sigma:.12g} "
           f"residual={sol.residual:.3e} iterations={sol.iterations}")
     if not sol.converged:
@@ -124,13 +130,13 @@ def _sweep_grid(args):
     return [g for g in grid if g <= args.stop + 1e-12 * max(1.0, abs(args.stop))]
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def cmd_sweep(args, out: _Artifacts) -> int:
     base = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     grid = _sweep_grid(args)
     if not grid:
         raise ValueError("empty sweep grid")
+    out.config = {**base.to_dict(), "sweep": args.param, "grid": grid}
     tags = {}
     for value in grid:
         if args.param == "N" and not value.is_integer():
@@ -148,13 +154,9 @@ def cmd_sweep(args) -> int:
 
     results = [solve(cfg_for(value), potential) for value in grid]
 
-    out = _out_prefix(args)
-    outputs = []
     rows = []
     for tag, value, sol in zip(tags, grid, results):
-        point_path = Path(f"{out}.{tag}.json")
-        _dump_json(sol.to_dict(cfg_for(value)), point_path)
-        outputs.append(point_path)
+        out.json(f".{tag}.json", sol.to_dict(cfg_for(value)))
         rows.append([
             repr(float(value)),
             repr(float(sol.sigma)),
@@ -164,99 +166,76 @@ def cmd_sweep(args) -> int:
             repr(float(np.max(sol.profile.values))),
             repr(float(participation_ratio(sol.profile))),
         ])
-    summary = Path(f"{out}.summary.csv")
+    summary = out.path(".summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "sigma", "p_total", "t_value", "residual",
                          "max_u", "participation_ratio"])
         writer.writerows(rows)
-    outputs.append(summary)
-    _write_manifest(out, "sweep", {**base.to_dict(), "sweep": args.param,
-                                   "grid": grid}, outputs, started)
     n_conv = sum(1 for s in results if s.converged)
     print(f"sweep over {args.param}: {n_conv}/{len(grid)} points converged; "
           f"summary at {summary}")
     return 0 if n_conv >= 1 else OPERATIONAL_ERROR
 
 
-def cmd_homoclinic(args) -> int:
-    started = time.time()
+def cmd_homoclinic(args, out: _Artifacts) -> int:
     cfg = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
     n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
+    out.config = {**cfg.to_dict(), "n_sequence": n_seq}
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
-    out = _out_prefix(args)
-    outputs = []
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
-        point = Path(f"{out}.N={n}.json")
-        _dump_json(sol.to_dict(replace(cfg, n=n)), point)
-        prof = Path(f"{out}.N={n}.restricted.csv")
-        profile_to_csv(rest, prof)
-        outputs.extend([point, prof])
-    summary = Path(str(out) + ".json")
-    _dump_json(result.to_dict(), summary)
-    outputs.append(summary)
-    _write_manifest(out, "homoclinic", {**cfg.to_dict(), "n_sequence": n_seq},
-                    outputs, started)
+        out.json(f".N={n}.json", sol.to_dict(replace(cfg, n=n)))
+        profile_to_csv(rest, out.path(f".N={n}.restricted.csv"))
+    out.json(".json", result.to_dict())
     print(f"verdict={result.verdict.value} t_values={result.t_values}")
     return 0 if all(s.converged for s in result.solutions) else OPERATIONAL_ERROR
 
 
-def cmd_check_potential(args) -> int:
-    started = time.time()
+def cmd_check_potential(args, out: _Artifacts) -> int:
+    out.config = {"potential": args.potential, "x_max": args.x_max, "samples": args.samples}
     potential = parse_potential_spec(args.potential)
     report = check_assumptions(potential, x_max=args.x_max, samples=args.samples)
-    out = _out_prefix(args)
-    path = Path(str(out) + ".json")
-    _dump_json({"potential": potential.label, **report.to_dict()}, path)
-    _write_manifest(out, "check-potential",
-                    {"potential": args.potential, "x_max": args.x_max,
-                     "samples": args.samples}, [path], started)
+    out.json(".json", {"potential": potential.label, **report.to_dict()})
     print(f"{potential.label}: {'passed' if report.passed else 'FAILED'} "
           f"({len(report.violations)} violations)")
     return 0 if report.passed else OPERATIONAL_ERROR
 
 
-def cmd_oracle(args) -> int:
-    started = time.time()
+def cmd_oracle(args, out: _Artifacts) -> int:
     cfg = _config_from_args(args)
+    out.config = {**cfg.to_dict(), "grid_points": args.grid_points}
     potential = parse_potential_spec(args.potential)
     best, p_best = oracle_maximize(cfg, potential, grid_points=args.grid_points)
     sol = solve(cfg, potential)
     gap = abs(sol.energies.p_total - p_best) / max(abs(p_best), 1e-300)
-    out = _out_prefix(args)
-    json_path = Path(str(out) + ".json")
-    csv_path = Path(str(out) + ".profile.csv")
-    _dump_json({
+    out.json(".json", {
         "config": cfg.to_dict(),
         "oracle_p": p_best,
         "solver_p": sol.energies.p_total,
         "relative_gap": gap,
         "profile_sup_diff": float(np.max(np.abs(best.values - sol.profile.values))),
-    }, json_path)
-    profile_to_csv(best, csv_path)
-    _write_manifest(out, "oracle", {**cfg.to_dict(), "grid_points": args.grid_points},
-                    [json_path, csv_path], started)
+    })
+    profile_to_csv(best, out.path(".profile.csv"))
     print(f"oracle P={p_best:.12g} solver P={sol.energies.p_total:.12g} gap={gap:.2e}")
     return 0
 
 
-def cmd_evolve(args) -> int:
-    started = time.time()
+def cmd_evolve(args, out: _Artifacts) -> int:
     if args.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
     _check_equilibrium_times(args.t_end, args.dt)
     cfg = _config_from_args(args)
+    out.config = {**cfg.to_dict(), "t_end": args.t_end, "dt": args.dt,
+                  "sample_every": args.sample_every}
     potential = parse_potential_spec(args.potential)
     sol = solve(cfg, potential)
     if not sol.converged:
         print("solver did not converge; nothing to evolve", file=sys.stderr)
         return OPERATIONAL_ERROR
 
-    out = _out_prefix(args)
-    series_path = Path(str(out) + ".series.csv")
     indices = sol.profile.cell.indices()
-    with open(series_path, "w", newline="") as fh:
+    with open(out.path(".series.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "j", "re", "im", "abs"])
 
@@ -269,12 +248,7 @@ def cmd_evolve(args) -> int:
 
         report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end,
                                             args.dt, callback=sample)
-    json_path = Path(str(out) + ".json")
-    _dump_json({"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()},
-               json_path)
-    _write_manifest(out, "evolve", {**cfg.to_dict(), "t_end": args.t_end, "dt": args.dt,
-                                    "sample_every": args.sample_every},
-                    [series_path, json_path], started)
+    out.json(".json", {"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()})
     print(f"modulus_drift={report.modulus_drift:.3e} "
           f"sigma_mismatch={report.sigma_mismatch:.3e}")
     return 0
@@ -337,8 +311,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    out = _Artifacts(args)
     try:
-        return args.func(args)
+        code = args.func(args, out)
+        out.close()
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -228,17 +228,6 @@ def restrict(u: Profile, target: Cell) -> Profile:
     return Profile(target, out)
 
 
-def stagger(u: Profile) -> Profile:
-    """Alternate signs site by site: u_j -> (-1)^j u_j (inter-site: (-1)^(j-1/2))."""
-    d = u.cell.doubled_indices()
-    if u.cell.scheme is IndexScheme.ON_SITE:
-        expo = d // 2
-    else:
-        expo = (d - 1) // 2
-    signs = np.where(expo % 2 == 0, 1.0, -1.0)
-    return u.with_values(u.values * signs)
-
-
 def _format_index(dd: int, scheme: IndexScheme) -> str:
     if scheme is IndexScheme.ON_SITE:
         return str(int(dd) // 2)

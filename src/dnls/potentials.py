@@ -14,7 +14,7 @@ numerically by ``check_assumptions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -142,22 +142,20 @@ class Violation:
     lhs: float
     rhs: float
 
+    def to_dict(self) -> dict:
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "check": self.check.value}
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
     passed: bool
-    violations: list
     grid: str
+    violations: list
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid": self.grid,
-            "violations": [
-                {"x": v.x, "check": v.check.value, "lhs": v.lhs, "rhs": v.rhs}
-                for v in self.violations
-            ],
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "violations": [v.to_dict() for v in self.violations]}
 
 
 # absolute slack on inequality checks; roundoff in psi/dpsi stays well below

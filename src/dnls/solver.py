@@ -142,27 +142,21 @@ class RunDiagnostics:
 class WaveSolution:
     profile: Profile
     sigma: float
-    energies: EnergyBreakdown
     residual: float
     iterations: int
     converged: bool
     in_cone: bool
     near_constant: bool
+    energies: EnergyBreakdown
     decay: DecayFit | None
     diagnostics: RunDiagnostics
 
     def to_dict(self, cfg: SolverConfig | None = None) -> dict:
-        out = {
-            "sigma": self.sigma,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "in_cone": self.in_cone,
-            "near_constant": self.near_constant,
-            "energies": self.energies.to_dict(),
-            "decay": self.decay.to_dict() if self.decay else None,
-            "diagnostics": self.diagnostics.to_dict(),
-        }
+        """Every field but the profile, which has its own CSV; the config first if given."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        out.update(energies=self.energies.to_dict(),
+                   decay=self.decay.to_dict() if self.decay else None,
+                   diagnostics=self.diagnostics.to_dict())
         if cfg is not None:
             out = {"config": cfg.to_dict(), **out}
         return out
@@ -368,25 +362,24 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     v, sig_flow, res, steps = _run(v0, cfg, p, cell, diag, cfg.max_iters)
     iterations = steps
 
-    if _is_near_constant(v, cfg):
-        # the even k=1 mode is non-increasing in |j|, so flat plus a small
-        # multiple of it stays in the cone; it vanishes up to roundoff on
-        # N=2 inter-site and its largest entry is at least cos(pi/4) elsewhere
-        mode = np.cos(2.0 * math.pi * cell.indices() / cfg.n)
-        if float(np.max(np.abs(mode))) > 0.5:
-            diag.flat_lambda1 = _flat_lambda1(cfg, p)
-            if diag.flat_lambda1 >= 0.0 and iterations < cfg.max_iters:
-                diag.restarted = True
-                stop = diag.stop_reason
-                kicked = v + 1e-3 * math.sqrt(cfg.rho) * mode
-                kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
-                v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
-                                              cfg.max_iters - iterations)
-                iterations += steps2
-                if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
-                    v, sig_flow, res = v2, sig2, res2
-                else:
-                    diag.stop_reason = stop
+    # the even k=1 mode vanishes exactly where the fold has one level (N=2
+    # inter-site); elsewhere it is non-increasing in |j|, so flat plus a
+    # small multiple of it stays in the cone
+    if _is_near_constant(v, cfg) and cell.fold[1].size > 1:
+        diag.flat_lambda1 = _flat_lambda1(cfg, p)
+        if diag.flat_lambda1 >= 0.0 and iterations < cfg.max_iters:
+            diag.restarted = True
+            stop = diag.stop_reason
+            mode = np.cos(2.0 * math.pi * cell.indices() / cfg.n)
+            kicked = v + 1e-3 * math.sqrt(cfg.rho) * mode
+            kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
+            v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
+                                          cfg.max_iters - iterations)
+            iterations += steps2
+            if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
+                v, sig_flow, res = v2, sig2, res2
+            else:
+                diag.stop_reason = stop
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
@@ -470,17 +463,19 @@ class HomoclinicResult:
     max_amplitudes: list
     verdict: HomoclinicVerdict
     margin: float
+    floor: float  # sup diffs at or below it count as converged
 
     def to_dict(self) -> dict:
-        return {
-            "n_sequence": list(self.n_sequence),
-            "t_values": list(self.t_values),
-            "sup_diffs": list(self.sup_diffs),
-            "tail_fractions": list(self.tail_fractions),
-            "max_amplitudes": list(self.max_amplitudes),
-            "verdict": self.verdict.value,
-            "margin": self.margin,
-        }
+        """Every field but the waves and their restrictions, which have their own artifacts."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)[2:]},
+                "verdict": self.verdict.value}
+
+
+# a converged wave lies within about residual/gap of the exact one, with gap the
+# distance of the top even second variation from zero; until that gap is
+# computed, each wave's error is taken as this multiple of tol_residual, as if
+# the gap were 0.1 (criterion 1's waves have gaps of about 1.2)
+_WAVE_ERROR_PER_RESIDUAL = 10.0
 
 
 def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
@@ -489,9 +484,11 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
 
     Each maximizer is zero-extended to a common truncated lattice; the runs
     are classified Localized when every normalized energy stays above
-    2 + margin and successive extended profiles approach each other, and
-    Delocalizing when the normalized energy decays towards 2 while the peak
-    amplitude shrinks.
+    2 + margin and successive extended profiles approach each other down to
+    the noise floor of two converged waves: a sup diff at most
+    ``2 * _WAVE_ERROR_PER_RESIDUAL * tol_residual`` counts as converged, and
+    only a diff above it must not exceed the one before. Delocalizing when
+    the normalized energy decays towards 2 while the peak amplitude shrinks.
     """
     n_sequence = [int(n) for n in n_sequence]
     if len(n_sequence) < 2 or any(b <= a for a, b in zip(n_sequence, n_sequence[1:])):
@@ -516,7 +513,8 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
         mass = float(np.sum(s.profile.values[jj > n / 4.0] ** 2))
         tail_fracs.append(mass / cfg.rho)
 
-    diffs_shrink = all(b <= a + 1e-12 for a, b in zip(sup_diffs, sup_diffs[1:]))
+    floor = 2.0 * _WAVE_ERROR_PER_RESIDUAL * cfg.tol_residual
+    diffs_shrink = all(b <= max(a, floor) for a, b in zip(sup_diffs, sup_diffs[1:]))
     if all(t >= 2.0 + margin for t in t_values) and diffs_shrink:
         verdict = HomoclinicVerdict.LOCALIZED
     elif (all(b < a for a, b in zip(t_values, t_values[1:]))
@@ -526,7 +524,7 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     else:
         verdict = HomoclinicVerdict.UNDETERMINED
     return HomoclinicResult(solutions, restricted, n_sequence, t_values,
-                            sup_diffs, tail_fracs, max_amps, verdict, margin)
+                            sup_diffs, tail_fracs, max_amps, verdict, margin, floor)
 
 
 # most rows per block of the oracle's global scan, so that its memory does not grow

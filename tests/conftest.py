@@ -26,3 +26,14 @@ def random_cone_profile(rng, scheme, n, scale=1.0):
 def random_profile(rng, scheme, n, scale=1.0):
     cell = Cell.periodic(scheme, n)
     return Profile(cell, rng.normal(0.0, scale, size=n))
+
+
+def stagger(u: Profile) -> Profile:
+    """Alternate signs site by site: u_j -> (-1)^j u_j (inter-site: (-1)^(j-1/2))."""
+    d = u.cell.doubled_indices()
+    if u.cell.scheme is IndexScheme.ON_SITE:
+        expo = d // 2
+    else:
+        expo = (d - 1) // 2
+    signs = np.where(expo % 2 == 0, 1.0, -1.0)
+    return u.with_values(u.values * signs)

@@ -20,7 +20,7 @@ PUBLIC = [
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
     "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
-    "stagger", "t_lower_bounds",
+    "t_lower_bounds",
 ]
 
 

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -58,6 +60,51 @@ def test_solve_deterministic_artifacts(tmp_path):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.profile.csv").read_bytes() == (tmp_path / "b.profile.csv").read_bytes()
+
+
+# one cheap run of every command
+COMMANDS = {
+    "solve": ["solve", "--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--N", "9"],
+    "sweep": ["sweep", "--param", "rho", "--values", "1.5,2", "--potential", "quartic",
+              "--alpha", "0.5", "--N", "9"],
+    "homoclinic": ["homoclinic", "--potential", "quartic", "--alpha", "0.3", "--rho", "2",
+                   "--N-seq", "9,17"],
+    "check-potential": ["check-potential", "--potential", "nonconvex-rational",
+                        "--samples", "50"],
+    "oracle": ["oracle", "--N", "3", "--potential", "quartic", "--alpha", "1", "--rho", "2",
+               "--grid-points", "50"],
+    "evolve": ["evolve", "--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--N", "9",
+               "--t-end", "0.05", "--dt", "0.01", "--sample-every", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+def test_every_command_repeats_its_artifacts_and_lists_them(tmp_path, monkeypatch, argv):
+    # two runs in two directories under the same relative prefix
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        written = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        with mock.patch("builtins.open", recording_open), mock.patch("io.open", recording_open):
+            assert main([*argv, "--out", "run/x"]) == 0
+        files = {p.relative_to(tmp_path / name).as_posix(): p.read_bytes()
+                 for p in (tmp_path / name).rglob("*") if p.is_file()}
+        manifest = json.loads(files.pop("run/x.manifest.json"))
+        # the manifest lists every other file, in the order they were written
+        assert written == [*manifest["outputs"], "run/x.manifest.json"]
+        assert sorted(files) == sorted(manifest["outputs"])
+        assert manifest["command"] == argv[0]
+        del manifest["wall_time"]
+        runs.append((files, manifest))
+    assert runs[0] == runs[1]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from dnls.evolution import (BlowUpError, EvolutionState, _invariants, integrate,
                             relative_equilibrium_check, rhs)
 from dnls.functionals import field_values
-from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum, stagger
+from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
 from dnls.potentials import (CATALOG, custom, quartic, saturable_arctan,
                              saturable_log)
 from dnls.solver import SolverConfig, solve
+
+from conftest import stagger
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 

@@ -7,10 +7,10 @@ from dnls.functionals import (DegenerateProfileError, box_profile, coupling,
                               energy, exp_profile, grad_p, participation_ratio,
                               potential_energy, power, residual, sigma,
                               t_lower_bounds)
-from dnls.lattice import Cell, IndexScheme, Profile, stagger
+from dnls.lattice import Cell, IndexScheme, Profile
 from dnls.potentials import quartic, saturable_arctan, saturable_log
 
-from conftest import random_cone_profile, random_profile
+from conftest import random_cone_profile, random_profile, stagger
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from dnls.functionals import coupling, power
 from dnls.lattice import (Cell, IndexScheme, Profile, _pav_nonincreasing,
                           cone_slack, in_cone, profile_from_csv, profile_to_csv,
-                          project_cone, restrict, stagger)
+                          project_cone, restrict)
 
-from conftest import random_cone_profile
+from conftest import random_cone_profile, stagger
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 

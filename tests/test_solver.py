@@ -16,7 +16,7 @@ from dnls.functionals import (DegenerateProfileError, energy, flow, level_energi
                               p_value, power, residual, sigma)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                           project_cone)
-from dnls.potentials import (CATALOG, custom, exp_quadratic,
+from dnls.potentials import (CATALOG, check_assumptions, custom, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
@@ -406,6 +406,33 @@ def test_accepted_iterates_are_cone_fixed_points(name, scheme, n, alpha, rho):
     assert sol.diagnostics.cone_violations == 0
 
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 64), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
+@example(name="saturable-log", scheme=ON, n=1001, alpha=1.0, rho=1.0)  # the ansatz at N=1001
+@example(name="nonconvex-rational", scheme=INTER, n=3, alpha=0.5, rho=2.0)  # a kicked run
+def test_ascent_iterates_are_even_bit_for_bit(name, scheme, n, alpha, rho):
+    # every iterate equals its own mirror image exactly, not just up to roundoff
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=2000)
+    site_level, _, right = cfg.cell().fold
+    step = dnls.solver._step
+    calls = []
+
+    def checking_step(v, *args):
+        out = step(v, *args)
+        for w in (v, out[0]):
+            assert np.array_equal(w, w[right][site_level])
+        calls.append(1)
+        return out
+
+    p = CATALOG[name]()
+    start = initial_ansatz(cfg, p).values
+    assert np.array_equal(start, start[right][site_level])
+    with mock.patch.object(dnls.solver, "_step", checking_step):
+        sol = solve(cfg, p)
+    assert len(calls) == sol.iterations
+
 def test_solve_determinism():
     cfg = small_cfg(n=11)
     a = solve(cfg, saturable_log())
@@ -457,6 +484,31 @@ def equilibrium_dict_reference(r):
             "hamiltonian_drift_rel": r.hamiltonian_drift_rel, "t_end": r.t_end, "dt": r.dt}
 
 
+def wave_dict_reference(s, cfg=None):
+    out = {"sigma": s.sigma, "residual": s.residual, "iterations": s.iterations,
+           "converged": s.converged, "in_cone": s.in_cone, "near_constant": s.near_constant,
+           "energies": s.energies.to_dict(),
+           "decay": s.decay.to_dict() if s.decay else None,
+           "diagnostics": s.diagnostics.to_dict()}
+    if cfg is not None:
+        out = {"config": cfg.to_dict(), **out}
+    return out
+
+
+def homoclinic_dict_reference(r):
+    return {"n_sequence": list(r.n_sequence), "t_values": list(r.t_values),
+            "sup_diffs": list(r.sup_diffs), "tail_fractions": list(r.tail_fractions),
+            "max_amplitudes": list(r.max_amplitudes), "verdict": r.verdict.value,
+            "margin": r.margin,
+            "floor": r.floor}  # the one key added since the hand-written body
+
+
+def report_dict_reference(r):
+    return {"passed": r.passed, "grid": r.grid,
+            "violations": [{"x": v.x, "check": v.check.value, "lhs": v.lhs, "rhs": v.rhs}
+                           for v in r.violations]}
+
+
 def test_records_serialize_as_their_hand_written_references():
     waves = [  # a decaying wave, a flat wave, a run cut by the iteration budget
         (SolverConfig(alpha=1.0, rho=10.0, n=25), saturable_arctan()),
@@ -475,8 +527,17 @@ def test_records_serialize_as_their_hand_written_references():
                   (sol.diagnostics, diagnostics_dict_reference)]
         if sol.decay is not None:
             pairs.append((sol.decay, decay_dict_reference))
+        pairs.append((sol, wave_dict_reference))
+        assert json.dumps(sol.to_dict(cfg)) == json.dumps(wave_dict_reference(sol, cfg))
     report = relative_equilibrium_check(sols[0], saturable_arctan(), 1.0, t_end=0.05, dt=0.01)
     pairs.append((report, equilibrium_dict_reference))
+    pairs.append((homoclinic(small_cfg(alpha=0.3), quartic(), [9, 17]),
+                  homoclinic_dict_reference))
+    # a passing report, and one with violations of several kinds
+    reports = [check_assumptions(quartic(), x_max=10.0, samples=50),
+               check_assumptions(saturable_arctan(), x_max=1e-9, samples=50)]
+    assert reports[0].passed and len({v.check for v in reports[1].violations}) > 1
+    pairs += [(r, report_dict_reference) for r in reports]
     for record, reference in pairs:
         assert json.dumps(record.to_dict()) == json.dumps(reference(record)), record
 
@@ -671,6 +732,38 @@ def test_homoclinic_delocalizing_small():
     assert res.max_amplitudes[0] > res.max_amplitudes[-1]
     assert res.tail_fractions[0] > 0.0
 
+
+
+@pytest.mark.parametrize("scheme, n_seq", [(ON, [25, 51, 101, 201, 401]),
+                                           (INTER, [24, 50, 100, 200, 400])])
+def test_converged_ladder_is_localized_above_the_noise_floor(scheme, n_seq):
+    # the last diffs sit at the solver's noise (about 1e-10 each) and rose by
+    # chance from 4.5e-11 to 9.7e-11 on-site and 2.4e-11 to 8.9e-11 inter-site
+    cfg = SolverConfig(alpha=1.0, rho=10.0, scheme=scheme, n=n_seq[0])
+    res = homoclinic(cfg, saturable_arctan(), n_seq)
+    assert all(s.converged for s in res.solutions)
+    assert res.floor == 2.0 * dnls.solver._WAVE_ERROR_PER_RESIDUAL * cfg.tol_residual
+    assert res.sup_diffs[-1] > res.sup_diffs[-2] and res.sup_diffs[-1] <= res.floor
+    assert res.verdict is HomoclinicVerdict.LOCALIZED
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["nonconvex-rational", "saturable-arctan", "saturable-log"]),
+       scheme=st.sampled_from([ON, INTER]), alpha=st.floats(0.1, 0.3),
+       rho=st.floats(4.0, 10.0), n0=st.integers(24, 40), gaps=st.tuples(
+           st.integers(1, 24), st.integers(1, 32)))
+def test_a_larger_size_never_undetermines_a_localized_ladder(name, scheme, alpha, rho, n0,
+                                                             gaps):
+    n_seq = [n0, n0 + gaps[0], n0 + gaps[0] + gaps[1]]
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n0, max_iters=5000)
+    longer = homoclinic(cfg, CATALOG[name](), n_seq)
+    ladder = homoclinic(cfg, CATALOG[name](), n_seq[:2])
+    # converged waves in the gap, each decayed to the noise floor at its cell's edge
+    assume(ladder.verdict is HomoclinicVerdict.LOCALIZED)
+    assume(all(s.converged and s.sigma > 2.0 * alpha
+               and max(s.profile.values[0], s.profile.values[-1]) <= ladder.floor
+               for s in longer.solutions))
+    assert longer.verdict is not HomoclinicVerdict.UNDETERMINED
 
 def test_homoclinic_validates_sequence(monkeypatch):
     cfg = small_cfg()
