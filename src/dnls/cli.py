@@ -118,27 +118,24 @@ def cmd_solve(args, out: _Artifacts) -> int:
 
 
 def _sweep_grid(args):
+    """The sweep values, generated one by one so that a huge range is never built."""
     for flag, value in (("--from", args.start), ("--to", args.stop), ("--step", args.step)):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, not {value}")
     if args.values:
-        return [float(x) for x in args.values.split(",") if x.strip()]
+        return (float(x) for x in args.values.split(",") if x.strip())
     if None in (args.start, args.stop, args.step) or args.step <= 0:
-        return []
+        return ()
     count = int(round((args.stop - args.start) / args.step)) + 1
-    grid = [args.start + k * args.step for k in range(count)]
-    return [g for g in grid if g <= args.stop + 1e-12 * max(1.0, abs(args.stop))]
+    grid = (args.start + k * args.step for k in range(count))
+    return (g for g in grid if g <= args.stop + 1e-12 * max(1.0, abs(args.stop)))
 
 
 def cmd_sweep(args, out: _Artifacts) -> int:
     base = _config_from_args(args)
     potential = parse_potential_spec(args.potential)
-    grid = _sweep_grid(args)
-    if not grid:
-        raise ValueError("empty sweep grid")
-    out.config = {**base.to_dict(), "sweep": args.param, "grid": grid}
-    tags = {}
-    for value in grid:
+    tags = {}  # each value is judged as it arrives, before any solve
+    for value in _sweep_grid(args):
         if args.param == "N" and not value.is_integer():
             raise ValueError(f"sweep values of N must be integers, not {value!r}")
         tag = f"{args.param}={value:g}"
@@ -146,6 +143,10 @@ def cmd_sweep(args, out: _Artifacts) -> int:
             raise ValueError(f"sweep values {tags[tag]!r} and {value!r} share the "
                              f"artifact name {tag}")
         tags[tag] = value
+    if not tags:
+        raise ValueError("empty sweep grid")
+    grid = list(tags.values())
+    out.config = {**base.to_dict(), "sweep": args.param, "grid": grid}
 
     def cfg_for(value) -> SolverConfig:
         if args.param == "N":

@@ -14,6 +14,7 @@ sigma(u)/2 (the gradient of P at a wave is twice the frequency times u).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -45,8 +46,10 @@ _NEAR_CONSTANT_TOL = 1e-8
 _CONE_MONITOR_TOL = 1e-12
 # sup-norm of an iterate change below which a step counts as tiny
 _TOL_STEP = 1e-12
-# least number of weight tuples the ansatz grid samples
-_ANSATZ_SAMPLES = 100
+# the ansatz weights: the 120 tuples of four non-negative integers summing to 7,
+# in lexicographic order
+_ANSATZ_WEIGHTS = np.array([w for w in itertools.product(range(8), repeat=4)
+                            if sum(w) == 7], dtype=float)
 # step of the differences for psi'' (relative to x, absolute at 0); near the
 # cube root of the machine epsilon, where truncation and roundoff errors balance
 _D2PSI_STEP = 1e-5
@@ -162,26 +165,12 @@ class WaveSolution:
         return out
 
 
-def _simplex_weights(n_samples: int) -> np.ndarray:
-    """All non-negative integer 4-tuples with the smallest sum whose count reaches n_samples."""
-    total = 1
-    while math.comb(total + 3, 3) < n_samples:
-        total += 1
-    rows = [
-        (a, b, c, total - a - b - c)
-        for a in range(total + 1)
-        for b in range(total + 1 - a)
-        for c in range(total + 1 - a - b)
-    ]
-    return np.asarray(rows, dtype=float)
-
-
 def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     """Best starting profile from a four-term family of even unimodal shapes.
 
     Candidates are kappa_1 + kappa_2*chi_j + kappa_3*(1+cos(pi j/N))
-    + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, sampled on a
-    deterministic simplex grid of at least 100 weight tuples.
+    + kappa_4*exp(-20 (j/N)^2) with chi the indicator of |j| < 1, for every
+    weight tuple of ``_ANSATZ_WEIGHTS``.
     Each candidate is rescaled to power rho; the energy maximizer wins, ties
     broken by enumeration order. Every term is even and non-increasing in
     |j| and every weight is non-negative, so each candidate lies in the cone.
@@ -194,7 +183,7 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
         1.0 + np.cos(np.pi * aj / cfg.n),
         np.exp(-20.0 * (aj / cfg.n) ** 2),
     ])
-    cands = _simplex_weights(_ANSATZ_SAMPLES) @ terms
+    cands = _ANSATZ_WEIGHTS @ terms
     norms = np.einsum("ij,ij->i", cands, cands)
     cands *= np.sqrt(cfg.rho / norms)[:, None]
     p_all = level_energies(cands.T[cell.fold[2]], cell, p, cfg.alpha)
@@ -242,10 +231,8 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     res0 = float(np.linalg.norm(flow0[1]))
     res_limit = res0 * (1.0 + _RES_GROWTH) \
         + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
-    halvings = 0
-    f = flow0[1]
-    for attempt in range(_MAX_HALVINGS + 1):
-        w = v + tau * f
+    for halvings in range(_MAX_HALVINGS + 1):
+        w = v + tau * flow0[1]
         norm = float(np.sqrt(w @ w))
         if norm == 0.0:
             raise DegenerateProfileError("ascent step collapsed to the zero profile")
@@ -260,8 +247,7 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
                         or float(np.linalg.norm(flow_w[1])) <= res_limit):
                     return w, flow_w, p0, p1, slack, tau, halvings
         tau *= 0.5
-        halvings = attempt + 1
-    return v, flow0, p0, p0, 0.0, tau, halvings
+    return v, flow0, p0, p0, 0.0, tau, _MAX_HALVINGS + 1
 
 
 def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
@@ -271,17 +257,19 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     The accepted step size is carried to the next trial with one doubling
     (capped at the configured tau); oversized trials are cut back by the
     admissibility tests inside the step. Fixed points of the map do not
-    depend on the step size.
+    depend on the step size. The stop reason is set once, after the loop:
+    ``residual`` when the last residual meets the tolerance, else the rule
+    that ended the loop.
     """
     flow0 = flow(v, True, p, cfg.alpha)
-    sig_flow, f, res = flow0
+    sig_flow, _, res = flow0
     steps = 0
     tau_trial = cfg.tau
     tiny_streak = 0
+    stop = "max_iters"
     for _ in range(budget):
         if res <= cfg.tol_residual:
-            diag.stop_reason = "residual"
-            return v, sig_flow, res, steps
+            break
         w, flow_w, p0, p1, slack, tau_used, halvings = _step(
             v, cfg, p, flow0, cell, tau_trial)
         steps += 1
@@ -293,7 +281,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         step_size = float(np.max(np.abs(w - v)))
         v = w
         flow0 = flow_w
-        sig_flow, f, res = flow0
+        sig_flow, _, res = flow0
         # one freak deep backtrack must not destroy the carried size
         tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
         # a tiny step only counts as stagnation when nothing bigger was on
@@ -302,9 +290,9 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         tiny_streak = tiny_streak + 1 if step_size <= _TOL_STEP else 0
         if (step_size == 0.0 or tiny_streak >= 40
                 or (tiny_streak and tau_used >= cfg.tau)):
-            diag.stop_reason = "residual" if res <= cfg.tol_residual else "stagnation"
-            return v, sig_flow, res, steps
-    diag.stop_reason = "residual" if res <= cfg.tol_residual else "max_iters"
+            stop = "stagnation"
+            break
+    diag.stop_reason = "residual" if res <= cfg.tol_residual else stop
     return v, sig_flow, res, steps
 
 
@@ -359,8 +347,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     start = initial_ansatz(cfg, p)
     cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived
     diag = RunDiagnostics()
-    v, sig_flow, res, steps = _run(v0, cfg, p, cell, diag, cfg.max_iters)
-    iterations = steps
+    v, sig_flow, res, iterations = _run(v0, cfg, p, cell, diag, cfg.max_iters)
 
     # the even k=1 mode vanishes exactly where the fold has one level (N=2
     # inter-site); elsewhere it is non-increasing in |j|, so flat plus a
@@ -487,8 +474,10 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     2 + margin and successive extended profiles approach each other down to
     the noise floor of two converged waves: a sup diff at most
     ``2 * _WAVE_ERROR_PER_RESIDUAL * tol_residual`` counts as converged, and
-    only a diff above it must not exceed the one before. Delocalizing when
+    only a diff above it must not exceed the one before; a ladder of two sizes
+    has one diff, which must itself be at the floor. Delocalizing when
     the normalized energy decays towards 2 while the peak amplitude shrinks.
+    A ladder with an unconverged wave is Undetermined: it is no evidence.
     """
     n_sequence = [int(n) for n in n_sequence]
     if len(n_sequence) < 2 or any(b <= a for a, b in zip(n_sequence, n_sequence[1:])):
@@ -514,8 +503,11 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
         tail_fracs.append(mass / cfg.rho)
 
     floor = 2.0 * _WAVE_ERROR_PER_RESIDUAL * cfg.tol_residual
-    diffs_shrink = all(b <= max(a, floor) for a, b in zip(sup_diffs, sup_diffs[1:]))
-    if all(t >= 2.0 + margin for t in t_values) and diffs_shrink:
+    diffs_shrink = (all(b <= max(a, floor) for a, b in zip(sup_diffs, sup_diffs[1:]))
+                    if len(sup_diffs) > 1 else sup_diffs[0] <= floor)
+    if not all(s.converged for s in solutions):
+        verdict = HomoclinicVerdict.UNDETERMINED
+    elif all(t >= 2.0 + margin for t in t_values) and diffs_shrink:
         verdict = HomoclinicVerdict.LOCALIZED
     elif (all(b < a for a, b in zip(t_values, t_values[1:]))
           and all(b < a for a, b in zip(max_amps, max_amps[1:]))

@@ -1,10 +1,13 @@
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import dnls
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 PUBLIC = [
     "AssumptionReport", "BlowUpError", "CATALOG", "Cell", "Check",
@@ -39,3 +42,10 @@ def test_benchmark_tracer_targets_resolve():
     assert targets
     for label, (module, name) in targets.items():
         assert callable(getattr(importlib.import_module(module), name, None)), label
+
+
+def test_benchmark_self_test_passes():
+    # it checks what the tracer assumes of dnls, beyond the names resolving
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

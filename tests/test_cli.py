@@ -185,6 +185,17 @@ def test_sweep_refuses_values_sharing_an_artifact_name(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_refuses_a_huge_range_before_building_it(tmp_path, capsys):
+    # 1e300 points: the second rounds to the first, which refuses the sweep
+    # before the rest of the range is generated
+    code = main(["sweep", "--param", "rho", "--from", "1", "--to", "2", "--step", "1e-300",
+                 "--potential", "quartic", "--alpha", "1", "--N", "5",
+                 "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "sweep values 1.0 and 1.0 share the artifact name rho=1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):
     # N=9.4 was rounded to 9: two identical solves under two names
     code = main(["sweep", "--param", "N", "--values", "9,9.4", "--potential", "quartic",
@@ -280,6 +291,22 @@ def test_evolve_command(tmp_path):
     ts = sorted({float(r[0]) for r in rows[1:]})
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.5, abs=1e-12)
     assert read_json(tmp_path / "evo.manifest.json")["config"]["sample_every"] == 100
+
+
+def test_evolve_of_an_unconverged_wave_writes_nothing(tmp_path, capsys):
+    code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8", "--rho", "3",
+                 "--N", "9", "--max-iters", "5", "--out", str(tmp_path / "evo")])
+    assert code == 2
+    assert "solver did not converge; nothing to evolve" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_blow_up_is_an_operational_error(tmp_path, capsys):
+    # main maps the RuntimeError of the blow-up guard to exit 2
+    code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "4e12",
+                 "--scheme", "intersite", "--N", "2", "--out", str(tmp_path / "evo")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: amplitude exceeded 1e+06 at t=0\n"
 
 
 @pytest.mark.parametrize("value", [0, -5])

@@ -216,3 +216,26 @@ def test_check_assumptions_validates_arguments():
             check_assumptions(quartic(), x_max, 100)
     with pytest.raises(ValueError):
         check_assumptions(quartic(), 1.0, 1)
+
+
+def test_nonzero_psi_at_zero_is_a_normalization_violation():
+    report = check_assumptions(custom(lambda x: 1.0 + x * x, lambda x: 2.0 * x), 10.0, 200)
+    at_zero = [v for v in report.violations if v.check is Check.NORMALIZATION]
+    assert [(v.x, v.lhs, v.rhs) for v in at_zero] == [(0.0, 1.0, 0.0)]
+
+
+def test_overflowing_samples_are_normalization_violations():
+    # expm1(1000 x) overflows above x = log(DBL_MAX)/1000, about 0.71
+    p = custom(lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
+               lambda x: 1000.0 * np.expm1(1000.0 * x))
+    report = check_assumptions(p, x_max=10.0, samples=200)
+    bad = [v for v in report.violations if v.check is Check.NORMALIZATION]
+    assert bad and all(v.x > 0.7 and not math.isfinite(v.lhs) for v in bad)
+
+
+def test_psi_vanishing_above_a_positive_value_is_degenerate():
+    p = custom(lambda x: np.where(x < 1.0, x * x, 0.0), lambda x: np.where(x < 1.0, 2.0 * x, 0.0))
+    report = check_assumptions(p, x_max=10.0, samples=200)
+    assert report.violations
+    assert {v.check for v in report.violations} == {Check.NON_DEGENERACY}
+    assert min(v.x for v in report.violations) == 1.0

@@ -265,6 +265,13 @@ def test_flat_unstable_branch_matches_kick_restart():
     assert sol.energies.p_total == pytest.approx(p_ref, rel=1e-10)
 
 
+def test_a_stagnated_run_says_so():
+    # a strongly localized quartic wave: tiny steps at full size above the tolerance
+    sol = solve(SolverConfig(alpha=0.28, rho=5.09, n=20), quartic())
+    assert sol.diagnostics.stop_reason == "stagnation"
+    assert sol.iterations == 59 and not sol.converged and sol.residual > 1e-10
+
+
 def test_losing_kicked_run_keeps_the_first_stop_reason():
     # the kicked run ends lower and unconverged; the kept run's verdict stands
     cfg = SolverConfig(alpha=0.5, rho=2.0, scheme=INTER, n=3)
@@ -764,6 +771,23 @@ def test_a_larger_size_never_undetermines_a_localized_ladder(name, scheme, alpha
                and max(s.profile.values[0], s.profile.values[-1]) <= ladder.floor
                for s in longer.solutions))
     assert longer.verdict is not HomoclinicVerdict.UNDETERMINED
+
+
+def test_one_sup_diff_above_the_floor_is_no_evidence():
+    # two sizes give one diff (3.2e-2) and no trend; N = 8, 9, 16 was already undetermined
+    cfg = SolverConfig(alpha=0.62, rho=7.64, scheme=INTER, n=8)
+    res = homoclinic(cfg, saturable_arctan(), [8, 9])
+    assert all(s.converged for s in res.solutions) and res.sup_diffs[0] > res.floor
+    assert res.verdict is HomoclinicVerdict.UNDETERMINED
+
+
+def test_a_ladder_with_unconverged_waves_is_undetermined():
+    cfg = SolverConfig(alpha=0.5, rho=2.0, scheme=INTER, n=24, max_iters=3)
+    res = homoclinic(cfg, quartic(), [24, 48, 96])
+    assert not any(s.converged for s in res.solutions)
+    assert all(t >= 2.0 + res.margin for t in res.t_values)  # energies alone say localized
+    assert res.verdict is HomoclinicVerdict.UNDETERMINED
+
 
 def test_homoclinic_validates_sequence(monkeypatch):
     cfg = small_cfg()
