@@ -11,7 +11,6 @@ names; explicit flags win over it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -23,7 +22,7 @@ import numpy as np
 from . import __version__
 from .evolution import _check_equilibrium_times, relative_equilibrium_check
 from .functionals import participation_ratio
-from .lattice import IndexScheme, profile_to_csv
+from .lattice import IndexScheme, _index_labels, _write_csv, profile_to_csv
 from .potentials import check_assumptions, parse_potential_spec
 from .solver import SolverConfig, homoclinic, oracle_maximize, solve
 
@@ -158,21 +157,11 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     rows = []
     for tag, value, sol in zip(tags, grid, results):
         out.json(f".{tag}.json", sol.to_dict(cfg_for(value)))
-        rows.append([
-            repr(float(value)),
-            repr(float(sol.sigma)),
-            repr(float(sol.energies.p_total)),
-            repr(float(sol.energies.t_value)),
-            repr(float(sol.residual)),
-            repr(float(np.max(sol.profile.values))),
-            repr(float(participation_ratio(sol.profile))),
-        ])
+        rows.append([value, sol.sigma, sol.energies.p_total, sol.energies.t_value, sol.residual,
+                     np.max(sol.profile.values), participation_ratio(sol.profile)])
     summary = out.path(".summary.csv")
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "sigma", "p_total", "t_value", "residual",
-                         "max_u", "participation_ratio"])
-        writer.writerows(rows)
+    _write_csv(summary, ["param", "sigma", "p_total", "t_value", "residual", "max_u",
+                         "participation_ratio"], rows)
     n_conv = sum(1 for s in results if s.converged)
     print(f"sweep over {args.param}: {n_conv}/{len(grid)} points converged; "
           f"summary at {summary}")
@@ -235,20 +224,19 @@ def cmd_evolve(args, out: _Artifacts) -> int:
         print("solver did not converge; nothing to evolve", file=sys.stderr)
         return OPERATIONAL_ERROR
 
-    indices = sol.profile.cell.indices()
-    with open(out.path(".series.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "j", "re", "im", "abs"])
+    samples = []  # (t, amplitudes): integrate never modifies an array it has handed out
 
-        def sample(step, t, amps):
-            if step % args.sample_every:
-                return
-            for j, a in zip(indices, amps):
-                writer.writerow([repr(float(t)), f"{j:g}", repr(a.real),
-                                 repr(a.imag), repr(abs(a))])
+    def sample(step, t, amps):
+        if step % args.sample_every == 0:
+            samples.append((t, amps))
 
-        report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end,
-                                            args.dt, callback=sample)
+    # the series is written only once the run has ended without a blow-up
+    report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end, args.dt,
+                                        callback=sample)
+    labels = _index_labels(sol.profile.cell)
+    _write_csv(out.path(".series.csv"), ["t", "j", "re", "im", "abs"],
+               ([t, j, a.real, a.imag, abs(a)] for t, amps in samples
+                for j, a in zip(labels, amps)))
     out.json(".json", {"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()})
     print(f"modulus_drift={report.modulus_drift:.3e} "
           f"sigma_mismatch={report.sigma_mismatch:.3e}")

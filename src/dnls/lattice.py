@@ -14,6 +14,7 @@ discrete step that leaves it, and ``project_cone`` maps any profile onto it.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -39,6 +40,8 @@ class Cell:
     j_max: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.scheme, IndexScheme):
+            raise ValueError(f"scheme must be an IndexScheme, not {self.scheme!r}")
         if (self.n is None) == (self.j_max is None):
             raise ValueError("exactly one of n (periodic) or j_max (truncated) required")
         if self.n is not None and self.n < 1:
@@ -228,24 +231,36 @@ def restrict(u: Profile, target: Cell) -> Profile:
     return Profile(target, out)
 
 
-def _format_index(dd: int, scheme: IndexScheme) -> str:
-    if scheme is IndexScheme.ON_SITE:
-        return str(int(dd) // 2)
-    return f"{dd / 2:.1f}"
+def _index_labels(cell: Cell) -> list[str]:
+    """The CSV labels of the cell's sites: j on-site, j to one decimal inter-site."""
+    if cell.scheme is IndexScheme.ON_SITE:
+        return [str(int(dd) // 2) for dd in cell.doubled_indices()]
+    return [f"{dd / 2:.1f}" for dd in cell.doubled_indices()]
+
+
+@contextmanager
+def _opened(path_or_buf, mode: str):
+    """A path opened in ``mode`` and closed after, or an open buffer borrowed as is."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
+def _write_csv(path_or_buf, header: list[str], rows) -> None:
+    """Every CSV artifact: the header row, then each row with text cells as
+    given and every number as the ``repr`` of its float, which reads back exactly."""
+    with _opened(path_or_buf, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row]
+                         for row in rows)
 
 
 def profile_to_csv(u: Profile, path_or_buf) -> None:
     """Write the profile as CSV with header ``j,u`` (full-precision values)."""
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "u"])
-        for dd, val in zip(u.cell.doubled_indices(), u.values):
-            writer.writerow([_format_index(int(dd), u.cell.scheme), repr(float(val))])
-    finally:
-        if own:
-            fh.close()
+    _write_csv(path_or_buf, ["j", "u"], zip(_index_labels(u.cell), u.values))
 
 
 def profile_from_csv(path_or_buf, periodic: bool | None = None) -> Profile:
@@ -255,13 +270,8 @@ def profile_from_csv(path_or_buf, periodic: bool | None = None) -> Profile:
     is read as periodic when the index list matches a periodicity cell and as
     a truncated lattice otherwise.
     """
-    own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    fh = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "r") as fh:
         rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
     if not rows or rows[0] != ["j", "u"]:
         raise ValueError("expected CSV header 'j,u'")
     js = np.array([float(r[0]) for r in rows[1:]])

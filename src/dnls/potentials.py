@@ -143,8 +143,9 @@ class Violation:
     rhs: float
 
     def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "check": self.check.value}
+        """The fields, with a non-finite side as None: JSON has no Infinity or NaN."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "check": self.check.value,
+                **{k: None for k in ("lhs", "rhs") if not np.isfinite(getattr(self, k))}}
 
 
 @dataclass(frozen=True)
@@ -199,24 +200,24 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
         psi_vals = np.asarray(p.psi(xs), dtype=float)
         dpsi_vals = np.asarray(p.dpsi(xs), dtype=float)
 
-    # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
-    # decidable degeneracy exactly when it sits above a measurably positive
-    # one (well clear of the rounding noise of O(x) intermediates) or at x_max;
-    # near zero a very flat psi rounds to 0.0 and positivity is unknowable
-    noise = 8.0 * np.finfo(float).eps * xs
-    positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
-    first_positive = xs[positive[0]] if positive.size else np.inf
+        # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
+        # decidable degeneracy exactly when it sits above a measurably positive
+        # one (well clear of the rounding noise of O(x) intermediates) or at x_max;
+        # near zero a very flat psi rounds to 0.0 and positivity is unknowable
+        noise = 8.0 * np.finfo(float).eps * xs
+        positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
+        first_positive = xs[positive[0]] if positive.size else np.inf
 
-    for x, ps, dps in zip(xs, psi_vals, dpsi_vals):
-        if not (np.isfinite(ps) and np.isfinite(dps)):
-            bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
-            continue
-        if ps < -SLACK:
-            bad(x, Check.NON_NEGATIVITY, ps, 0.0)
-        if x * dps - ps < -SLACK:
-            bad(x, Check.SUPER_LINEARITY, x * dps, ps)
-        if ps <= 0.0 and x > first_positive:
-            bad(x, Check.NON_DEGENERACY, ps, 0.0)
+        for x, ps, dps in zip(xs, psi_vals, dpsi_vals):
+            if not (np.isfinite(ps) and np.isfinite(dps)):
+                bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
+                continue
+            if ps < -SLACK:
+                bad(x, Check.NON_NEGATIVITY, ps, 0.0)
+            if x * dps - ps < -SLACK:
+                bad(x, Check.SUPER_LINEARITY, x * dps, ps)
+            if ps <= 0.0 and x > first_positive:
+                bad(x, Check.NON_DEGENERACY, ps, 0.0)
     if not positive.size and not psi_vals[-1] > 0.0:
         bad(x_max, Check.NON_DEGENERACY, float(psi_vals[-1]), 0.0)
 

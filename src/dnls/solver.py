@@ -538,7 +538,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     A local zoom then rescans windows of +-2 spacings around the best point,
     41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
     for g samples per ratio, where five rescans of g samples per window would
-    end, or stops shrinking. A cell with no free ratio scores its one profile.
+    end. A cell with no free ratio scores its one profile.
     Returns the best profile and its energy, independent of the ascent.
     """
     cfg.validate()
@@ -583,9 +583,6 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     while spacing.max() > final:
         lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
         hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
-        finer = (hi - lo) / (_ORACLE_ZOOM - 1)
-        if finer.max() >= spacing.max():
-            break
-        spacing = finer
+        spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
         best = scan(lo, hi, _ORACLE_ZOOM, best)
     return Profile(cell, best[2]), best[1]

@@ -309,6 +309,46 @@ def test_evolve_blow_up_is_an_operational_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: amplitude exceeded 1e+06 at t=0\n"
 
 
+def test_evolve_blow_up_writes_nothing(tmp_path, capsys):
+    # the series is written only after the run, so a blow-up leaves no file
+    code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "4e12",
+                 "--scheme", "intersite", "--N", "2", "--out", str(tmp_path / "d" / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: amplitude exceeded 1e+06 at t=0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_series_cells_are_numbers_and_its_labels_the_profiles(tmp_path):
+    flags = ["--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--scheme",
+             "intersite", "--N", "8"]
+    assert main(["solve", *flags, "--out", str(tmp_path / "w")]) == 0
+    assert main(["evolve", *flags, "--t-end", "0.1", "--dt", "0.01", "--sample-every", "5",
+                 "--out", str(tmp_path / "evo")]) == 0
+    with open(tmp_path / "w.profile.csv") as fh:
+        profile = list(csv.reader(fh))[1:]
+    with open(tmp_path / "evo.series.csv") as fh:
+        series = list(csv.reader(fh))[1:]
+    assert len(series) == 3 * 8  # steps 0, 5 and 10
+    assert [r[1] for r in series] == [j for j, _ in profile] * 3
+    # every cell is a plain number; A(0) is the profile, bit for bit
+    re, im, ab = (np.array([float(r[k]) for r in series]) for k in (2, 3, 4))
+    assert np.array_equal(re[:8], [float(u) for _, u in profile]) and not im[:8].any()
+    np.testing.assert_allclose(ab, np.hypot(re, im), rtol=1e-15)
+
+
+def test_check_potential_report_is_strict_json(tmp_path):
+    # far out exp-quadratic overflows: its infinite sides are written as null
+    code = main(["check-potential", "--potential", "exp-quadratic", "--x-max", "1000",
+                 "--out", str(tmp_path / "cp")])
+    assert code == 2
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads((tmp_path / "cp.json").read_text(), parse_constant=refuse)
+    assert sum(v[side] is None for v in data["violations"] for side in ("lhs", "rhs")) == 168
+
+
 @pytest.mark.parametrize("value", [0, -5])
 def test_evolve_refuses_sample_every_below_one(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))

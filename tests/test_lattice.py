@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.functionals import coupling, power
-from dnls.lattice import (Cell, IndexScheme, Profile, _pav_nonincreasing,
-                          cone_slack, in_cone, profile_from_csv, profile_to_csv,
+from dnls.lattice import (Cell, IndexScheme, Profile, _index_labels, _pav_nonincreasing,
+                          _write_csv, cone_slack, in_cone, profile_from_csv, profile_to_csv,
                           project_cone, restrict)
 
 from conftest import random_cone_profile, stagger
@@ -59,6 +59,15 @@ def test_cell_validation():
         Cell(ON, n=3, j_max=2.0)
     with pytest.raises(ValueError):
         Cell.periodic(ON, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: Cell.periodic("onsite", 25),
+                                  lambda: Cell.truncated("intersite", 3.0),
+                                  lambda: Cell("onsite", n=5)])
+def test_cell_refuses_a_scheme_given_as_text(make):
+    # text is not an IndexScheme; it once solved the inter-site wave in silence
+    with pytest.raises(ValueError, match="scheme must be an IndexScheme, not '(on|inter)site'"):
+        make()
 
 
 def test_in_cone_examples():
@@ -421,6 +430,21 @@ def test_profile_csv_half_integer_format():
     assert text[0] == "j,u"
     assert text[1].startswith("-0.5,")
     assert text[2].startswith("0.5,")
+
+
+@pytest.mark.parametrize("scheme,j_max,label", [(INTER, 100_000.5, "100000.5"),
+                                                (INTER, 2.0, "1.5"), (ON, 100_000.0, "100000")])
+def test_index_labels_print_every_index_exactly(scheme, j_max, label):
+    labels = _index_labels(Cell.truncated(scheme, j_max))
+    assert labels[-1] == label and labels[0] == "-" + label
+    assert [float(x) for x in labels] == Cell.truncated(scheme, j_max).indices().tolist()
+
+
+def test_csv_cells_are_text_as_given_and_numbers_as_plain_floats():
+    buf = io.StringIO()
+    _write_csv(buf, ["a", "b", "c"], [["x", np.float64(0.1) / 3, 2], ("y", 1e300, np.int64(-3))])
+    assert buf.getvalue().splitlines() == ["a,b,c", f"x,{0.1 / 3!r},2.0", "y,1e+300,-3.0"]
+    assert not buf.closed  # a borrowed buffer stays open
 
 
 def test_profile_validation():

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.potentials import (CATALOG, Check, check_assumptions, custom,
+from dnls.potentials import (CATALOG, Check, Violation, check_assumptions, custom,
                              exp_quadratic, nonconvex_rational,
                              parse_potential_spec, power_law, quartic,
                              saturable_arctan, saturable_log)
@@ -239,3 +240,19 @@ def test_psi_vanishing_above_a_positive_value_is_degenerate():
     assert report.violations
     assert {v.check for v in report.violations} == {Check.NON_DEGENERACY}
     assert min(v.x for v in report.violations) == 1.0
+
+
+def test_check_assumptions_warns_nothing_where_psi_overflows():
+    # x * dpsi overflows for exp-quadratic far out; the check must stay silent
+    expected = check_assumptions(exp_quadratic(), x_max=1000.0, samples=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(exp_quadratic(), x_max=1000.0, samples=1000)
+    assert repr(report) == repr(expected)  # the same violations, inf and nan included
+    assert not report.passed and len(report.violations) == 171
+
+
+def test_violation_writes_a_non_finite_side_as_null():
+    v = Violation(2.0, Check.SUPER_LINEARITY, math.inf, math.nan).to_dict()
+    assert v == {"x": 2.0, "check": "super-linearity", "lhs": None, "rhs": None}
+    assert Violation(2.0, Check.NON_NEGATIVITY, -1.0, 0.0).to_dict()["lhs"] == -1.0

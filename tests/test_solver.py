@@ -50,6 +50,15 @@ def test_config_validation_messages():
         SolverConfig(alpha=math.inf, rho=1.0).validate()
 
 
+def test_solve_refuses_a_scheme_given_as_text():
+    # "onsite" is not IndexScheme.ON_SITE: it once solved the inter-site wave
+    cfg = SolverConfig(alpha=1.0, rho=10.0, scheme="onsite", n=25)
+    with pytest.raises(ValueError, match="scheme"):
+        solve(cfg, saturable_arctan())
+    with pytest.raises(ValueError, match="scheme"):
+        initial_ansatz(cfg, saturable_arctan())
+
+
 def test_config_round_trip():
     cfg = small_cfg(scheme=INTER, tau=0.5)
     assert SolverConfig.from_dict(cfg.to_dict()) == cfg
@@ -839,3 +848,16 @@ def test_homoclinic_localized_above_threshold():
     res = homoclinic(cfg, exp_quadratic(), [41, 81])
     assert res.verdict is HomoclinicVerdict.LOCALIZED
     assert all(s.converged for s in res.solutions)
+
+
+def test_a_step_with_no_admissible_size_stops_the_run(monkeypatch):
+    # every trial leaves the cone, so all _MAX_HALVINGS + 1 sizes are refused
+    # and the step hands back its input unchanged: the run stagnates at once
+    monkeypatch.setattr(dnls.solver, "cone_slack", lambda u: 1.0)
+    cfg = SolverConfig(alpha=0.5, rho=2.0, n=9)
+    sol = solve(cfg, quartic())
+    assert sol.iterations == 1 and not sol.converged
+    assert sol.diagnostics.stop_reason == "stagnation"
+    assert sol.diagnostics.max_halvings == _MAX_HALVINGS + 1 == 31
+    assert sol.diagnostics.min_energy_increment == 0.0
+    assert np.array_equal(sol.profile.values, initial_ansatz(cfg, quartic()).values)
