@@ -14,9 +14,8 @@ from .potentials import (CATALOG, AssumptionReport, Check, Potential,
                          nonconvex_rational, parse_potential_spec, power_law,
                          quartic, saturable_arctan, saturable_log)
 from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
-                     RunDiagnostics, SolverConfig, TailTooShortError,
-                     WaveSolution, decay_fit, homoclinic, initial_ansatz,
-                     oracle_maximize, solve)
+                     RunDiagnostics, SolverConfig, WaveSolution, decay_fit,
+                     homoclinic, initial_ansatz, oracle_maximize, solve)
 
 __version__ = "0.1.0"
 
@@ -25,10 +24,10 @@ __all__ = [
     "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
-    "RunDiagnostics", "SolverConfig", "TailTooShortError",
-    "Violation", "WaveSolution", "box_profile", "check_assumptions",
-    "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
-    "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",
+    "RunDiagnostics", "SolverConfig", "Violation", "WaveSolution",
+    "box_profile", "check_assumptions", "cone_slack", "coupling", "custom",
+    "decay_fit", "energy", "exp_profile", "exp_quadratic", "grad_p",
+    "homoclinic", "in_cone", "initial_ansatz",
     "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",

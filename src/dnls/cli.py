@@ -23,7 +23,7 @@ from . import __version__
 from .evolution import _check_equilibrium_times, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, _index_labels, _write_csv, profile_to_csv
-from .potentials import check_assumptions, parse_potential_spec
+from .potentials import Potential, check_assumptions, parse_potential_spec
 from .solver import SolverConfig, homoclinic, oracle_maximize, solve
 
 USAGE_ERROR = 1
@@ -82,7 +82,9 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="wave", help="output path prefix")
 
 
-def _config_from_args(args) -> SolverConfig:
+def _solver_inputs(args, out: _Artifacts) -> tuple[SolverConfig, Potential]:
+    """The solver config (``--config``, then the flags) and ``--potential``; the manifest
+    ``config`` lists the solver fields, the potential's label, then the command's keys."""
     base = SolverConfig(alpha=1.0, rho=1.0)
     if args.config:
         try:
@@ -96,24 +98,29 @@ def _config_from_args(args) -> SolverConfig:
                  if getattr(args, f.name) is not None}
     if args.scheme is not None:
         overrides["scheme"] = IndexScheme(args.scheme)
-    return replace(base, **overrides)
+    cfg = replace(base, **overrides)
+    potential = parse_potential_spec(args.potential)
+    out.config = {**cfg.to_dict(), "potential": potential.label}
+    return cfg, potential
+
+
+def _finished(sol) -> int:
+    """A solve's exit once its artifacts are written: 0, or 2 and why it did not converge."""
+    if sol.converged:
+        return 0
+    print(f"did not converge: stop={sol.diagnostics.stop_reason} "
+          f"residual={sol.residual:.3e} after {sol.iterations} iterations", file=sys.stderr)
+    return OPERATIONAL_ERROR
 
 
 def cmd_solve(args, out: _Artifacts) -> int:
-    cfg = _config_from_args(args)
-    out.config = cfg.to_dict()
-    potential = parse_potential_spec(args.potential)
+    cfg, potential = _solver_inputs(args, out)
     sol = solve(cfg, potential)
     out.json(".json", sol.to_dict(cfg))
     profile_to_csv(sol.profile, out.path(".profile.csv"))
     print(f"converged={sol.converged} sigma={sol.sigma:.12g} "
           f"residual={sol.residual:.3e} iterations={sol.iterations}")
-    if not sol.converged:
-        print(f"did not converge: stop={sol.diagnostics.stop_reason} "
-              f"residual={sol.residual:.3e} after {sol.iterations} iterations",
-              file=sys.stderr)
-        return OPERATIONAL_ERROR
-    return 0
+    return _finished(sol)
 
 
 def _sweep_grid(args):
@@ -131,8 +138,7 @@ def _sweep_grid(args):
 
 
 def cmd_sweep(args, out: _Artifacts) -> int:
-    base = _config_from_args(args)
-    potential = parse_potential_spec(args.potential)
+    base, potential = _solver_inputs(args, out)
     tags = {}  # each value is judged as it arrives, before any solve
     for value in _sweep_grid(args):
         if args.param == "N" and not value.is_integer():
@@ -145,7 +151,7 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     if not tags:
         raise ValueError("empty sweep grid")
     grid = list(tags.values())
-    out.config = {**base.to_dict(), "sweep": args.param, "grid": grid}
+    out.config.update(sweep=args.param, grid=grid)
 
     def cfg_for(value) -> SolverConfig:
         if args.param == "N":
@@ -169,10 +175,9 @@ def cmd_sweep(args, out: _Artifacts) -> int:
 
 
 def cmd_homoclinic(args, out: _Artifacts) -> int:
-    cfg = _config_from_args(args)
-    potential = parse_potential_spec(args.potential)
+    cfg, potential = _solver_inputs(args, out)
     n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
-    out.config = {**cfg.to_dict(), "n_sequence": n_seq}
+    out.config["n_sequence"] = n_seq
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
         out.json(f".N={n}.json", sol.to_dict(replace(cfg, n=n)))
@@ -183,8 +188,8 @@ def cmd_homoclinic(args, out: _Artifacts) -> int:
 
 
 def cmd_check_potential(args, out: _Artifacts) -> int:
-    out.config = {"potential": args.potential, "x_max": args.x_max, "samples": args.samples}
     potential = parse_potential_spec(args.potential)
+    out.config = {"potential": potential.label, "x_max": args.x_max, "samples": args.samples}
     report = check_assumptions(potential, x_max=args.x_max, samples=args.samples)
     out.json(".json", {"potential": potential.label, **report.to_dict()})
     print(f"{potential.label}: {'passed' if report.passed else 'FAILED'} "
@@ -193,9 +198,8 @@ def cmd_check_potential(args, out: _Artifacts) -> int:
 
 
 def cmd_oracle(args, out: _Artifacts) -> int:
-    cfg = _config_from_args(args)
-    out.config = {**cfg.to_dict(), "grid_points": args.grid_points}
-    potential = parse_potential_spec(args.potential)
+    cfg, potential = _solver_inputs(args, out)
+    out.config["grid_points"] = args.grid_points
     best, p_best = oracle_maximize(cfg, potential, grid_points=args.grid_points)
     sol = solve(cfg, potential)
     gap = abs(sol.energies.p_total - p_best) / max(abs(p_best), 1e-300)
@@ -208,17 +212,15 @@ def cmd_oracle(args, out: _Artifacts) -> int:
     })
     profile_to_csv(best, out.path(".profile.csv"))
     print(f"oracle P={p_best:.12g} solver P={sol.energies.p_total:.12g} gap={gap:.2e}")
-    return 0
+    return _finished(sol)
 
 
 def cmd_evolve(args, out: _Artifacts) -> int:
     if args.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
     _check_equilibrium_times(args.t_end, args.dt)
-    cfg = _config_from_args(args)
-    out.config = {**cfg.to_dict(), "t_end": args.t_end, "dt": args.dt,
-                  "sample_every": args.sample_every}
-    potential = parse_potential_spec(args.potential)
+    cfg, potential = _solver_inputs(args, out)
+    out.config.update(t_end=args.t_end, dt=args.dt, sample_every=args.sample_every)
     sol = solve(cfg, potential)
     if not sol.converged:
         print("solver did not converge; nothing to evolve", file=sys.stderr)

@@ -94,7 +94,9 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     which also feeds the next step's first stage and the blow-up guard.
     ``callback(step, t, amplitudes)`` is invoked at t=0 and after every step;
     the array it receives is never modified afterwards, so it may be kept.
-    ``t_end`` and ``dt`` must be finite.
+    ``t_end`` and ``dt`` must be finite. An amplitude above the blow-up limit,
+    or one that a step made inf or nan, raises ``BlowUpError``; numpy's
+    overflow warnings are off during the steps and the callback.
     """
     _check_times(t_end, dt)
     periodic = state.cell.is_finite
@@ -112,26 +114,28 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     if callback is not None:
         callback(0, state.time, a)
 
-    for k in range(n_steps):
-        if mod2.max() > limit2:
-            raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + k * h:g}")
-        f1 = field_values(a, mod2, periodic, p, alpha)
-        b = a + ihh * f1
-        f2 = field_values(b, _mod2(b), periodic, p, alpha)
-        b = a + ihh * f2
-        f3 = field_values(b, _mod2(b), periodic, p, alpha)
-        b = a + ih * f3
-        f4 = field_values(b, _mod2(b), periodic, p, alpha)
-        a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        mod2 = _mod2(a)
-        power, ham = _invariants(a, mod2, periodic, p, alpha)
-        max_dp = max(max_dp, abs(power - p0))
-        max_dh = max(max_dh, abs(ham - h0))
-        if callback is not None:
-            callback(k + 1, state.time + (k + 1) * h, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if not mod2.max() <= limit2:
+                raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} "
+                                  f"at t={state.time + k * h:g}")
+            f1 = field_values(a, mod2, periodic, p, alpha)
+            b = a + ihh * f1
+            f2 = field_values(b, _mod2(b), periodic, p, alpha)
+            b = a + ihh * f2
+            f3 = field_values(b, _mod2(b), periodic, p, alpha)
+            b = a + ih * f3
+            f4 = field_values(b, _mod2(b), periodic, p, alpha)
+            a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            mod2 = _mod2(a)
+            power, ham = _invariants(a, mod2, periodic, p, alpha)
+            max_dp = max(max_dp, abs(power - p0))
+            max_dh = max(max_dh, abs(ham - h0))
+            if callback is not None:
+                callback(k + 1, state.time + (k + 1) * h, a)
 
-    if n_steps and mod2.max() > limit2:
-        raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + t_end:g}")
+        if n_steps and not mod2.max() <= limit2:
+            raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + t_end:g}")
     final = EvolutionState(time=state.time + t_end, amplitudes=a, cell=state.cell)
     diagnostics = {
         "steps": n_steps,

@@ -159,11 +159,11 @@ def participation_ratio(u: Profile) -> float:
     return float(v @ v) ** 2 / (u.cell.size * q)
 
 
-def box_profile(scheme: IndexScheme, rho: float, m: int, j_max: float | None = None) -> Profile:
+def box_profile(scheme: IndexScheme, rho: float, m: int) -> Profile:
     """Normalized plateau profile on a truncated lattice.
 
     On-site: value sqrt(rho/(2m+1)) on |j| <= m (m >= 0). Inter-site: value
-    sqrt(rho/(2m)) on |j| <= m - 1/2 (m >= 1).
+    sqrt(rho/(2m)) on |j| <= m - 1/2 (m >= 1); truncated two sites beyond the plateau.
     """
     if scheme is IndexScheme.ON_SITE:
         if m < 0:
@@ -175,21 +175,21 @@ def box_profile(scheme: IndexScheme, rho: float, m: int, j_max: float | None = N
             raise ValueError("inter-site plateau needs m >= 1")
         height = math.sqrt(rho / (2 * m))
         half_width = m - 0.5
-    cell = Cell.truncated(scheme, j_max if j_max is not None else half_width + 2)
+    cell = Cell.truncated(scheme, half_width + 2)
     j = cell.indices()
     vals = np.where(np.abs(j) <= half_width + 1e-9, height, 0.0)
     return Profile(cell, vals)
 
 
-def exp_profile(scheme: IndexScheme, rho: float, zeta: float, j_max: float | None = None) -> Profile:
+def exp_profile(scheme: IndexScheme, rho: float, zeta: float) -> Profile:
     """Normalized exponential profile c * exp(-zeta |j|) on a truncated lattice.
 
-    Truncated at j_max = max(50, 20/zeta) by default; the dropped tail is far
+    Truncated at j_max = max(50, 20/zeta); the dropped tail is far
     below machine precision, and the profile is renormalized to the sphere.
     """
     if zeta <= 0:
         raise ValueError("decay rate zeta must be positive")
-    cell = Cell.truncated(scheme, j_max if j_max is not None else max(50.0, 20.0 / zeta))
+    cell = Cell.truncated(scheme, max(50.0, 20.0 / zeta))
     j = cell.indices()
     vals = np.exp(-zeta * np.abs(j))
     vals *= math.sqrt(rho) / math.sqrt(float(vals @ vals))

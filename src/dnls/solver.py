@@ -27,10 +27,6 @@ from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
 from .potentials import Potential, check_assumptions
 
 
-class TailTooShortError(RuntimeError):
-    """Raised when a profile has no usable exponential tail to fit."""
-
-
 # acceptance slack for the monotone-energy backtracking test; for energies
 # beyond ~45 the nominal 1e-14 would be sub-ulp and acceptance would turn
 # into a rounding lottery, so the slack never falls below one part in 2^52
@@ -383,14 +379,11 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
         diagnostics=diag,
     )
     if sol.converged and sol.sigma > 2.0 * cfg.alpha:
-        try:
-            sol.decay = decay_fit(sol, cfg)
-        except TailTooShortError:
-            sol.decay = None
+        sol.decay = decay_fit(sol, cfg)
     return sol
 
 
-def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit:
+def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
     """Affine fit of log u_j against |j| over the exponential tail.
 
     The window runs from the first index where u drops below 0.1*max(u) out
@@ -398,7 +391,8 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit:
     outer edge additionally stays two sites clear of the cell boundary, where
     the periodic image flattens the tail. Reports the fitted rate, the
     a-priori rate -log(alpha/(sigma-alpha)), and the rate of the linearized
-    tail recurrence sigma = alpha*(kappa + 1/kappa).
+    tail recurrence sigma = alpha*(kappa + 1/kappa). A window of fewer than
+    four points is too short to fit, and gives None.
     """
     if not sol.converged:
         raise ValueError("decay fit requires a converged solution")
@@ -419,7 +413,7 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit:
         usable &= jr <= prof.cell.symmetric_doubled_max() / 2.0 - 2.0
     jw, vw = jr[usable], vr[usable]
     if jw.size < 4:
-        raise TailTooShortError(f"only {jw.size} tail points available")
+        return None
 
     slope, intercept = np.polyfit(jw, np.log(vw), 1)
     fit_res = float(np.max(np.abs(np.log(vw) - (intercept + slope * jw))))

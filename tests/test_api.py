@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import dnls
+from dnls.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -14,10 +16,10 @@ PUBLIC = [
     "DecayFit", "DegenerateProfileError", "EnergyBreakdown",
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
-    "RunDiagnostics", "SolverConfig", "TailTooShortError",
-    "Violation", "WaveSolution", "box_profile", "check_assumptions",
-    "cone_slack", "coupling", "custom", "decay_fit", "energy", "exp_profile",
-    "exp_quadratic", "grad_p", "homoclinic", "in_cone", "initial_ansatz",
+    "RunDiagnostics", "SolverConfig", "Violation", "WaveSolution",
+    "box_profile", "check_assumptions", "cone_slack", "coupling", "custom",
+    "decay_fit", "energy", "exp_profile", "exp_quadratic", "grad_p",
+    "homoclinic", "in_cone", "initial_ansatz",
     "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",
@@ -31,6 +33,28 @@ def test_public_names():
     assert dnls.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(dnls, name), name
+
+
+SOLVER_FLAGS = ["--potential", "--alpha", "--rho", "--scheme", "--N", "--tau",
+                "--tol-residual", "--max-iters", "--config", "--out"]
+CLI = {
+    "dnls": ["-h", "--help", "--version"],
+    "solve": ["-h", "--help", *SOLVER_FLAGS],
+    "sweep": ["-h", "--help", *SOLVER_FLAGS, "--param", "--values", "--from", "--to", "--step"],
+    "homoclinic": ["-h", "--help", *SOLVER_FLAGS, "--N-seq", "--margin"],
+    "check-potential": ["-h", "--help", "--potential", "--x-max", "--samples", "--out"],
+    "oracle": ["-h", "--help", *SOLVER_FLAGS, "--grid-points"],
+    "evolve": ["-h", "--help", *SOLVER_FLAGS, "--t-end", "--dt", "--sample-every"],
+}
+
+
+def test_cli_flags():
+    # a flag added or removed shows up here, as a public name does above
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {"dnls": parser, **sub.choices}
+    assert {name: [s for a in p._actions for s in a.option_strings]
+            for name, p in commands.items()} == CLI
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -496,3 +497,66 @@ def test_emitted_profile_round_trips(tmp_path):
     # power recomputed from the CSV matches the JSON record exactly
     assert float(prof.values @ prof.values) == pytest.approx(
         data["energies"]["power"], rel=1e-15)
+
+
+SOLVER_KEYS = ["alpha", "rho", "scheme", "n", "tau", "tol_residual", "max_iters", "potential"]
+OWN_KEYS = {"solve": [], "sweep": ["sweep", "grid"], "homoclinic": ["n_sequence"],
+            "oracle": ["grid_points"], "evolve": ["t_end", "dt", "sample_every"]}
+
+
+@pytest.mark.parametrize("command", OWN_KEYS)
+def test_every_solving_manifest_names_its_potential(tmp_path, command):
+    # the solver fields, then the potential's label, then the command's own keys
+    assert main([*COMMANDS[command], "--out", str(tmp_path / "x")]) == 0
+    config = read_json(tmp_path / "x.manifest.json")["config"]
+    assert list(config) == SOLVER_KEYS + OWN_KEYS[command]
+    assert config["potential"] == "quartic"
+
+
+def test_check_potential_manifest_names_the_parsed_potential(tmp_path):
+    assert main(["check-potential", "--potential", "power:eta=3", "--x-max", "10",
+                 "--out", str(tmp_path / "cp")]) == 0
+    label = "power:eta=3.0,c=1.0"
+    assert read_json(tmp_path / "cp.json")["potential"] == label
+    assert read_json(tmp_path / "cp.manifest.json")["config"] == {
+        "potential": label, "x_max": 10.0, "samples": 1000}
+
+
+def test_oracle_nonconvergence_exit_code(tmp_path, capsys):
+    # the solve behind the oracle stops at max_iters: exit 2, as solve does,
+    # with the artifacts still written for diagnosis
+    code = main(["oracle", "--N", "4", "--potential", "quartic", "--alpha", "0.4957",
+                 "--rho", "0.9825", "--max-iters", "50", "--grid-points", "101",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == ("did not converge: stop=max_iters residual=1.175e-06 "
+                                       "after 50 iterations\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "o.json", "o.manifest.json", "o.profile.csv"]
+
+
+def test_evolve_overflowing_step_is_a_blow_up(tmp_path, capsys):
+    # one step of dt = 1e3 overflows to nan; that is a blow-up, not bad input
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "2",
+                     "--N", "5", "--dt", "1e3", "--t-end", "1e3",
+                     "--out", str(tmp_path / "d" / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: amplitude exceeded 1e+06 at t=1000\n"
+    assert caught == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"tol_residual": 0}', "tol_residual must be positive"),
+    ('{"max_iters": 0}', "max_iters must be positive"),
+])
+def test_config_file_out_of_range_is_a_usage_error(tmp_path, capsys, content, message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(content)
+    code = main(["solve", "--potential", "quartic", "--alpha", "1", "--rho", "2",
+                 "--N", "9", "--config", str(cfg_file), "--out", str(tmp_path / "sub" / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,3 +285,19 @@ def test_rk4_step_kernel_budget():
         _, diag = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01)
         assert diag["steps"] == steps
         assert calls == {"psi": steps + 1, "dpsi": 4 * steps}
+
+
+def test_a_step_that_overflows_is_a_blow_up():
+    # one RK4 step of h = 1e3 overflows to nan; the final-state guard catches it
+    state = EvolutionState(0.0, np.full(5, math.sqrt(0.4), dtype=complex), Cell.periodic(ON, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"^amplitude exceeded 1e\+06 at t=1000$"):
+            integrate(state, quartic(), 1.0, t_end=1e3, dt=1e3)
+
+
+def test_relative_equilibrium_check_refuses_an_unconverged_wave():
+    sol = solve(SolverConfig(alpha=0.8, rho=3.0, scheme=ON, n=9, max_iters=2), saturable_log())
+    assert not sol.converged
+    with pytest.raises(ValueError, match="requires a converged solution"):
+        relative_equilibrium_check(sol, saturable_log(), 0.8, t_end=0.1, dt=0.01)

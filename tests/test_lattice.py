@@ -447,6 +447,20 @@ def test_csv_cells_are_text_as_given_and_numbers_as_plain_floats():
     assert not buf.closed  # a borrowed buffer stays open
 
 
+@pytest.mark.parametrize("text, periodic, message", [
+    ("x,u\n0,1.0\n", None, "expected CSV header 'j,u'"),
+    ("j,u\n-0.25,1.0\n0.25,1.0\n", None, "indices must be integers or half-integers"),
+    ("j,u\n-0.5,1.0\n0,1.0\n0.5,1.0\n", None, "mixed integer and half-integer indices"),
+    ("j,u\n-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n", True,
+     "index list is not a periodicity cell"),
+    ("j,u\n-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n", None,
+     "index list is not a symmetric truncated lattice"),
+])
+def test_profile_from_csv_refuses_what_no_cell_holds(text, periodic, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        profile_from_csv(io.StringIO(text), periodic=periodic)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         Profile(Cell.periodic(ON, 3), [1.0, 2.0])

@@ -256,3 +256,18 @@ def test_violation_writes_a_non_finite_side_as_null():
     v = Violation(2.0, Check.SUPER_LINEARITY, math.inf, math.nan).to_dict()
     assert v == {"x": 2.0, "check": "super-linearity", "lhs": None, "rhs": None}
     assert Violation(2.0, Check.NON_NEGATIVITY, -1.0, 0.0).to_dict()["lhs"] == -1.0
+
+
+def test_psi_that_raises_at_zero_is_a_normalization_violation():
+    # psi and dpsi refuse x = 0 itself but are sound on (0, x_max]
+    def at_zero_refused(f):
+        def g(x):
+            if np.any(np.asarray(x) == 0.0):
+                raise ZeroDivisionError("undefined at 0")
+            return f(x)
+        return g
+
+    report = check_assumptions(custom(at_zero_refused(lambda x: x * x),
+                                      at_zero_refused(lambda x: 2.0 * x)), 10.0, 200)
+    assert [v.to_dict() for v in report.violations] == [
+        {"x": 0.0, "check": "normalization", "lhs": None, "rhs": 0.0}] * 2

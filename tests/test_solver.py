@@ -21,10 +21,9 @@ from dnls.potentials import (CATALOG, check_assumptions, custom, exp_quadratic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
                          _NEAR_CONSTANT_TOL, _RES_GROWTH, HomoclinicVerdict,
-                         RunDiagnostics, SolverConfig, TailTooShortError,
-                         _energy_slack, _flat_lambda1, _is_near_constant,
-                         _run, _step, decay_fit, homoclinic, initial_ansatz,
-                         oracle_maximize, solve)
+                         RunDiagnostics, SolverConfig, _energy_slack, _flat_lambda1,
+                         _is_near_constant, _run, _step, decay_fit, homoclinic,
+                         initial_ansatz, oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
@@ -576,8 +575,7 @@ def test_decay_fit_tail_too_short_for_flat_wave():
     sol = solve(cfg, quartic())
     assert sol.decay is None
     fake = replace(sol, sigma=2 * cfg.alpha + 1.0)
-    with pytest.raises(TailTooShortError):
-        decay_fit(fake, cfg)
+    assert decay_fit(fake, cfg) is None
 
 
 def test_decay_fit_requires_frequency_gap():
