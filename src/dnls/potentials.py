@@ -167,7 +167,16 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     """Verify the growth assumptions on a geometric-plus-linear grid over (0, x_max].
 
     Reports every violated inequality with both sides. The finite-difference
-    consistency of (psi, dpsi) is checked away from zero.
+    consistency of (psi, dpsi) is checked away from zero. Violations come in
+    this order: normalization at 0 (psi, then dpsi); then each failing sample
+    in increasing x, either one normalization violation for a non-finite
+    value or its non-negativity, super-linearity and non-degeneracy
+    violations in that order; then the degeneracy at x_max when no sample is
+    measurably positive; then each failing consistency point in increasing x.
+
+    Raises ``ValueError`` for an x_max that is not finite and positive, fewer
+    than 2 samples, or a psi or dpsi that does not return one value per
+    sample.
     """
     if not 0 < x_max < np.inf:
         raise ValueError(f"x_max must be positive and finite, not {x_max}")
@@ -179,11 +188,21 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     geo_lo = min(1e-8, x_max)
     geo = np.geomspace(geo_lo, x_max, max(n_geo, 2))
     lin = np.linspace(x_max / n_lin, x_max, max(n_lin, 2))
-    xs = np.unique(np.concatenate([geo, lin]))
+    # np.unique's sort-and-dedupe, spelled out: np.unique imports numpy.ma on
+    # first use (about 20 ms), which no other line of the package needs
+    xs = np.sort(np.concatenate([geo, lin]))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     violations: list[Violation] = []
 
     def bad(x, check, lhs, rhs):
         violations.append(Violation(float(x), check, float(lhs), float(rhs)))
+
+    def values(f, name, at):
+        out = np.asarray(f(at), dtype=float)
+        if out.shape != at.shape:
+            raise ValueError(f"{name} must return one value per sample: got shape "
+                             f"{out.shape} for {at.size} samples")
+        return out
 
     # normalization at x = 0 (values must be finite and vanish)
     try:
@@ -197,8 +216,8 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
         bad(0.0, Check.NORMALIZATION, dpsi0, 0.0)
 
     with np.errstate(all="ignore"):
-        psi_vals = np.asarray(p.psi(xs), dtype=float)
-        dpsi_vals = np.asarray(p.dpsi(xs), dtype=float)
+        psi_vals = values(p.psi, "psi", xs)
+        dpsi_vals = values(p.dpsi, "dpsi", xs)
 
         # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
         # decidable degeneracy exactly when it sits above a measurably positive
@@ -208,30 +227,34 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
         positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
         first_positive = xs[positive[0]] if positive.size else np.inf
 
-        for x, ps, dps in zip(xs, psi_vals, dpsi_vals):
-            if not (np.isfinite(ps) and np.isfinite(dps)):
-                bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
-                continue
-            if ps < -SLACK:
-                bad(x, Check.NON_NEGATIVITY, ps, 0.0)
-            if x * dps - ps < -SLACK:
-                bad(x, Check.SUPER_LINEARITY, x * dps, ps)
-            if ps <= 0.0 and x > first_positive:
-                bad(x, Check.NON_DEGENERACY, ps, 0.0)
+        finite = np.isfinite(psi_vals) & np.isfinite(dpsi_vals)
+        x_dpsi = xs * dpsi_vals
+        negative = psi_vals < -SLACK
+        sublinear = x_dpsi - psi_vals < -SLACK
+        degenerate = (psi_vals <= 0.0) & (xs > first_positive)
+    for i in np.flatnonzero(~finite | negative | sublinear | degenerate):
+        x, ps, dps = xs[i], psi_vals[i], dpsi_vals[i]
+        if not finite[i]:
+            bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
+            continue
+        if negative[i]:
+            bad(x, Check.NON_NEGATIVITY, ps, 0.0)
+        if sublinear[i]:
+            bad(x, Check.SUPER_LINEARITY, x_dpsi[i], ps)
+        if degenerate[i]:
+            bad(x, Check.NON_DEGENERACY, ps, 0.0)
     if not positive.size and not psi_vals[-1] > 0.0:
         bad(x_max, Check.NON_DEGENERACY, float(psi_vals[-1]), 0.0)
 
     fd_xs = np.geomspace(0.05 * x_max, x_max, 64)
     h = 6e-6 * fd_xs
     with np.errstate(all="ignore"):
-        fd = (np.asarray(p.psi(fd_xs + h), float)
-              - np.asarray(p.psi(fd_xs - h), float)) / (2.0 * h)
-        exact = np.asarray(p.dpsi(fd_xs), float)
+        fd = (values(p.psi, "psi", fd_xs + h) - values(p.psi, "psi", fd_xs - h)) / (2.0 * h)
+        exact = values(p.dpsi, "dpsi", fd_xs)
     scale = np.maximum(np.abs(exact), 1e-300)
     rel = np.abs(fd - exact) / scale
-    for x, f, e, r in zip(fd_xs, fd, exact, rel):
-        if not np.isfinite(r) or r > 1e-6:
-            bad(x, Check.CONSISTENCY, f, e)
+    for i in np.flatnonzero(~np.isfinite(rel) | (rel > 1e-6)):
+        bad(fd_xs[i], Check.CONSISTENCY, fd[i], exact[i])
 
     grid = (f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} points; "
             f"fd check on [{0.05 * x_max:g}, {x_max:g}]")

@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.potentials import (CATALOG, Check, Violation, check_assumptions, custom,
-                             exp_quadratic, nonconvex_rational,
-                             parse_potential_spec, power_law, quartic,
-                             saturable_arctan, saturable_log)
-from dnls.solver import _d2psi
+from dnls.potentials import (CATALOG, SLACK, AssumptionReport, Check, Violation,
+                             check_assumptions, custom, exp_quadratic,
+                             nonconvex_rational, parse_potential_spec, power_law,
+                             quartic, saturable_arctan, saturable_log)
+from dnls.solver import SolverConfig, _d2psi, solve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_power_law_psi_value():
@@ -271,3 +277,140 @@ def test_psi_that_raises_at_zero_is_a_normalization_violation():
                                       at_zero_refused(lambda x: 2.0 * x)), 10.0, 200)
     assert [v.to_dict() for v in report.violations] == [
         {"x": 0.0, "check": "normalization", "lhs": None, "rhs": 0.0}] * 2
+
+
+def reference_check_assumptions(p, x_max, samples):
+    """check_assumptions as a plain loop over the samples: the reference for its masks."""
+    n_geo = samples // 2
+    n_lin = samples - n_geo
+    geo_lo = min(1e-8, x_max)
+    geo = np.geomspace(geo_lo, x_max, max(n_geo, 2))
+    lin = np.linspace(x_max / n_lin, x_max, max(n_lin, 2))
+    xs = np.unique(np.concatenate([geo, lin]))
+    violations = []
+
+    def bad(x, check, lhs, rhs):
+        violations.append(Violation(float(x), check, float(lhs), float(rhs)))
+
+    try:
+        psi0 = float(p.psi(np.asarray(0.0)))
+        dpsi0 = float(p.dpsi(np.asarray(0.0)))
+    except (ArithmeticError, ValueError):
+        psi0, dpsi0 = np.nan, np.nan
+    if not np.isfinite(psi0) or abs(psi0) > SLACK:
+        bad(0.0, Check.NORMALIZATION, psi0, 0.0)
+    if not np.isfinite(dpsi0) or abs(dpsi0) > SLACK:
+        bad(0.0, Check.NORMALIZATION, dpsi0, 0.0)
+
+    with np.errstate(all="ignore"):
+        psi_vals = np.asarray(p.psi(xs), dtype=float)
+        dpsi_vals = np.asarray(p.dpsi(xs), dtype=float)
+        noise = 8.0 * np.finfo(float).eps * xs
+        positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
+        first_positive = xs[positive[0]] if positive.size else np.inf
+        for x, ps, dps in zip(xs, psi_vals, dpsi_vals):
+            if not (np.isfinite(ps) and np.isfinite(dps)):
+                bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
+                continue
+            if ps < -SLACK:
+                bad(x, Check.NON_NEGATIVITY, ps, 0.0)
+            if x * dps - ps < -SLACK:
+                bad(x, Check.SUPER_LINEARITY, x * dps, ps)
+            if ps <= 0.0 and x > first_positive:
+                bad(x, Check.NON_DEGENERACY, ps, 0.0)
+    if not positive.size and not psi_vals[-1] > 0.0:
+        bad(x_max, Check.NON_DEGENERACY, float(psi_vals[-1]), 0.0)
+
+    fd_xs = np.geomspace(0.05 * x_max, x_max, 64)
+    h = 6e-6 * fd_xs
+    with np.errstate(all="ignore"):
+        fd = (np.asarray(p.psi(fd_xs + h), float)
+              - np.asarray(p.psi(fd_xs - h), float)) / (2.0 * h)
+        exact = np.asarray(p.dpsi(fd_xs), float)
+    scale = np.maximum(np.abs(exact), 1e-300)
+    rel = np.abs(fd - exact) / scale
+    for x, f, e, r in zip(fd_xs, fd, exact, rel):
+        if not np.isfinite(r) or r > 1e-6:
+            bad(x, Check.CONSISTENCY, f, e)
+
+    grid = (f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} points; "
+            f"fd check on [{0.05 * x_max:g}, {x_max:g}]")
+    return AssumptionReport(passed=not violations, violations=violations, grid=grid)
+
+
+# one pair per check it breaks, one that breaks three at each sample past 0.3,
+# a psi that overflows where dpsi stays finite, and a NaN psi, with dpsi infinite past 0.7
+VIOLATORS = [
+    custom(lambda x: -x, lambda x: -1.0 + 0.0 * x, name="negative"),
+    custom(np.sqrt, lambda x: 0.5 / np.sqrt(np.maximum(x, 1e-300)), name="sub-linear"),
+    custom(lambda x: np.where(x < 0.3, x * x, 0.0), lambda x: np.where(x < 0.3, 2.0 * x, 0.0),
+           name="vanishing"),
+    custom(lambda x: np.where(x < 0.3, x * x, -x), lambda x: np.where(x < 0.3, 2.0 * x, -2.0),
+           name="turning-negative"),
+    custom(lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
+           lambda x: 1000.0 * np.expm1(np.minimum(1000.0 * x, 700.0)), name="overflowing"),
+    custom(lambda x: np.where(x > 0.5, np.nan, x**4),
+           lambda x: np.where(x > 0.7, np.inf, 4.0 * x**3), name="nan"),
+    custom(lambda x: x * x, lambda x: 3.0 * x, name="inconsistent"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.sampled_from([CATALOG[name]() for name in sorted(CATALOG)] + VIOLATORS),
+                   st.floats(0.05, 6.0).map(lambda eta: parse_potential_spec(f"power:eta={eta}"))),
+       log_x_max=st.floats(-9.0, 3.0), samples=st.integers(2, 2000))
+def test_check_assumptions_matches_the_loop_reference(p, log_x_max, samples):
+    # the same violations, values and order, nan and inf included
+    x_max = 10.0**log_x_max
+    got = check_assumptions(p, x_max, samples)
+    want = reference_check_assumptions(p, x_max, samples)
+    same = repr(got) == repr(want)  # a diff of two long reprs would take minutes
+    pairs = enumerate(zip(got.violations, want.violations))
+    assert same, next(((i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
+                      (got.grid, len(got.violations), len(want.violations)))
+
+
+def test_violators_break_what_they_are_named_for():
+    # the reference draws above would not notice a violator that breaks nothing
+    kinds = {p.label: {v.check for v in check_assumptions(p, 10.0, 400).violations}
+             for p in VIOLATORS}
+    assert Check.NON_NEGATIVITY in kinds["negative"]
+    assert Check.SUPER_LINEARITY in kinds["sub-linear"]
+    assert kinds["vanishing"] == {Check.NON_DEGENERACY}
+    assert {Check.NON_NEGATIVITY, Check.SUPER_LINEARITY,
+            Check.NON_DEGENERACY} <= kinds["turning-negative"]
+    assert Check.NORMALIZATION in kinds["overflowing"] and Check.NORMALIZATION in kinds["nan"]
+    assert kinds["inconsistent"] == {Check.CONSISTENCY}
+
+
+def test_a_solve_and_a_check_import_nothing_new():
+    # np.unique imports numpy.ma on first use; a solve must not pay for that
+    script = ("import sys\n"
+              "import dnls\n"
+              "before = set(sys.modules)\n"
+              "dnls.solve(dnls.SolverConfig(alpha=2.0, rho=2.0, n=24,\n"
+              "                             scheme=dnls.IndexScheme.INTER_SITE), dnls.quartic())\n"
+              "dnls.check_assumptions(dnls.exp_quadratic(), 1000.0, 1000)\n"
+              "print(sorted(set(sys.modules) - before))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+# each callback returns one value at x = 0 and goes wrong only on the grid: one
+# value for all samples, one too few (which zip used to pair off silently), or two per sample
+@pytest.mark.parametrize("name,psi,dpsi", [
+    ("psi", lambda x: 1.0, lambda x: 2.0 * x),
+    ("dpsi", lambda x: x * x, lambda x: np.sum(2.0 * x)),
+    ("dpsi", lambda x: x * x, lambda x: 2.0 * x[1:] if np.ndim(x) else 2.0 * x),
+    ("psi", lambda x: np.stack([x * x, x * x]) if np.ndim(x) else x * x, lambda x: 2.0 * x),
+])
+def test_one_value_per_sample_or_a_value_error(name, psi, dpsi):
+    p = custom(psi, dpsi)
+    with pytest.raises(ValueError, match=f"^{name} must return one value per sample: got shape"):
+        check_assumptions(p, 10.0, 200)
+    with pytest.raises(ValueError, match=f"^{name} must return one value per sample"):
+        solve(SolverConfig(alpha=1.0, rho=2.0, n=5), p)
