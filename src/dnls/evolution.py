@@ -19,11 +19,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .functionals import coupling_values, field_values
+from .functionals import field_values
 from .lattice import Cell, Profile
 from .potentials import Potential
 
 _BLOWUP_LIMIT = 1e6
+# steps whose diagnostics are evaluated together, in one pass over the stacked states
+_BLOCK = 128
 
 
 class BlowUpError(RuntimeError):
@@ -59,11 +61,27 @@ def rhs(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray
 
 
 def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
-                alpha: float) -> tuple[float, float]:
-    """Power and Hamiltonian of A, with |A|^2 given as ``mod2``."""
-    power = float(mod2.sum())
-    ptot = alpha * coupling_values(a, periodic) + float(np.sum(p.psi(mod2)))
+                alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Power and Hamiltonian of each state A along the last axis, with |A|^2 given as ``mod2``.
+
+    One psi call on the flattened ``mod2``. Every reduction runs row by row
+    (a stacked matmul is one dot per row), so a row's values do not depend on
+    the other rows; the tests hold them bit for bit to the per-state formulas.
+    """
+    power = mod2.sum(axis=-1)
+    psi = np.asarray(p.psi(mod2.ravel())).reshape(mod2.shape).sum(axis=-1)
+    if periodic:
+        left, right = a, np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+    else:
+        left, right = a[..., :-1], a[..., 1:]
+    dot = np.matmul(np.conj(left)[..., None, :], right[..., :, None])[..., 0, 0]
+    ptot = alpha * (2.0 * np.real(dot)) + psi
     return power, 2.0 * alpha * power - ptot
+
+
+def _max_into(current: float, values: np.ndarray) -> float:
+    """``max(current, v)`` folded over ``values``: a nan never replaces the running maximum."""
+    return float(np.fmax.reduce(values, initial=current))
 
 
 def _check_times(t_end: float, dt: float) -> None:
@@ -89,9 +107,11 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     Accuracy degrades for dt beyond roughly 0.1/(1 + 2|alpha| + dpsi(max|A|^2)),
     the inverse of the fastest local rotation rate. Returns the final state
     and drift diagnostics for power and Hamiltonian. A step makes four field
-    evaluations (one dpsi call each), forms |A|^2 once per state, and
-    evaluates the invariants once (one psi call) from the new state's |A|^2,
-    which also feeds the next step's first stage and the blow-up guard.
+    evaluations (one dpsi call each) and forms |A|^2 once per state; the new
+    state's |A|^2 also feeds the next step's first stage and the blow-up
+    guard. The invariants are evaluated once per block of up to ``_BLOCK``
+    steps, with one psi call over the block's stacked states, and give the
+    same drifts as evaluating them step by step.
     ``callback(step, t, amplitudes)`` is invoked at t=0 and after every step;
     the array it receives is never modified afterwards, so it may be kept.
     ``t_end`` and ``dt`` must be finite. An amplitude above the blow-up limit,
@@ -108,9 +128,19 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     limit2 = _BLOWUP_LIMIT**2
 
     mod2 = _mod2(a)
-    p0, h0 = _invariants(a, mod2, periodic, p, alpha)
+    p0, h0 = map(float, _invariants(a, mod2, periodic, p, alpha))
     max_dp = 0.0
     max_dh = 0.0
+    states = []  # the block's states, each a fresh array that is never modified
+
+    def flush():
+        nonlocal max_dp, max_dh
+        block = np.stack(states)
+        power, ham = _invariants(block, _mod2(block), periodic, p, alpha)
+        max_dp = _max_into(max_dp, np.abs(power - p0))
+        max_dh = _max_into(max_dh, np.abs(ham - h0))
+        states.clear()
+
     if callback is not None:
         callback(0, state.time, a)
 
@@ -128,14 +158,16 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
             f4 = field_values(b, _mod2(b), periodic, p, alpha)
             a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             mod2 = _mod2(a)
-            power, ham = _invariants(a, mod2, periodic, p, alpha)
-            max_dp = max(max_dp, abs(power - p0))
-            max_dh = max(max_dh, abs(ham - h0))
+            states.append(a)
+            if len(states) == _BLOCK:
+                flush()
             if callback is not None:
                 callback(k + 1, state.time + (k + 1) * h, a)
 
         if n_steps and not mod2.max() <= limit2:
             raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + t_end:g}")
+        if states:
+            flush()
     final = EvolutionState(time=state.time + t_end, amplitudes=a, cell=state.cell)
     diagnostics = {
         "steps": n_steps,
@@ -168,7 +200,9 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
 
     Reports the worst modulus deviation over the run, the measured phase
     rotation rate at the central site against the solver frequency, and the
-    conservation drifts. ``callback`` is passed on to ``integrate``, so a
+    conservation drifts. The modulus deviation and the central amplitude are
+    read once per block of up to ``_BLOCK`` states, with the same results as
+    reading them state by state. ``callback`` is passed on to ``integrate``, so a
     caller can sample the same trajectory without integrating it again.
     ``t_end`` must be positive and finite, so the rate is fitted to at least
     two samples.
@@ -182,17 +216,27 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
 
     drift = 0.0
     times, phases = [], []
+    block = []  # the states since the last reduction, as integrate handed them out
+
+    def flush():
+        nonlocal drift
+        stacked = np.stack(block)
+        drift = _max_into(drift, np.max(np.abs(np.abs(stacked) - u), axis=1))
+        phases.append(stacked[:, center].copy())  # a copy, so the block is not kept
+        block.clear()
 
     def watch(step, t, a):
-        nonlocal drift
-        drift = max(drift, float(np.max(np.abs(np.abs(a) - u))))
         times.append(t)
-        phases.append(complex(a[center]))
+        block.append(a)
+        if len(block) == _BLOCK:
+            flush()
         if callback is not None:
             callback(step, t, a)
 
     _, diag = integrate(state, p, alpha, t_end, dt, callback=watch)
-    theta = np.unwrap(np.angle(np.asarray(phases)))
+    if block:
+        flush()
+    theta = np.unwrap(np.angle(np.concatenate(phases)))
     rate = float(np.polyfit(np.asarray(times), theta, 1)[0])
     return EquilibriumReport(
         modulus_drift=drift,

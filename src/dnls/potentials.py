@@ -197,19 +197,25 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     def bad(x, check, lhs, rhs):
         violations.append(Violation(float(x), check, float(lhs), float(rhs)))
 
-    def values(f, name, at):
-        out = np.asarray(f(at), dtype=float)
+    def one_per_sample(out, name, at):
         if out.shape != at.shape:
             raise ValueError(f"{name} must return one value per sample: got shape "
                              f"{out.shape} for {at.size} samples")
         return out
 
-    # normalization at x = 0 (values must be finite and vanish)
+    def values(f, name, at):
+        return one_per_sample(np.asarray(f(at), dtype=float), name, at)
+
+    # normalization at x = 0 (values must be finite and vanish); a psi or dpsi
+    # that cannot be evaluated there violates it, one of the wrong shape is refused
+    zero = np.asarray(0.0)
     try:
-        psi0 = float(p.psi(np.asarray(0.0)))
-        dpsi0 = float(p.dpsi(np.asarray(0.0)))
+        psi0 = np.asarray(p.psi(zero), dtype=float)
+        dpsi0 = np.asarray(p.dpsi(zero), dtype=float)
     except (ArithmeticError, ValueError):
-        psi0, dpsi0 = np.nan, np.nan
+        psi0 = dpsi0 = np.asarray(np.nan)
+    psi0 = float(one_per_sample(psi0, "psi", zero))
+    dpsi0 = float(one_per_sample(dpsi0, "dpsi", zero))
     if not np.isfinite(psi0) or abs(psi0) > SLACK:
         bad(0.0, Check.NORMALIZATION, psi0, 0.0)
     if not np.isfinite(dpsi0) or abs(dpsi0) > SLACK:
@@ -251,8 +257,7 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     with np.errstate(all="ignore"):
         fd = (values(p.psi, "psi", fd_xs + h) - values(p.psi, "psi", fd_xs - h)) / (2.0 * h)
         exact = values(p.dpsi, "dpsi", fd_xs)
-    scale = np.maximum(np.abs(exact), 1e-300)
-    rel = np.abs(fd - exact) / scale
+        rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-300)
     for i in np.flatnonzero(~np.isfinite(rel) | (rel > 1e-6)):
         bad(fd_xs[i], Check.CONSISTENCY, fd[i], exact[i])
 

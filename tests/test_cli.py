@@ -14,6 +14,8 @@ import dnls.solver
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
 
+from test_evolution import reference_integrate, reference_relative_equilibrium_check
+
 
 def read_json(path):
     return json.loads(path.read_text())
@@ -485,6 +487,27 @@ def test_evolve_integrates_once(tmp_path, monkeypatch):
                  "--sample-every", "50", "--out", str(tmp_path / "evo")])
     assert code == 0
     assert calls == [(0.2, 0.001)]
+
+
+def test_evolve_artifacts_match_the_per_step_references(tmp_path, monkeypatch):
+    # the README wave over 1,000 steps: seven blocks of states and a part block
+    argv = ["evolve", "--potential", "saturable-arctan", "--alpha", "1", "--rho", "10",
+            "--N", "25", "--t-end", "1", "--dt", "1e-3", "--sample-every", "7", "--out", "run"]
+    runs = []
+    for name in ("shipped", "reference"):
+        (tmp_path / name).mkdir()
+        with monkeypatch.context() as patch:
+            patch.chdir(tmp_path / name)
+            if name == "reference":
+                patch.setattr(dnls.evolution, "integrate", reference_integrate)
+                patch.setattr(dnls.cli, "relative_equilibrium_check",
+                              reference_relative_equilibrium_check)
+            assert main(argv) == 0
+        manifest = read_json(tmp_path / name / "run.manifest.json")
+        del manifest["wall_time"]
+        runs.append(((tmp_path / name / "run.series.csv").read_bytes(),
+                     (tmp_path / name / "run.json").read_bytes(), manifest))
+    assert runs[0] == runs[1]
 
 
 def test_emitted_profile_round_trips(tmp_path):

@@ -1,5 +1,7 @@
 import math
 import warnings
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls.evolution import (BlowUpError, EvolutionState, _invariants, integrate,
+import dnls.evolution
+from dnls.evolution import (_BLOCK, BlowUpError, EquilibriumReport, EvolutionState,
+                            _check_equilibrium_times, _invariants, integrate,
                             relative_equilibrium_check, rhs)
 from dnls.functionals import field_values
 from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
@@ -218,18 +222,60 @@ def reference_integrate(state, p, alpha, t_end, dt, callback=None):
     }
 
 
+def reference_relative_equilibrium_check(sol, p, alpha, t_end, dt, callback=None):
+    """Reference: the modulus drift and the central amplitude read after every step.
+
+    The integrator is looked up in ``dnls.evolution`` at call time, so patching
+    it there replaces it here too.
+    """
+    _check_equilibrium_times(t_end, dt)
+    if not sol.converged:
+        raise ValueError("relative-equilibrium check requires a converged solution")
+    u = sol.profile.values
+    state = EvolutionState.from_profile(sol.profile)
+    center = int(np.argmin(np.abs(sol.profile.cell.doubled_indices())))
+
+    drift = 0.0
+    times, phases = [], []
+
+    def watch(step, t, a):
+        nonlocal drift
+        drift = max(drift, float(np.max(np.abs(np.abs(a) - u))))
+        times.append(t)
+        phases.append(complex(a[center]))
+        if callback is not None:
+            callback(step, t, a)
+
+    _, diag = dnls.evolution.integrate(state, p, alpha, t_end, dt, callback=watch)
+    theta = np.unwrap(np.angle(np.asarray(phases)))
+    rate = float(np.polyfit(np.asarray(times), theta, 1)[0])
+    return EquilibriumReport(
+        modulus_drift=drift,
+        sigma_measured=rate,
+        sigma_mismatch=abs(rate - sol.sigma),
+        power_drift_rel=diag["power_drift_rel"],
+        hamiltonian_drift_rel=diag["hamiltonian_drift_rel"],
+        t_end=t_end,
+        dt=diag["dt"],
+    )
+
+
+def random_cell(periodic, inter, n):
+    if periodic:
+        return Cell.periodic(INTER if inter else ON, n)
+    # a truncated lattice of n sites: on-site for odd n, inter-site for even
+    return Cell.truncated(ON if n % 2 else INTER, n / 2.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(name=st.sampled_from(sorted(CATALOG)), periodic=st.booleans(),
        inter=st.booleans(), n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
        scale=st.floats(0.05, 2.0), data=st.sampled_from(["complex", "real", "zero"]),
-       alpha=st.floats(-2.0, 2.0), steps=st.integers(1, 200))
+       alpha=st.floats(-2.0, 2.0), steps=st.integers(1, 2 * _BLOCK + 64))
 def test_integrate_matches_the_plain_rk4_loop(name, periodic, inter, n, seed, scale, data,
                                               alpha, steps):
     p = CATALOG[name]()
-    if periodic:
-        cell = Cell.periodic(INTER if inter else ON, n)
-    else:  # a truncated lattice of n sites: on-site for odd n, inter-site for even
-        cell = Cell.truncated(ON if n % 2 else INTER, n / 2.0)
+    cell = random_cell(periodic, inter, n)
     assert cell.size == n
     rng = np.random.default_rng(seed)
     # real and zero data hold exact zeros, where a reordered product could flip their sign
@@ -255,6 +301,34 @@ def test_integrate_matches_the_plain_rk4_loop(name, periodic, inter, n, seed, sc
             == reference_invariants(b, periodic, p, alpha))
 
 
+# one step, the steps on either side of a block's end, and a run into a third block
+BLOCK_EDGES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), periodic=st.booleans(),
+       inter=st.booleans(), n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0.05, 2.0), alpha=st.floats(-2.0, 2.0),
+       steps=st.sampled_from(BLOCK_EDGES))
+def test_relative_equilibrium_check_matches_the_per_step_watch(name, periodic, inter, n, seed,
+                                                              scale, alpha, steps):
+    p = CATALOG[name]()
+    cell = random_cell(periodic, inter, n)
+    rng = np.random.default_rng(seed)
+    # any real profile will do: the check reads a trajectory, it does not need a wave
+    u = scale * np.abs(rng.normal(size=n))
+    sol = SimpleNamespace(converged=True, profile=Profile(cell, u), sigma=float(rng.normal()))
+    dt = 0.05 / (1.0 + 2.0 * abs(alpha) + float(p.dpsi(np.max(u) ** 2)))
+    got, want = [], []
+    report = relative_equilibrium_check(sol, p, alpha, steps * dt, dt,
+                                        callback=lambda k, t, a: got.append((k, t, a.tobytes())))
+    ref = reference_relative_equilibrium_check(
+        sol, p, alpha, steps * dt, dt, callback=lambda k, t, a: want.append((k, t, a.tobytes())))
+    assert report == ref
+    assert got == want
+    assert [k for k, _, _ in got] == list(range(steps + 1))
+
+
 def test_callback_arrays_are_never_modified():
     state = EvolutionState(0.0, np.exp(-np.abs(np.arange(-3, 4))).astype(complex),
                            Cell.periodic(ON, 7))
@@ -267,8 +341,8 @@ def test_callback_arrays_are_never_modified():
 
 
 def test_rk4_step_kernel_budget():
-    # four dpsi calls per step (one per stage) and one psi call per step (the
-    # invariants of the new state), plus one psi call for the initial invariants
+    # four dpsi calls per step (one per stage) and one psi call per block of
+    # steps (the invariants of its states), plus one psi call for the initial invariants
     calls = {"psi": 0, "dpsi": 0}
     base = quartic()
 
@@ -280,11 +354,17 @@ def test_rk4_step_kernel_budget():
 
     p = custom(counted("psi", base.psi), counted("dpsi", base.dpsi), name="counted quartic")
     state = EvolutionState(0.0, np.full(5, 0.5, dtype=complex), Cell.periodic(ON, 5))
-    for steps in (0, 1, 7):
+    for steps in (0, 1, 7, _BLOCK, _BLOCK + 1):
         calls.update(psi=0, dpsi=0)
-        _, diag = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01)
+        kept = []
+        _, diag = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01,
+                            callback=lambda k, t, a: kept.append(a))
         assert diag["steps"] == steps
-        assert calls == {"psi": steps + 1, "dpsi": 4 * steps}
+        assert calls == {"psi": 1 + math.ceil(steps / _BLOCK), "dpsi": 4 * steps}
+    # each kept state is an array of its own: no two share memory, and none is a
+    # view (disjoint rows of one stacked block share no memory, yet pin the block)
+    assert not any(np.shares_memory(a, b) for a, b in combinations(kept, 2))
+    assert all(a.base is None for a in kept)
 
 
 def test_a_step_that_overflows_is_a_blow_up():

@@ -414,3 +414,26 @@ def test_one_value_per_sample_or_a_value_error(name, psi, dpsi):
         check_assumptions(p, 10.0, 200)
     with pytest.raises(ValueError, match=f"^{name} must return one value per sample"):
         solve(SolverConfig(alpha=1.0, rho=2.0, n=5), p)
+
+
+def test_a_psi_of_the_wrong_shape_at_zero_is_a_value_error():
+    # one value for the 0-d probe at x = 0 must be a 0-d value, as on the grid
+    p = custom(lambda x: np.atleast_1d(x * x), lambda x: 2 * x)
+    with pytest.raises(ValueError, match=r"^psi must return one value per sample: "
+                                         r"got shape \(1,\) for 1 samples$"):
+        check_assumptions(p, 10.0, 200)
+
+
+def test_overflowing_consistency_points_raise_no_warning():
+    # psi(x + h) and dpsi(x) both overflow at the last fd point: inf - inf there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_assumptions(exp_quadratic(), 709.785, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = reference_check_assumptions(exp_quadratic(), 709.785, 400)
+    assert repr(report) == repr(want)
+    assert len(report.violations) == 13
+    assert report.violations[0].to_dict() == {
+        "x": 709.785, "check": "normalization", "lhs": None, "rhs": 0.0}
+    assert report.violations[-1].check is Check.CONSISTENCY
