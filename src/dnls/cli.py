@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OPERATIONAL_ERROR
+    except MemoryError as exc:  # valid inputs that the machine cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return OPERATIONAL_ERROR
 
 
 def entry() -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .functionals import field_values
+from .functionals import coupling_values, field_values
 from .lattice import Cell, Profile
 from .potentials import Potential
 
@@ -64,18 +64,12 @@ def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Power and Hamiltonian of each state A along the last axis, with |A|^2 given as ``mod2``.
 
-    One psi call on the flattened ``mod2``. Every reduction runs row by row
-    (a stacked matmul is one dot per row), so a row's values do not depend on
-    the other rows; the tests hold them bit for bit to the per-state formulas.
+    One psi call on the flattened ``mod2``; the coupling is ``coupling_values``. Every
+    reduction runs row by row, so a row's values do not depend on the other rows.
     """
     power = mod2.sum(axis=-1)
     psi = np.asarray(p.psi(mod2.ravel())).reshape(mod2.shape).sum(axis=-1)
-    if periodic:
-        left, right = a, np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
-    else:
-        left, right = a[..., :-1], a[..., 1:]
-    dot = np.matmul(np.conj(left)[..., None, :], right[..., :, None])[..., 0, 0]
-    ptot = alpha * (2.0 * np.real(dot)) + psi
+    ptot = alpha * coupling_values(a, periodic) + psi
     return power, 2.0 * alpha * power - ptot
 
 

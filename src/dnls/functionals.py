@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lattice import Cell, IndexScheme, Profile, neighbor_sum
+from .lattice import Cell, IndexScheme, Profile, bonds, neighbor_sum
 from .potentials import Potential
 
 
@@ -46,15 +46,15 @@ def power(u: Profile) -> float:
     return float(v @ v)
 
 
-def coupling_values(a: np.ndarray, periodic: bool) -> float:
-    """2 Re sum conj(a_j) a_{j+1}: L(u) for real input, the complex coupling otherwise."""
-    if periodic:
-        return 2.0 * float(np.real(np.conj(a) @ np.concatenate((a[1:], a[:1]))))
-    return 2.0 * float(np.real(np.conj(a[:-1]) @ a[1:]))
+def coupling_values(a: np.ndarray, periodic: bool):
+    """2 Re sum conj(a_j) a_{j+1} over the ``bonds``: L(u) of a profile, or of each RK4
+    state in a stack, one dot per state and independent of the others."""
+    left, right = bonds(a, periodic)
+    return 2.0 * np.real(np.matmul(np.conj(left)[..., None, :], right[..., :, None])[..., 0, 0])
 
 
 def coupling(u: Profile) -> float:
-    return coupling_values(u.values, u.periodic)
+    return float(coupling_values(u.values, u.periodic))
 
 
 def potential_energy(u: Profile, p: Potential) -> float:
@@ -68,11 +68,8 @@ def p_value(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> float:
     Step acceptance compares energies whose difference can sit below the
     roundoff of a naive sum.
     """
-    c = 2.0 * alpha * v
-    terms = [c[:-1] * v[1:], p.psi(v * v)]
-    if periodic:
-        terms.append(c[-1:] * v[:1])
-    return math.fsum(np.concatenate(terms).tolist())
+    left, right = bonds(v, periodic)
+    return math.fsum(np.concatenate([2.0 * alpha * left * right, p.psi(v * v)]).tolist())
 
 
 def energy(u: Profile, p: Potential, alpha: float) -> EnergyBreakdown:

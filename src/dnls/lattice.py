@@ -117,9 +117,7 @@ class Cell:
         level l and between levels k and k+1, twice each as L does.
         """
         site_level, mult, _ = self.fold
-        a, b = site_level[:-1], site_level[1:]  # the ends of each bond j, j+1
-        if self.is_finite:
-            a, b = site_level, np.concatenate((b, site_level[:1]))  # and the wrap-around
+        a, b = bonds(site_level, self.is_finite)
         lo, same = np.minimum(a, b), a == b
         out = (2.0 * np.bincount(lo[same], minlength=mult.size),
                2.0 * np.bincount(lo[~same], minlength=mult.size - 1))
@@ -150,6 +148,13 @@ class Profile:
 
     def with_values(self, values) -> "Profile":
         return Profile(self.cell, np.asarray(values, dtype=float))
+
+
+def bonds(a: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (a_j, a_{j+1}) of each bond along the last axis; periodic adds (a_{N-1}, a_0)."""
+    if periodic:
+        return a, np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+    return a[..., :-1], a[..., 1:]
 
 
 def neighbor_sum(values: np.ndarray, periodic: bool) -> np.ndarray:
@@ -274,6 +279,8 @@ def profile_from_csv(path_or_buf, periodic: bool | None = None) -> Profile:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["j", "u"]:
         raise ValueError("expected CSV header 'j,u'")
+    if len(rows) == 1:
+        raise ValueError("the CSV holds no site rows")
     js = np.array([float(r[0]) for r in rows[1:]])
     us = np.array([float(r[1]) for r in rows[1:]])
     d = np.round(2 * js).astype(np.int64)

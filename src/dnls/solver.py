@@ -473,6 +473,10 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     the normalized energy decays towards 2 while the peak amplitude shrinks.
     A ladder with an unconverged wave is Undetermined: it is no evidence.
     """
+    n_sequence = list(n_sequence)
+    for n in n_sequence:
+        if not float(n).is_integer():
+            raise ValueError(f"n_sequence sizes must be whole numbers, not {n!r}")
     n_sequence = [int(n) for n in n_sequence]
     if len(n_sequence) < 2 or any(b <= a for a, b in zip(n_sequence, n_sequence[1:])):
         raise ValueError("n_sequence must be at least two strictly increasing sizes")

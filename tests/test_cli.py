@@ -321,6 +321,20 @@ def test_evolve_blow_up_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("check_assumptions", ["check-potential", "--potential", "quartic", "--samples", "10"]),
+    ("solve", ["solve", "--potential", "quartic", "--N", "9"]),
+])
+def test_running_out_of_memory_is_an_operational_error(tmp_path, capsys, monkeypatch,
+                                                       target, argv):
+    # valid inputs that the machine cannot hold: a one-line error, exit 2 and no artifact
+    full = MemoryError("Unable to allocate 3.64 TiB for an array with shape (500000000000,)")
+    monkeypatch.setattr(dnls.cli, target, mock.Mock(side_effect=full))
+    assert main([*argv, "--out", str(tmp_path / "d" / "x")]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {full}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_series_cells_are_numbers_and_its_labels_the_profiles(tmp_path):
     flags = ["--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--scheme",
              "intersite", "--N", "8"]

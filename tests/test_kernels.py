@@ -90,6 +90,19 @@ def test_coupling_matches_roll(periodic, vals):
     assert coupling_values(a, periodic) == roll_coupling(a, periodic)
 
 
+@settings(max_examples=200, deadline=None)
+@given(periodic=st.booleans(), complex_=st.booleans(), b=st.integers(1, 40),
+       n=st.integers(1, 96), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8.0, 3.0))
+def test_coupling_of_a_stack_is_the_coupling_of_each_row(periodic, complex_, b, n, seed,
+                                                         log_scale):
+    rng = np.random.default_rng(seed)
+    a = 10.0**log_scale * rng.normal(size=(b, n))
+    if complex_:
+        a = a + 1j * 10.0**log_scale * rng.normal(size=(b, n))
+    got = coupling_values(a, periodic)
+    assert same_bits(got, np.array([roll_coupling(row, periodic) for row in a]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 64), data=st.data())
 def test_profile_coupling_and_hamiltonian_match_roll(n, data):

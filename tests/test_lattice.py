@@ -223,6 +223,34 @@ def test_fold_matches_a_per_site_mirror_search(cell):
     assert cell.fold is cell.fold  # computed once per cell
 
 
+def reference_level_coupling(cell):
+    """The bond weights of ``Cell.level_coupling`` by a loop over the cell's bonds."""
+    site_level, mult, _ = cell.fold
+    n = site_level.size
+    self_w, pair_w = np.zeros(mult.size), np.zeros(mult.size - 1)
+    for i in range(n if cell.is_finite else n - 1):  # a periodic cell closes with (N-1, 0)
+        k, m = sorted((site_level[i], site_level[(i + 1) % n]))
+        assert m - k <= 1  # a bond joins equal or adjacent levels
+        if k == m:
+            self_w[k] += 2.0
+        else:
+            pair_w[k] += 2.0
+    return self_w, pair_w
+
+
+@pytest.mark.parametrize("cell", fold_cells(), ids=cell_id)
+def test_level_coupling_matches_a_loop_over_bonds(cell):
+    got = cell.level_coupling
+    for g, w in zip(got, reference_level_coupling(cell)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert not g.flags.writeable
+    # the weights give L of the even profile with amplitudes a on the levels
+    self_w, pair_w = got
+    a = np.random.default_rng(cell.size).uniform(0.1, 2.0, size=self_w.size)
+    expect = coupling(Profile(cell, a[cell.fold[0]]))
+    assert self_w @ a**2 + pair_w @ (a[:-1] * a[1:]) == pytest.approx(expect, rel=1e-13)
+
+
 def test_fold_keeps_cell_equality_and_hash():
     a, b = Cell.periodic(INTER, 7), Cell.periodic(INTER, 7)
     a.fold  # fills the cache of a only
@@ -449,6 +477,7 @@ def test_csv_cells_are_text_as_given_and_numbers_as_plain_floats():
 
 @pytest.mark.parametrize("text, periodic, message", [
     ("x,u\n0,1.0\n", None, "expected CSV header 'j,u'"),
+    ("j,u\n", None, "the CSV holds no site rows"),
     ("j,u\n-0.25,1.0\n0.25,1.0\n", None, "indices must be integers or half-integers"),
     ("j,u\n-0.5,1.0\n0,1.0\n0.5,1.0\n", None, "mixed integer and half-integer indices"),
     ("j,u\n-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n", True,

@@ -807,6 +807,13 @@ def test_homoclinic_validates_sequence(monkeypatch):
     for margin in (math.nan, math.inf, -1.0, 0.0):
         with pytest.raises(ValueError, match="margin must be positive and finite"):
             homoclinic(cfg, quartic(), [9, 17], margin=margin)
+    # and so is a size that is not a whole number, which int() would truncate
+    with pytest.raises(ValueError, match=r"^n_sequence sizes must be whole numbers, not 9\.7$"):
+        homoclinic(cfg, quartic(), [9.7, 17.2])
+    with pytest.raises(ValueError, match="not inf"):
+        homoclinic(cfg, quartic(), [9, math.inf])
+    with pytest.raises(AssertionError, match="solved"):  # whole-number floats reach the solve
+        homoclinic(cfg, quartic(), [9.0, 17.0])
 
 
 def test_t_monotone_in_alpha_and_rho_solver():
