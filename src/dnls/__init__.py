@@ -1,7 +1,7 @@
 """Standing waves of focusing discrete NLS lattices via constrained energy maximization."""
 
 from .evolution import (BlowUpError, EquilibriumReport, EvolutionState,
-                        integrate, relative_equilibrium_check, rhs)
+                        integrate, relative_equilibrium_check)
 from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
                           coupling, energy, exp_profile, grad_p,
                           participation_ratio, potential_energy, power,
@@ -32,6 +32,6 @@ __all__ = [
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
-    "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
+    "restrict", "saturable_arctan", "saturable_log", "sigma", "solve",
     "t_lower_bounds",
 ]

@@ -153,16 +153,15 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     grid = list(tags.values())
     out.config.update(sweep=args.param, grid=grid)
 
-    def cfg_for(value) -> SolverConfig:
-        if args.param == "N":
-            return replace(base, n=int(value))
-        return replace(base, **{args.param: value})
-
-    results = [solve(cfg_for(value), potential) for value in grid]
+    configs = [replace(base, n=int(value)) if args.param == "N"
+               else replace(base, **{args.param: value}) for value in grid]
+    for cfg in configs:  # every point is refused before the first solve
+        cfg.validate()
+    results = [solve(cfg, potential) for cfg in configs]
 
     rows = []
-    for tag, value, sol in zip(tags, grid, results):
-        out.json(f".{tag}.json", sol.to_dict(cfg_for(value)))
+    for tag, value, cfg, sol in zip(tags, grid, configs, results):
+        out.json(f".{tag}.json", sol.to_dict(cfg))
         rows.append([value, sol.sigma, sol.energies.p_total, sol.energies.t_value, sol.residual,
                      np.max(sol.profile.values), participation_ratio(sol.profile)])
     summary = out.path(".summary.csv")
@@ -226,19 +225,19 @@ def cmd_evolve(args, out: _Artifacts) -> int:
         print("solver did not converge; nothing to evolve", file=sys.stderr)
         return OPERATIONAL_ERROR
 
-    samples = []  # (t, amplitudes): integrate never modifies an array it has handed out
+    samples = []  # (times, states) of each block's sampled rows, copied out of the block
 
-    def sample(step, t, amps):
-        if step % args.sample_every == 0:
-            samples.append((t, amps))
+    def sample(steps, times, states):
+        keep = steps % args.sample_every == 0
+        samples.append((times[keep], states[keep]))
 
     # the series is written only once the run has ended without a blow-up
     report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end, args.dt,
                                         callback=sample)
     labels = _index_labels(sol.profile.cell)
     _write_csv(out.path(".series.csv"), ["t", "j", "re", "im", "abs"],
-               ([t, j, a.real, a.imag, abs(a)] for t, amps in samples
-                for j, a in zip(labels, amps)))
+               ([t, j, a.real, a.imag, abs(a)] for times, states in samples
+                for t, amps in zip(times, states) for j, a in zip(labels, amps)))
     out.json(".json", {"config": cfg.to_dict(), "sigma": sol.sigma, **report.to_dict()})
     print(f"modulus_drift={report.modulus_drift:.3e} "
           f"sigma_mismatch={report.sigma_mismatch:.3e}")

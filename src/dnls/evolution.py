@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .lattice import Cell, Profile
 from .potentials import Potential
 
 _BLOWUP_LIMIT = 1e6
-# steps whose diagnostics are evaluated together, in one pass over the stacked states
+# states stacked into one block: checked, measured and handed out together
 _BLOCK = 128
 
 
@@ -53,11 +54,6 @@ class EvolutionState:
 
 def _mod2(a: np.ndarray) -> np.ndarray:
     return a.real**2 + a.imag**2
-
-
-def rhs(a: np.ndarray, periodic: bool, p: Potential, alpha: float) -> np.ndarray:
-    """dA/dt = i [alpha (A_{j+1}+A_{j-1}) + dpsi(|A_j|^2) A_j]."""
-    return 1j * field_values(a, _mod2(a), periodic, p, alpha)
 
 
 def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
@@ -93,6 +89,27 @@ def _check_equilibrium_times(t_end: float, dt: float) -> None:
         raise ValueError(f"t_end must be positive to measure a phase rotation, not {t_end}")
 
 
+def _rk4_states(a: np.ndarray, n_steps: int, h: float, periodic: bool, p: Potential,
+                alpha: float):
+    """A, then each of ``n_steps`` RK4 steps of size h as a fresh array: four field
+    evaluations (one dpsi call each); a state's |A|^2 feeds the next first stage."""
+    # the factor i of dA/dt = i F(A) folded into the stage coefficients
+    ihh, ih, ih6 = 1j * (0.5 * h), 1j * h, 1j * (h / 6.0)
+    mod2 = _mod2(a)
+    yield a
+    for _ in range(n_steps):
+        f1 = field_values(a, mod2, periodic, p, alpha)
+        b = a + ihh * f1
+        f2 = field_values(b, _mod2(b), periodic, p, alpha)
+        b = a + ihh * f2
+        f3 = field_values(b, _mod2(b), periodic, p, alpha)
+        b = a + ih * f3
+        f4 = field_values(b, _mod2(b), periodic, p, alpha)
+        a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        mod2 = _mod2(a)
+        yield a
+
+
 def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
               dt: float, callback=None):
     """Fixed-step classical fourth-order Runge-Kutta up to t_end.
@@ -100,69 +117,45 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     The step is adjusted to land exactly on t_end (n = round(t_end/dt) steps).
     Accuracy degrades for dt beyond roughly 0.1/(1 + 2|alpha| + dpsi(max|A|^2)),
     the inverse of the fastest local rotation rate. Returns the final state
-    and drift diagnostics for power and Hamiltonian. A step makes four field
-    evaluations (one dpsi call each) and forms |A|^2 once per state; the new
-    state's |A|^2 also feeds the next step's first stage and the blow-up
-    guard. The invariants are evaluated once per block of up to ``_BLOCK``
-    steps, with one psi call over the block's stacked states, and give the
-    same drifts as evaluating them step by step.
-    ``callback(step, t, amplitudes)`` is invoked at t=0 and after every step;
-    the array it receives is never modified afterwards, so it may be kept.
+    and drift diagnostics for power and Hamiltonian.
+    The trajectory, the start state and then the state after each step, is
+    stacked in blocks of up to ``_BLOCK`` states whose |A|^2 is formed once.
+    From it the blow-up guard checks every state, and the power and Hamiltonian
+    take one psi call; their drifts are measured from row 0 of the first block
+    and equal those of a step-by-step evaluation. Then the block is handed to
+    ``callback(steps, times, states)``: the states' step numbers and times and
+    the (B, N) states, never modified afterwards, so they may be kept.
     ``t_end`` and ``dt`` must be finite. An amplitude above the blow-up limit,
-    or one that a step made inf or nan, raises ``BlowUpError``; numpy's
-    overflow warnings are off during the steps and the callback.
+    or one that a step made inf or nan, raises ``BlowUpError`` with the time of
+    the first such state, whose block is never handed out; numpy's overflow
+    warnings are off during the steps and the callback.
     """
     _check_times(t_end, dt)
     periodic = state.cell.is_finite
-    a = state.amplitudes.astype(complex)
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
-    # the factor i of dA/dt = i F(A) folded into the stage coefficients
-    ihh, ih, ih6 = 1j * (0.5 * h), 1j * h, 1j * (h / 6.0)
-    limit2 = _BLOWUP_LIMIT**2
-
-    mod2 = _mod2(a)
-    p0, h0 = map(float, _invariants(a, mod2, periodic, p, alpha))
-    max_dp = 0.0
-    max_dh = 0.0
-    states = []  # the block's states, each a fresh array that is never modified
-
-    def flush():
-        nonlocal max_dp, max_dh
-        block = np.stack(states)
-        power, ham = _invariants(block, _mod2(block), periodic, p, alpha)
-        max_dp = _max_into(max_dp, np.abs(power - p0))
-        max_dh = _max_into(max_dh, np.abs(ham - h0))
-        states.clear()
-
-    if callback is not None:
-        callback(0, state.time, a)
+    trajectory = _rk4_states(state.amplitudes.astype(complex), n_steps, h, periodic, p, alpha)
+    max_dp = max_dh = 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            if not mod2.max() <= limit2:
+        for first in range(0, n_steps + 1, _BLOCK):
+            states = np.stack(list(islice(trajectory, _BLOCK)))
+            steps = np.arange(first, first + len(states))
+            times = state.time + steps * h
+            mod2 = _mod2(states)
+            over = np.flatnonzero(~(mod2.max(axis=1) <= _BLOWUP_LIMIT**2))
+            if over.size:
                 raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} "
-                                  f"at t={state.time + k * h:g}")
-            f1 = field_values(a, mod2, periodic, p, alpha)
-            b = a + ihh * f1
-            f2 = field_values(b, _mod2(b), periodic, p, alpha)
-            b = a + ihh * f2
-            f3 = field_values(b, _mod2(b), periodic, p, alpha)
-            b = a + ih * f3
-            f4 = field_values(b, _mod2(b), periodic, p, alpha)
-            a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            mod2 = _mod2(a)
-            states.append(a)
-            if len(states) == _BLOCK:
-                flush()
+                                  f"at t={times[over[0]]:g}")
+            power, ham = _invariants(states, mod2, periodic, p, alpha)
+            if not first:
+                p0, h0 = float(power[0]), float(ham[0])
+            max_dp = _max_into(max_dp, np.abs(power - p0))
+            max_dh = _max_into(max_dh, np.abs(ham - h0))
             if callback is not None:
-                callback(k + 1, state.time + (k + 1) * h, a)
-
-        if n_steps and not mod2.max() <= limit2:
-            raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} at t={state.time + t_end:g}")
-        if states:
-            flush()
-    final = EvolutionState(time=state.time + t_end, amplitudes=a, cell=state.cell)
+                callback(steps, times, states)
+    final = EvolutionState(time=state.time + t_end, amplitudes=states[-1].copy(),
+                           cell=state.cell)
     diagnostics = {
         "steps": n_steps,
         "dt": h,
@@ -194,10 +187,11 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
 
     Reports the worst modulus deviation over the run, the measured phase
     rotation rate at the central site against the solver frequency, and the
-    conservation drifts. The modulus deviation and the central amplitude are
-    read once per block of up to ``_BLOCK`` states, with the same results as
-    reading them state by state. ``callback`` is passed on to ``integrate``, so a
-    caller can sample the same trajectory without integrating it again.
+    conservation drifts. It keeps no states: the modulus deviation and a copy
+    of the central amplitudes are read from each block that ``integrate``
+    hands out, with the same results as reading them state by state, and the
+    block is then passed on to ``callback(steps, times, states)``, so a caller
+    can sample the same trajectory without integrating it again.
     ``t_end`` must be positive and finite, so the rate is fitted to at least
     two samples.
     """
@@ -210,28 +204,18 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
 
     drift = 0.0
     times, phases = [], []
-    block = []  # the states since the last reduction, as integrate handed them out
 
-    def flush():
+    def read(steps, t, states):
         nonlocal drift
-        stacked = np.stack(block)
-        drift = _max_into(drift, np.max(np.abs(np.abs(stacked) - u), axis=1))
-        phases.append(stacked[:, center].copy())  # a copy, so the block is not kept
-        block.clear()
-
-    def watch(step, t, a):
+        drift = _max_into(drift, np.max(np.abs(np.abs(states) - u), axis=1))
         times.append(t)
-        block.append(a)
-        if len(block) == _BLOCK:
-            flush()
+        phases.append(states[:, center].copy())  # a copy, so the block is not kept
         if callback is not None:
-            callback(step, t, a)
+            callback(steps, t, states)
 
-    _, diag = integrate(state, p, alpha, t_end, dt, callback=watch)
-    if block:
-        flush()
+    _, diag = integrate(state, p, alpha, t_end, dt, callback=read)
     theta = np.unwrap(np.angle(np.concatenate(phases)))
-    rate = float(np.polyfit(np.asarray(times), theta, 1)[0])
+    rate = float(np.polyfit(np.concatenate(times), theta, 1)[0])
     return EquilibriumReport(
         modulus_drift=drift,
         sigma_measured=rate,

@@ -271,7 +271,8 @@ def profile_to_csv(u: Profile, path_or_buf) -> None:
 def profile_from_csv(path_or_buf, periodic: bool | None = None) -> Profile:
     """Parse a ``j,u`` CSV back into a Profile.
 
-    The scheme is inferred from the indices. With ``periodic=None`` the cell
+    Every row after the header holds two finite numbers, the index and the
+    value. The scheme is inferred from the indices. With ``periodic=None`` the cell
     is read as periodic when the index list matches a periodicity cell and as
     a truncated lattice otherwise.
     """
@@ -281,8 +282,15 @@ def profile_from_csv(path_or_buf, periodic: bool | None = None) -> Profile:
         raise ValueError("expected CSV header 'j,u'")
     if len(rows) == 1:
         raise ValueError("the CSV holds no site rows")
-    js = np.array([float(r[0]) for r in rows[1:]])
-    us = np.array([float(r[1]) for r in rows[1:]])
+    sites = []
+    for number, row in enumerate(rows[1:], start=2):
+        try:
+            sites.append([float(c) for c in row])
+        except ValueError:
+            sites.append([])
+        if len(sites[-1]) != 2 or not np.all(np.isfinite(sites[-1])):
+            raise ValueError(f"CSV row {number} must hold two finite numbers, not {row!r}")
+    js, us = np.array(sites).T
     d = np.round(2 * js).astype(np.int64)
     if np.max(np.abs(d / 2.0 - js)) > 0:
         raise ValueError("indices must be integers or half-integers")

@@ -24,7 +24,7 @@ PUBLIC = [
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
-    "restrict", "rhs", "saturable_arctan", "saturable_log", "sigma", "solve",
+    "restrict", "saturable_arctan", "saturable_log", "sigma", "solve",
     "t_lower_bounds",
 ]
 

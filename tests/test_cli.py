@@ -199,6 +199,21 @@ def test_sweep_refuses_a_huge_range_before_building_it(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("param, values, message", [
+    ("rho", "3,-1", "rho must be positive"),
+    ("alpha", "0.8,0", "alpha must be positive"),
+    ("N", "9,1", "N must be >= 2"),
+])
+def test_sweep_validates_every_point_before_the_first_solve(tmp_path, capsys, monkeypatch,
+                                                           param, values, message):
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main(["sweep", "--param", param, "--values", values, "--potential", "saturable-log",
+                 "--alpha", "0.8", "--N", "9", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):
     # N=9.4 was rounded to 9: two identical solves under two names
     code = main(["sweep", "--param", "N", "--values", "9,9.4", "--potential", "quartic",
@@ -504,24 +519,30 @@ def test_evolve_integrates_once(tmp_path, monkeypatch):
 
 
 def test_evolve_artifacts_match_the_per_step_references(tmp_path, monkeypatch):
-    # the README wave over 1,000 steps: seven blocks of states and a part block
+    # the README wave over 1,000 steps: 1,001 states, seven blocks and a part block.
+    # Each run patches in the per-step reference integrator (one-row blocks), the
+    # per-step reference check (which reads every block state by state), or both.
     argv = ["evolve", "--potential", "saturable-arctan", "--alpha", "1", "--rho", "10",
             "--N", "25", "--t-end", "1", "--dt", "1e-3", "--sample-every", "7", "--out", "run"]
-    runs = []
-    for name in ("shipped", "reference"):
+    runs = {}
+    for name, integrator, check in (("shipped", None, None),
+                                    ("both", reference_integrate,
+                                     reference_relative_equilibrium_check),
+                                    ("integrator", reference_integrate, None),
+                                    ("check", None, reference_relative_equilibrium_check)):
         (tmp_path / name).mkdir()
         with monkeypatch.context() as patch:
             patch.chdir(tmp_path / name)
-            if name == "reference":
-                patch.setattr(dnls.evolution, "integrate", reference_integrate)
-                patch.setattr(dnls.cli, "relative_equilibrium_check",
-                              reference_relative_equilibrium_check)
+            if integrator is not None:
+                patch.setattr(dnls.evolution, "integrate", integrator)
+            if check is not None:
+                patch.setattr(dnls.cli, "relative_equilibrium_check", check)
             assert main(argv) == 0
         manifest = read_json(tmp_path / name / "run.manifest.json")
         del manifest["wall_time"]
-        runs.append(((tmp_path / name / "run.series.csv").read_bytes(),
-                     (tmp_path / name / "run.json").read_bytes(), manifest))
-    assert runs[0] == runs[1]
+        runs[name] = ((tmp_path / name / "run.series.csv").read_bytes(),
+                      (tmp_path / name / "run.json").read_bytes(), manifest)
+    assert all(run == runs["shipped"] for run in runs.values())
 
 
 def test_emitted_profile_round_trips(tmp_path):

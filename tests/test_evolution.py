@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import dnls.evolution
 from dnls.evolution import (_BLOCK, BlowUpError, EquilibriumReport, EvolutionState,
                             _check_equilibrium_times, _invariants, integrate,
-                            relative_equilibrium_check, rhs)
+                            relative_equilibrium_check)
 from dnls.functionals import field_values
 from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
 from dnls.potentials import (CATALOG, custom, quartic, saturable_arctan,
@@ -32,15 +32,28 @@ def small_wave():
     return cfg, sol
 
 
+def field_rhs(a, periodic, p, alpha):
+    """dA/dt = i F(A): the RK4 right-hand side from the shipped field kernel."""
+    return 1j * field_values(a, a.real**2 + a.imag**2, periodic, p, alpha)
+
+
+def block_rows(log):
+    """A block callback that logs each handed-out state as (step, time, state bytes)."""
+    def callback(steps, times, states):
+        assert len(steps) == len(times) == len(states)
+        log.extend(zip(steps.tolist(), times.tolist(), (a.tobytes() for a in states)))
+    return callback
+
+
 def test_rhs_zero_state():
     state = EvolutionState(0.0, np.zeros(6, dtype=complex), Cell.periodic(ON, 6))
-    assert np.all(rhs(state.amplitudes, True, quartic(), 1.0) == 0.0)
+    assert np.all(field_rhs(state.amplitudes, True, quartic(), 1.0) == 0.0)
 
 
 def test_rhs_standing_wave_rotates(small_wave):
     cfg, sol = small_wave
     state = EvolutionState.from_profile(sol.profile)
-    dot = rhs(state.amplitudes, True, saturable_log(), cfg.alpha)
+    dot = field_rhs(state.amplitudes, True, saturable_log(), cfg.alpha)
     expect = 1j * sol.sigma * sol.profile.values
     assert np.max(np.abs(dot - expect)) <= 10 * cfg.tol_residual
 
@@ -133,7 +146,7 @@ def test_truncated_cell_boundary():
     j = cell.indices()
     vals = np.exp(-np.abs(j)).astype(complex)
     state = EvolutionState(0.0, vals, cell)
-    dot = rhs(state.amplitudes, False, quartic(), 1.0)
+    dot = field_rhs(state.amplitudes, False, quartic(), 1.0)
     # outermost site couples only inward
     expect_edge = 1j * (1.0 * vals[1] + float(quartic().dpsi(np.abs(vals[0]) ** 2)) * vals[0])
     assert dot[0] == pytest.approx(expect_edge, rel=1e-14)
@@ -148,18 +161,21 @@ def test_power_and_hamiltonian_helpers(small_wave):
 
 
 def test_relative_equilibrium_check_forwards_the_trajectory(small_wave):
+    # a full block and a part block, handed on as integrate handed them out
     cfg, sol = small_wave
+    t_end = 0.01 * (_BLOCK + 5)
     direct, forwarded = [], []
     integrate(EvolutionState.from_profile(sol.profile), saturable_log(), cfg.alpha,
-              t_end=0.05, dt=0.01, callback=lambda k, t, a: direct.append((k, t, a.copy())))
+              t_end=t_end, dt=0.01, callback=lambda k, t, a: direct.append((k, t, a)))
     report = relative_equilibrium_check(
-        sol, saturable_log(), cfg.alpha, t_end=0.05, dt=0.01,
-        callback=lambda k, t, a: forwarded.append((k, t, a.copy())))
-    assert [(k, t) for k, t, _ in forwarded] == [(k, t) for k, t, _ in direct]
-    assert len(direct) == 6
-    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forwarded, direct))
+        sol, saturable_log(), cfg.alpha, t_end=t_end, dt=0.01,
+        callback=lambda k, t, a: forwarded.append((k, t, a)))
+    assert [len(a) for _, _, a in direct] == [_BLOCK, 6]
+    assert len(forwarded) == len(direct)
+    for got, want in zip(forwarded, direct):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
     assert report == relative_equilibrium_check(sol, saturable_log(), cfg.alpha,
-                                                t_end=0.05, dt=0.01)
+                                                t_end=t_end, dt=0.01)
 
 
 def test_callback_sampling(small_wave):
@@ -167,9 +183,13 @@ def test_callback_sampling(small_wave):
     seen = []
     state = EvolutionState.from_profile(sol.profile)
     integrate(state, saturable_log(), cfg.alpha, t_end=0.05, dt=0.01,
-              callback=lambda k, t, a: seen.append((k, t)))
-    assert [k for k, _ in seen] == [0, 1, 2, 3, 4, 5]
-    assert seen[-1][1] == pytest.approx(0.05, abs=1e-12)
+              callback=lambda k, t, a: seen.append((k, t, a.shape)))
+    assert len(seen) == 1
+    steps, times, shape = seen[0]
+    assert steps.tolist() == [0, 1, 2, 3, 4, 5]
+    assert shape == (6, sol.profile.cell.size)
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.05, abs=1e-12)
 
 
 def reference_rhs(a, periodic, p, alpha):
@@ -188,7 +208,10 @@ def reference_invariants(a, periodic, p, alpha):
 
 
 def reference_integrate(state, p, alpha, t_end, dt, callback=None):
-    """Reference: the plain RK4 loop, each stage and invariant formed from scratch."""
+    """Reference: the plain RK4 loop, each stage and invariant formed from scratch.
+
+    Each state is handed to ``callback(steps, times, states)`` as a one-row block.
+    """
     periodic = state.cell.is_finite
     a = state.amplitudes.astype(complex).copy()
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
@@ -197,7 +220,7 @@ def reference_integrate(state, p, alpha, t_end, dt, callback=None):
     max_dp = 0.0
     max_dh = 0.0
     if callback is not None:
-        callback(0, state.time, a)
+        callback(np.array([0]), np.array([state.time]), a[np.newaxis])
     for k in range(n_steps):
         if np.max(np.abs(a)) > 1e6:
             raise BlowUpError("amplitude exceeded 1e6")
@@ -210,7 +233,7 @@ def reference_integrate(state, p, alpha, t_end, dt, callback=None):
         max_dp = max(max_dp, abs(power - p0))
         max_dh = max(max_dh, abs(ham - h0))
         if callback is not None:
-            callback(k + 1, state.time + (k + 1) * h, a)
+            callback(np.array([k + 1]), np.array([state.time + (k + 1) * h]), a[np.newaxis])
     final = EvolutionState(time=state.time + t_end, amplitudes=a, cell=state.cell)
     return final, {
         "steps": n_steps,
@@ -223,10 +246,11 @@ def reference_integrate(state, p, alpha, t_end, dt, callback=None):
 
 
 def reference_relative_equilibrium_check(sol, p, alpha, t_end, dt, callback=None):
-    """Reference: the modulus drift and the central amplitude read after every step.
+    """Reference: the modulus drift and the central amplitude read state by state.
 
     The integrator is looked up in ``dnls.evolution`` at call time, so patching
-    it there replaces it here too.
+    it there replaces it here too; each block it hands out is read one state at
+    a time and then passed on to ``callback`` as it came.
     """
     _check_equilibrium_times(t_end, dt)
     if not sol.converged:
@@ -238,13 +262,14 @@ def reference_relative_equilibrium_check(sol, p, alpha, t_end, dt, callback=None
     drift = 0.0
     times, phases = [], []
 
-    def watch(step, t, a):
+    def watch(steps, ts, states):
         nonlocal drift
-        drift = max(drift, float(np.max(np.abs(np.abs(a) - u))))
-        times.append(t)
-        phases.append(complex(a[center]))
+        for t, a in zip(ts, states):
+            drift = max(drift, float(np.max(np.abs(np.abs(a) - u))))
+            times.append(t)
+            phases.append(complex(a[center]))
         if callback is not None:
-            callback(step, t, a)
+            callback(steps, ts, states)
 
     _, diag = dnls.evolution.integrate(state, p, alpha, t_end, dt, callback=watch)
     theta = np.unwrap(np.angle(np.asarray(phases)))
@@ -285,17 +310,16 @@ def test_integrate_matches_the_plain_rk4_loop(name, periodic, inter, n, seed, sc
     dt = 0.05 / (1.0 + 2.0 * abs(alpha) + float(p.dpsi(np.max(np.abs(a0)) ** 2)))
     state = EvolutionState(0.25, a0, cell)
     got, want = [], []
-    out, diag = integrate(state, p, alpha, steps * dt, dt,
-                          callback=lambda k, t, a: got.append((k, t, a.tobytes())))
+    out, diag = integrate(state, p, alpha, steps * dt, dt, callback=block_rows(got))
     ref, ref_diag = reference_integrate(state, p, alpha, steps * dt, dt,
-                                        callback=lambda k, t, a: want.append((k, t, a.tobytes())))
+                                        callback=block_rows(want))
     assert out.amplitudes.tobytes() == ref.amplitudes.tobytes()
     assert diag == ref_diag
     assert got == want
+    assert [k for k, _, _ in got] == list(range(steps + 1))
     assert out.time == ref.time
-    dot = rhs(a0, periodic, p, alpha).tobytes()
-    assert dot == (1j * field_values(a0, a0.real**2 + a0.imag**2, periodic, p, alpha)).tobytes()
-    assert dot == reference_rhs(a0, periodic, p, alpha).tobytes()
+    assert (field_rhs(a0, periodic, p, alpha).tobytes()
+            == reference_rhs(a0, periodic, p, alpha).tobytes())
     b = out.amplitudes
     assert (_invariants(b, b.real**2 + b.imag**2, periodic, p, alpha)
             == reference_invariants(b, periodic, p, alpha))
@@ -320,29 +344,31 @@ def test_relative_equilibrium_check_matches_the_per_step_watch(name, periodic, i
     sol = SimpleNamespace(converged=True, profile=Profile(cell, u), sigma=float(rng.normal()))
     dt = 0.05 / (1.0 + 2.0 * abs(alpha) + float(p.dpsi(np.max(u) ** 2)))
     got, want = [], []
-    report = relative_equilibrium_check(sol, p, alpha, steps * dt, dt,
-                                        callback=lambda k, t, a: got.append((k, t, a.tobytes())))
-    ref = reference_relative_equilibrium_check(
-        sol, p, alpha, steps * dt, dt, callback=lambda k, t, a: want.append((k, t, a.tobytes())))
+    report = relative_equilibrium_check(sol, p, alpha, steps * dt, dt, callback=block_rows(got))
+    ref = reference_relative_equilibrium_check(sol, p, alpha, steps * dt, dt,
+                                               callback=block_rows(want))
     assert report == ref
     assert got == want
     assert [k for k, _, _ in got] == list(range(steps + 1))
 
 
 def test_callback_arrays_are_never_modified():
+    # three blocks; the final state is a copy, so writing to it changes no block
     state = EvolutionState(0.0, np.exp(-np.abs(np.arange(-3, 4))).astype(complex),
                            Cell.periodic(ON, 7))
     seen = []
-    integrate(state, quartic(), 1.0, t_end=0.05, dt=0.01,
-              callback=lambda k, t, a: seen.append((a, a.copy())))
-    assert len(seen) == 6
-    assert all(np.array_equal(kept, copy) for kept, copy in seen)
-    assert len({id(kept) for kept, _ in seen}) == 6
+    out, _ = integrate(state, quartic(), 1.0, t_end=0.01 * (2 * _BLOCK + 3), dt=0.01,
+                       callback=lambda k, t, a: seen.append([(x, x.copy()) for x in (k, t, a)]))
+    assert [len(block[0][0]) for block in seen] == [_BLOCK, _BLOCK, 4]
+    assert seen[-1][2][0][-1].tobytes() == out.amplitudes.tobytes()
+    out.amplitudes[:] = 0.0
+    assert all(np.array_equal(kept, copy) for block in seen for kept, copy in block)
+    assert len({id(kept) for block in seen for kept, _ in block}) == 9
 
 
 def test_rk4_step_kernel_budget():
     # four dpsi calls per step (one per stage) and one psi call per block of
-    # steps (the invariants of its states), plus one psi call for the initial invariants
+    # states (the invariants of the start state and the states after each step)
     calls = {"psi": 0, "dpsi": 0}
     base = quartic()
 
@@ -354,26 +380,76 @@ def test_rk4_step_kernel_budget():
 
     p = custom(counted("psi", base.psi), counted("dpsi", base.dpsi), name="counted quartic")
     state = EvolutionState(0.0, np.full(5, 0.5, dtype=complex), Cell.periodic(ON, 5))
-    for steps in (0, 1, 7, _BLOCK, _BLOCK + 1):
+    for steps in (0, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1):
         calls.update(psi=0, dpsi=0)
         kept = []
         _, diag = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01,
                             callback=lambda k, t, a: kept.append(a))
         assert diag["steps"] == steps
-        assert calls == {"psi": 1 + math.ceil(steps / _BLOCK), "dpsi": 4 * steps}
-    # each kept state is an array of its own: no two share memory, and none is a
-    # view (disjoint rows of one stacked block share no memory, yet pin the block)
-    assert not any(np.shares_memory(a, b) for a, b in combinations(kept, 2))
-    assert all(a.base is None for a in kept)
+        assert calls == {"psi": math.ceil((steps + 1) / _BLOCK), "dpsi": 4 * steps}
+        assert [len(a) for a in kept] == [_BLOCK] * ((steps + 1) // _BLOCK) + (
+            [(steps + 1) % _BLOCK] if (steps + 1) % _BLOCK else [])
+        # each block is an array of its own: no two share memory, and none is a
+        # view (disjoint slices of one buffer share no memory, yet pin the buffer)
+        assert not any(np.shares_memory(a, b) for a, b in combinations(kept, 2))
+        assert all(a.base is None for a in kept)
 
 
 def test_a_step_that_overflows_is_a_blow_up():
-    # one RK4 step of h = 1e3 overflows to nan; the final-state guard catches it
+    # one RK4 step of h = 1e3 overflows to nan; the guard catches it in the last state
     state = EvolutionState(0.0, np.full(5, math.sqrt(0.4), dtype=complex), Cell.periodic(ON, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match=r"^amplitude exceeded 1e\+06 at t=1000$"):
             integrate(state, quartic(), 1.0, t_end=1e3, dt=1e3)
+
+
+def quartic_wave_start():
+    sol = solve(SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=5), quartic())
+    assert sol.converged
+    return EvolutionState.from_profile(sol.profile), quartic(), 1.0
+
+
+def linear_rotation_start():
+    # psi = 0 and A = (1, -1, 1, -1): dA/dt = -2i A, on which an RK4 step of
+    # h = 1.425 (2h just above 2 sqrt 2) multiplies |A| by about 1.055
+    state = EvolutionState(0.0, np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
+                           Cell.periodic(ON, 4))
+    return state, custom(lambda x: 0.0 * x, lambda x: 0.0 * x, name="free"), 1.0
+
+
+@pytest.mark.parametrize("start, t_end, dt, first_bad", [
+    (quartic_wave_start, 50.0, 0.03, 2),  # in the first block: nothing is handed out
+    (linear_rotation_start, 400 * 1.425, 1.425, 257),  # in the third block
+])
+def test_a_blow_up_inside_a_run_names_its_first_state(start, t_end, dt, first_bad):
+    state, p, alpha = start()
+    # the per-step reference: the first state above the limit, or not finite
+    rows = []
+    with np.errstate(all="ignore"):
+        try:
+            reference_integrate(state, p, alpha, t_end, dt, callback=block_rows(rows))
+        except BlowUpError:
+            pass
+    h = t_end / round(t_end / dt)
+    mod2 = [np.abs(np.frombuffer(a, dtype=complex)) ** 2 for _, _, a in rows]
+    assert [k for k, m in enumerate(mod2) if not np.max(m) <= 1e12][0] == first_bad
+    handed = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as err:
+            integrate(state, p, alpha, t_end, dt, callback=block_rows(handed))
+    assert str(err.value) == f"amplitude exceeded 1e+06 at t={state.time + first_bad * h:g}"
+    # every block before the one that holds the bad state, and nothing else
+    assert handed == rows[:first_bad // _BLOCK * _BLOCK]
+
+
+def test_an_over_limit_start_state_is_a_blow_up_without_a_step():
+    state = EvolutionState(0.0, np.full(4, 2e6, dtype=complex), Cell.periodic(ON, 4))
+    seen = []
+    with pytest.raises(BlowUpError, match=r"^amplitude exceeded 1e\+06 at t=0$"):
+        integrate(state, quartic(), 1.0, t_end=0.0, dt=0.01, callback=seen.append)
+    assert seen == []
 
 
 def test_relative_equilibrium_check_refuses_an_unconverged_wave():

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -478,6 +479,13 @@ def test_csv_cells_are_text_as_given_and_numbers_as_plain_floats():
 @pytest.mark.parametrize("text, periodic, message", [
     ("x,u\n0,1.0\n", None, "expected CSV header 'j,u'"),
     ("j,u\n", None, "the CSV holds no site rows"),
+    ("j,u\n0\n", None, r"CSV row 2 must hold two finite numbers, not \['0'\]"),
+    ("j,u\n0,1.0,2\n", None,
+     r"CSV row 2 must hold two finite numbers, not \['0', '1.0', '2'\]"),
+    ("j,u\n0,1.0\nnan,1.0\n", None,
+     r"CSV row 3 must hold two finite numbers, not \['nan', '1.0'\]"),
+    ("j,u\n0,inf\n", None, r"CSV row 2 must hold two finite numbers, not \['0', 'inf'\]"),
+    ("j,u\n0,x\n", None, r"CSV row 2 must hold two finite numbers, not \['0', 'x'\]"),
     ("j,u\n-0.25,1.0\n0.25,1.0\n", None, "indices must be integers or half-integers"),
     ("j,u\n-0.5,1.0\n0,1.0\n0.5,1.0\n", None, "mixed integer and half-integer indices"),
     ("j,u\n-1,1.0\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n", True,
@@ -486,8 +494,10 @@ def test_csv_cells_are_text_as_given_and_numbers_as_plain_floats():
      "index list is not a symmetric truncated lattice"),
 ])
 def test_profile_from_csv_refuses_what_no_cell_holds(text, periodic, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        profile_from_csv(io.StringIO(text), periodic=periodic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            profile_from_csv(io.StringIO(text), periodic=periodic)
 
 
 def test_profile_validation():
