@@ -17,7 +17,7 @@ import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,18 +157,24 @@ def bonds(a: np.ndarray, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
     return a[..., :-1], a[..., 1:]
 
 
+@lru_cache
+def _wrap_index(n: int) -> np.ndarray:
+    """Read-only ``[n-1, 0, 1, ..., n-1, 0]``: a periodic cell padded with its wrapped ends."""
+    idx = np.arange(-1, n + 1) % n
+    idx.flags.writeable = False
+    return idx
+
+
 def neighbor_sum(values: np.ndarray, periodic: bool) -> np.ndarray:
     """u_{j+1} + u_{j-1} with periodic wrap or zero-Dirichlet boundary.
 
-    On a one-site periodic cell both neighbours are the site itself: 2u.
+    The periodic sum is one gather of the padded cell and one add of its
+    shifted slices. On a one-site periodic cell both neighbours are the site
+    itself: 2u.
     """
     if periodic:
-        out = np.empty_like(values)
-        out[:-1] = values[1:]
-        out[-1] = values[0]
-        out[1:] += values[:-1]
-        out[0] += values[-1]
-        return out
+        ends = values[_wrap_index(len(values))]
+        return ends[2:] + ends[:-2]
     out = np.zeros_like(values)
     out[:-1] += values[1:]
     out[1:] += values[:-1]

@@ -61,7 +61,7 @@ def saturable_arctan() -> Potential:
     return Potential(
         "saturable-arctan",
         psi=lambda x: x - np.arctan(x),
-        dpsi=lambda x: x * x / (1.0 + x * x),
+        dpsi=lambda x: (sq := x * x) / (1.0 + sq),
     )
 
 
@@ -79,7 +79,7 @@ def nonconvex_rational() -> Potential:
     return Potential(
         "nonconvex-rational",
         psi=lambda x: x**3 / (1.0 + x * x),
-        dpsi=lambda x: x * x * (3.0 + x * x) / (1.0 + x * x) ** 2,
+        dpsi=lambda x: (sq := x * x) * (3.0 + sq) / (1.0 + sq) ** 2,
     )
 
 

@@ -8,13 +8,14 @@ reproduce them bit for bit, or CLI artifacts would change.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls.evolution import _invariants
 from dnls.functionals import (coupling, coupling_values, field_values, flow,
                               grad_p, p_value, residual)
-from dnls.lattice import Cell, IndexScheme, Profile, neighbor_sum
+from dnls.lattice import Cell, IndexScheme, Profile, _wrap_index, neighbor_sum
 from dnls.potentials import CATALOG
 
 reals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -47,9 +48,14 @@ def roll_coupling(a, periodic):
     return float(2.0 * (a[:-1] @ a[1:]))
 
 
+def reference_neighbor_sum(v, periodic):
+    return roll_neighbor_sum(v) if periodic else dirichlet_neighbor_sum(v)
+
+
 def same_bits(got, ref):
+    """Equal dtype, shape and bytes: a nan equals a nan of the same bits."""
     got, ref = np.asarray(got), np.asarray(ref)
-    return got.dtype == ref.dtype and np.array_equal(got, ref) \
+    return got.dtype == ref.dtype and got.shape == ref.shape \
         and got.tobytes() == ref.tobytes()
 
 
@@ -58,9 +64,22 @@ def same_bits(got, ref):
                  st.lists(complexes, min_size=1, max_size=64)))
 @example([1.5])  # one-site cell: 2u
 @example([2.0 - 3.0j])
+@example([1.5, -0.3])  # two sites: each neighbour twice
+@example([2.0 - 3.0j, 0.1 + 1e-3j])
+@example([1.5, -0.3, 7.25])
+@example([2.0 - 3.0j, 0.1 + 1e-3j, -4.5j])
 def test_neighbor_sum_matches_roll(vals):
     v = np.array(vals)
     assert same_bits(neighbor_sum(v, True), roll_neighbor_sum(v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25])
+def test_the_cached_wrap_index_is_read_only(n):
+    idx = _wrap_index(n)
+    assert idx is _wrap_index(n)
+    assert idx.tolist() == [n - 1, *range(n), 0]
+    with pytest.raises(ValueError):
+        idx[0] = 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +138,7 @@ def test_profile_coupling_and_hamiltonian_match_roll(n, data):
 
 def grad_values_reference(v, periodic, p, alpha):
     """The gradient of P as the ascent wrote it before it shared ``field_values``."""
-    return 2.0 * alpha * neighbor_sum(v, periodic) + 2.0 * p.dpsi(v * v) * v
+    return 2.0 * alpha * reference_neighbor_sum(v, periodic) + 2.0 * p.dpsi(v * v) * v
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -152,4 +171,26 @@ def test_gradient_of_p_is_twice_the_shared_field(name, periodic, inter, n, seed,
         a = v * np.exp(1j * np.linspace(0.0, 3.0, n))
         mod2 = a.real**2 + a.imag**2  # the RK4 right-hand side i F(A) of a complex state
         assert same_bits(1j * field_values(a, mod2, periodic, p, alpha),
-                         1j * (alpha * neighbor_sum(a, periodic) + p.dpsi(mod2) * a))
+                         1j * (alpha * reference_neighbor_sum(a, periodic)
+                               + p.dpsi(mod2) * a))
+
+
+TEXTBOOK_DPSI = {  # the catalog's psi' as written before x^2 was formed once
+    "saturable-arctan": lambda x: x * x / (1.0 + x * x),
+    "nonconvex-rational": lambda x: x * x * (3.0 + x * x) / (1.0 + x * x) ** 2,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(TEXTBOOK_DPSI)),
+       vals=st.lists(st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True),
+                     min_size=1, max_size=32))
+@example(name="saturable-arctan", vals=[0.0, 5e-324, 2.2e-308, 1e154, 1e155, 1.7e308])
+@example(name="nonconvex-rational", vals=[0.0, 5e-324, 2.2e-308, 1e77, 1e154, 1.7e308])
+def test_catalog_dpsi_matches_its_textbook_formula(name, vals):
+    x = np.array(vals)
+    with np.errstate(all="ignore"):  # x * x overflows to inf and inf / inf is nan
+        got, ref = CATALOG[name]().dpsi(x), TEXTBOOK_DPSI[name](x)
+        assert same_bits(got, ref)
+        for xi in x:  # the solver's psi'' passes numpy scalars
+            assert same_bits(CATALOG[name]().dpsi(xi), TEXTBOOK_DPSI[name](xi))
