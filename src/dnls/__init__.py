@@ -5,12 +5,12 @@ from .evolution import (BlowUpError, EquilibriumReport, EvolutionState,
 from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
                           coupling, energy, exp_profile, grad_p,
                           participation_ratio, potential_energy, power,
-                          residual, sigma, t_lower_bounds)
+                          residual, t_lower_bounds)
 from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                       neighbor_sum, profile_from_csv, profile_to_csv,
                       project_cone, restrict)
 from .potentials import (CATALOG, AssumptionReport, Check, Potential,
-                         Violation, check_assumptions, custom, exp_quadratic,
+                         Violation, check_assumptions, exp_quadratic,
                          nonconvex_rational, parse_potential_spec, power_law,
                          quartic, saturable_arctan, saturable_log)
 from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
@@ -25,13 +25,13 @@ __all__ = [
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
     "RunDiagnostics", "SolverConfig", "Violation", "WaveSolution",
-    "box_profile", "check_assumptions", "cone_slack", "coupling", "custom",
+    "box_profile", "check_assumptions", "cone_slack", "coupling",
     "decay_fit", "energy", "exp_profile", "exp_quadratic", "grad_p",
     "homoclinic", "in_cone", "initial_ansatz",
     "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
-    "restrict", "saturable_arctan", "saturable_log", "sigma", "solve",
+    "restrict", "saturable_arctan", "saturable_log", "solve",
     "t_lower_bounds",
 ]

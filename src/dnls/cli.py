@@ -175,9 +175,9 @@ def cmd_sweep(args, out: _Artifacts) -> int:
 
 def cmd_homoclinic(args, out: _Artifacts) -> int:
     cfg, potential = _solver_inputs(args, out)
-    n_seq = [int(x) for x in args.n_seq.split(",") if x.strip()]
-    out.config["n_sequence"] = n_seq
+    n_seq = [float(x) for x in args.n_seq.split(",") if x.strip()]
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
+    out.config["n_sequence"] = result.n_sequence
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
         out.json(f".N={n}.json", sol.to_dict(replace(cfg, n=n)))
         profile_to_csv(rest, out.path(f".N={n}.restricted.csv"))

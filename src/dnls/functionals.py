@@ -107,22 +107,16 @@ def _tangent(g: np.ndarray, v: np.ndarray, mult: float):
 
 
 def flow(v: np.ndarray, periodic: bool, p: Potential, alpha: float):
-    """Flow multiplier, field grad P - multiplier*v, and residual (half its sup norm)."""
+    """Flow multiplier, field grad P - multiplier*v, and residual (half its sup norm).
+
+    The multiplier m = <grad P(v), v> / ||v||^2 is twice the frequency at a wave.
+    """
     n = float(v @ v)
     if n == 0.0:
         raise DegenerateProfileError("multiplier undefined for the zero profile")
     g = 2.0 * field_values(v, v * v, periodic, p, alpha)
     mult = float(g @ v) / n
     return (mult, *_tangent(g, v, mult))
-
-
-def sigma(u: Profile, p: Potential, alpha: float) -> float:
-    """Rayleigh-type flow multiplier <grad P(u), u> / ||u||^2.
-
-    At a standing wave this equals twice the wave frequency, since the
-    gradient there is twice the frequency times the profile.
-    """
-    return flow(u.values, u.periodic, p, alpha)[0]
 
 
 def residual(u: Profile, sig: float, p: Potential, alpha: float) -> float:

@@ -25,10 +25,11 @@ import numpy as np
 class Potential:
     """Immutable potential; safe to share across concurrent evaluations.
 
-    ``label`` names it: a catalog key, ``power:eta=<r>,c=<r>``, or the name
-    given to ``custom``. ``psi`` and ``dpsi`` are vectorized callables on
-    non-negative arguments; every caller passes squares or a positive grid,
-    so no domain check is made.
+    ``label`` names it: a catalog key, ``power:eta=<r>,c=<r>``, or any name
+    given to a user-defined pair ``Potential(label, psi, dpsi)``, which
+    ``check_assumptions`` verifies numerically (``solve`` runs it first).
+    ``psi`` and ``dpsi`` are vectorized callables on non-negative arguments;
+    every caller passes squares or a positive grid, so no domain check is made.
     """
 
     label: str
@@ -90,15 +91,6 @@ def quartic() -> Potential:
         psi=lambda x: x**4,
         dpsi=lambda x: 4.0 * x**3,
     )
-
-
-def custom(psi, dpsi, name: str = "custom") -> Potential:
-    """Wrap a user-supplied (psi, dpsi) callback pair.
-
-    Consistency of the pair is not assumed; run ``check_assumptions`` to
-    validate normalization, growth, and the finite-difference match.
-    """
-    return Potential(name, psi=psi, dpsi=dpsi)
 
 
 CATALOG = {f().label: f for f in (saturable_log, saturable_arctan, exp_quadratic,

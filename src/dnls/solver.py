@@ -5,11 +5,11 @@ sum u_j^2 = rho inside the cone of non-negative even unimodal sequences.
 One update step is the normalized ascent map
 
     I(u) = sqrt(rho) * (u + tau*F(u)) / ||u + tau*F(u)||,
-    F(u) = grad P(u) - sigma(u) * u,   sigma(u) = <grad P(u), u> / ||u||^2,
+    F(u) = grad P(u) - m(u) * u,   m(u) = <grad P(u), u> / ||u||^2,
 
 which preserves the constraint exactly. Fixed points solve the standing-wave
 equation sigma*u_j = alpha*(u_{j+1}+u_{j-1}) + dpsi(u_j^2)*u_j with frequency
-sigma(u)/2 (the gradient of P at a wave is twice the frequency times u).
+sigma = m(u)/2 (the gradient of P at a wave is twice the frequency times u).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .functionals import (DegenerateProfileError, EnergyBreakdown, energy, flow,
-                          level_energies, p_value)
+from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
 from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
 from .potentials import Potential, check_assumptions
 
@@ -229,10 +228,7 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
         + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
     for halvings in range(_MAX_HALVINGS + 1):
         w = v + tau * flow0[1]
-        norm = float(np.sqrt(w @ w))
-        if norm == 0.0:
-            raise DegenerateProfileError("ascent step collapsed to the zero profile")
-        w *= sqrt_rho / norm
+        w *= sqrt_rho / float(np.sqrt(w @ w))
         p1 = p_value(w, True, p, cfg.alpha)
         gain = p1 - p0
         if gain >= -_energy_slack(p0):
@@ -248,14 +244,13 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
 
 def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
          diag: RunDiagnostics, budget: int):
-    """Iterate to a stopping rule; returns (values, flow multiplier, residual, steps).
+    """Iterate to a stopping rule; returns (values, flow multiplier, residual, steps, stop).
 
     The accepted step size is carried to the next trial with one doubling
     (capped at the configured tau); oversized trials are cut back by the
     admissibility tests inside the step. Fixed points of the map do not
-    depend on the step size. The stop reason is set once, after the loop:
-    ``residual`` when the last residual meets the tolerance, else the rule
-    that ended the loop.
+    depend on the step size. The stop reason is ``residual`` when the last
+    residual meets the tolerance, else the rule that ended the loop.
     """
     flow0 = flow(v, True, p, cfg.alpha)
     sig_flow, _, res = flow0
@@ -288,8 +283,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
                 or (tiny_streak and tau_used >= cfg.tau)):
             stop = "stagnation"
             break
-    diag.stop_reason = "residual" if res <= cfg.tol_residual else stop
-    return v, sig_flow, res, steps
+    return v, sig_flow, res, steps, "residual" if res <= cfg.tol_residual else stop
 
 
 def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
@@ -297,11 +291,11 @@ def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
 
 
 def _d2psi(p: Potential, x: float) -> float:
-    """psi''(x) by a central difference of dpsi; at x = 0 by a one-sided one."""
-    if x == 0.0:  # second order too, with an absolute step
+    """psi''(x) by a central difference of dpsi; one-sided at 0 and where its step underflows."""
+    h = _D2PSI_STEP * x
+    if h == 0.0:  # second order too, with an absolute step
         f0, f1, f2 = (float(p.dpsi(np.float64(t))) for t in (0.0, _D2PSI_STEP, 2.0 * _D2PSI_STEP))
         return (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * _D2PSI_STEP)
-    h = _D2PSI_STEP * x
     hi, lo = x + h, x - h
     return float(p.dpsi(np.float64(hi)) - p.dpsi(np.float64(lo))) / (hi - lo)
 
@@ -343,7 +337,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     start = initial_ansatz(cfg, p)
     cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived
     diag = RunDiagnostics()
-    v, sig_flow, res, iterations = _run(v0, cfg, p, cell, diag, cfg.max_iters)
+    v, sig_flow, res, iterations, stop = _run(v0, cfg, p, cell, diag, cfg.max_iters)
 
     # the even k=1 mode vanishes exactly where the fold has one level (N=2
     # inter-site); elsewhere it is non-increasing in |j|, so flat plus a
@@ -352,17 +346,15 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
         diag.flat_lambda1 = _flat_lambda1(cfg, p)
         if diag.flat_lambda1 >= 0.0 and iterations < cfg.max_iters:
             diag.restarted = True
-            stop = diag.stop_reason
             mode = np.cos(2.0 * math.pi * cell.indices() / cfg.n)
             kicked = v + 1e-3 * math.sqrt(cfg.rho) * mode
             kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
-            v2, sig2, res2, steps2 = _run(kicked, cfg, p, cell, diag,
-                                          cfg.max_iters - iterations)
+            v2, sig2, res2, steps2, stop2 = _run(kicked, cfg, p, cell, diag,
+                                                 cfg.max_iters - iterations)
             iterations += steps2
             if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
-                v, sig_flow, res = v2, sig2, res2
-            else:
-                diag.stop_reason = stop
+                v, sig_flow, res, stop = v2, sig2, res2, stop2
+    diag.stop_reason = stop
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
@@ -550,15 +542,12 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
 
     def scan(lo, hi, n, best):
         """``best`` raised to the best row of np.linspace(lo, hi, n) per ratio."""
-        step = (hi - lo) / (n - 1)
-
-        def axis(i, ks):
-            return np.where(ks == n - 1, hi[i], ks * step[i] + lo[i])
-
-        r2 = axis(1, np.arange(n)) if dims == 2 else np.ones(1)  # one run of one row
+        # per axis: a 2-D linspace rounds every axis differently once one has zero width
+        r1_all = np.linspace(lo[0], hi[0], n)
+        r2 = np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)  # one run of one row
         chunk = max(1, _ORACLE_BLOCK // r2.size)
         for start in range(0, n, chunk):
-            r1 = axis(0, np.arange(start, min(start + chunk, n)))[:, None]
+            r1 = r1_all[start:start + chunk, None]
             amps = np.stack(np.broadcast_arrays(1.0, r1, r1 * r2)[:dims + 1]).reshape(dims + 1, -1)
             amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
             p_all = level_energies(amps, cell, p, cfg.alpha)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -17,14 +18,14 @@ PUBLIC = [
     "EquilibriumReport", "EvolutionState", "HomoclinicResult",
     "HomoclinicVerdict", "IndexScheme", "Potential", "Profile",
     "RunDiagnostics", "SolverConfig", "Violation", "WaveSolution",
-    "box_profile", "check_assumptions", "cone_slack", "coupling", "custom",
+    "box_profile", "check_assumptions", "cone_slack", "coupling",
     "decay_fit", "energy", "exp_profile", "exp_quadratic", "grad_p",
     "homoclinic", "in_cone", "initial_ansatz",
     "integrate", "neighbor_sum", "nonconvex_rational", "oracle_maximize",
     "parse_potential_spec", "participation_ratio", "potential_energy",
     "power", "power_law", "profile_from_csv", "profile_to_csv",
     "project_cone", "quartic", "relative_equilibrium_check", "residual",
-    "restrict", "saturable_arctan", "saturable_log", "sigma", "solve",
+    "restrict", "saturable_arctan", "saturable_log", "solve",
     "t_lower_bounds",
 ]
 
@@ -57,12 +58,55 @@ def test_cli_flags():
             for name, p in commands.items()} == CLI
 
 
-def test_benchmark_tracer_targets_resolve():
-    # the benchmark patches these by name; a missing one breaks only the trace
+def tracer_targets():
+    """(module, name) of every function the benchmark's tracer patches, by label."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    targets = {**tracer.SPANS, **tracer.COUNTERS}
+    return {**tracer.SPANS, **tracer.COUNTERS}
+
+
+def names_used(path):
+    """(name, names of the enclosing defs and classes) for each name that a file
+    loads, imports, or reaches as an attribute of ``dnls`` or of one of its modules."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, scope))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((alias.name.rpartition(".")[2], scope) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "dnls":
+                out.append((node.attr, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return out
+
+
+def test_every_public_name_is_used():
+    # the public API is what a command, the acceptance suite or the benchmark calls;
+    # a use inside the name's own def or class does not count, nor does the export list
+    used = {name for path in (ROOT / "src" / "dnls").glob("*.py") if path.name != "__init__.py"
+            for name, scope in names_used(path) if name not in scope}
+    for path in (ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "workloads.py"):
+        used |= {name for name, _ in names_used(path)}
+    used |= {name for _, name in tracer_targets().values()}
+    # profile_from_csv reads the profile artifacts back; the CLI tests check them with it
+    used.add("profile_from_csv")
+    assert sorted(set(dnls.__all__) - used) == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark patches these by name; a missing one breaks only the trace
+    targets = tracer_targets()
     assert targets
     for label, (module, name) in targets.items():
         assert callable(getattr(importlib.import_module(module), name, None)), label

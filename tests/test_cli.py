@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import math
 import os
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -248,6 +250,40 @@ def test_homoclinic_command(tmp_path):
     assert len(data["t_values"]) == 2
     rest = profile_from_csv(tmp_path / "homo.N=17.restricted.csv", periodic=False)
     assert not rest.cell.is_finite
+
+
+def test_homoclinic_sizes_follow_the_library_rule(tmp_path, monkeypatch, capsys):
+    # a whole-number float is that size, as in homoclinic() and sweep --param N
+    runs = []
+    for name, sizes in (("a", "9,17.0"), ("b", "9,17")):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["homoclinic", "--potential", "quartic", "--alpha", "0.3", "--rho", "2",
+                     "--N-seq", sizes, "--out", "homo"]) == 0
+        files = {p.name: p.read_bytes() for p in Path.cwd().iterdir()}
+        manifest = json.loads(files.pop("homo.manifest.json"))
+        del manifest["wall_time"]
+        runs.append((files, manifest))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["config"]["n_sequence"] == [9, 17]
+    (tmp_path / "c").mkdir()
+    monkeypatch.chdir(tmp_path / "c")
+    capsys.readouterr()
+    assert main(["homoclinic", "--potential", "quartic", "--alpha", "0.3", "--rho", "2",
+                 "--N-seq", "9,17.5", "--out", "run/homo"]) == 1
+    assert "n_sequence sizes must be whole numbers, not 17.5" in capsys.readouterr().err
+    assert list(Path.cwd().iterdir()) == []
+
+
+def test_solve_at_a_subnormal_power_keeps_flat(tmp_path):
+    # the relative step of psi'' at rho/N = 2e-321 underflows to 0
+    code = main(["solve", "--potential", "quartic", "--alpha", "1", "--rho", "1e-320",
+                 "--N", "5", "--out", str(tmp_path / "w")])
+    assert code == 0
+    data = read_json(tmp_path / "w.json")
+    assert data["converged"] is True and data["near_constant"] is True
+    lambda1 = data["diagnostics"]["flat_lambda1"]
+    assert math.isfinite(lambda1) and lambda1 < 0
 
 
 def test_check_potential_command(tmp_path):

@@ -15,7 +15,7 @@ from dnls.evolution import (_BLOCK, BlowUpError, EquilibriumReport, EvolutionSta
                             relative_equilibrium_check)
 from dnls.functionals import field_values
 from dnls.lattice import Cell, IndexScheme, Profile
-from dnls.potentials import (CATALOG, custom, quartic, saturable_arctan,
+from dnls.potentials import (CATALOG, Potential, quartic, saturable_arctan,
                              saturable_log)
 from dnls.solver import SolverConfig, solve
 
@@ -380,7 +380,7 @@ def test_rk4_step_kernel_budget():
             return fn(x)
         return wrapper
 
-    p = custom(counted("psi", base.psi), counted("dpsi", base.dpsi), name="counted quartic")
+    p = Potential("counted quartic", counted("psi", base.psi), counted("dpsi", base.dpsi))
     state = EvolutionState(0.0, np.full(5, 0.5, dtype=complex), Cell.periodic(ON, 5))
     for steps in (0, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1):
         calls.update(psi=0, dpsi=0)
@@ -417,7 +417,7 @@ def linear_rotation_start():
     # h = 1.425 (2h just above 2 sqrt 2) multiplies |A| by about 1.055
     state = EvolutionState(0.0, np.array([1.0, -1.0, 1.0, -1.0], dtype=complex),
                            Cell.periodic(ON, 4))
-    return state, custom(lambda x: 0.0 * x, lambda x: 0.0 * x, name="free"), 1.0
+    return state, Potential("free", lambda x: 0.0 * x, lambda x: 0.0 * x), 1.0
 
 
 @pytest.mark.parametrize("start, t_end, dt, first_bad", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.potentials import (CATALOG, SLACK, AssumptionReport, Check, Violation,
-                             check_assumptions, custom, exp_quadratic,
+                             Potential, check_assumptions, exp_quadratic,
                              nonconvex_rational, parse_potential_spec, power_law,
                              quartic, saturable_arctan, saturable_log)
 from dnls.solver import SolverConfig, _d2psi, solve
@@ -105,6 +105,14 @@ def test_solver_d2psi_at_zero_is_one_sided(p, closed):
     assert _d2psi(p, 0.0) == pytest.approx(closed(0.0), abs=1e-8)
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_solver_d2psi_is_finite_where_its_step_underflows(name):
+    # the relative step 1e-5 * x underflows to 0 below about 2.5e-319
+    p = CATALOG[name]()
+    for x in (0.0, 5e-324, 1e-320, 2e-319):
+        assert math.isfinite(_d2psi(p, x)), x
+
+
 def test_flat_lambda1_keeps_its_central_difference():
     # the x > 0 branch, which _flat_lambda1 reads, is bit for bit the central difference
     p = saturable_log()
@@ -120,9 +128,8 @@ def test_power_family_passes():
 
 
 def test_sqrt_potential_fails_near_zero():
-    p = custom(lambda x: np.sqrt(x),
-               lambda x: np.where(x > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf),
-               name="sqrt")
+    p = Potential("sqrt", lambda x: np.sqrt(x),
+                  lambda x: np.where(x > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf))
     report = check_assumptions(p, x_max=100.0, samples=500)
     assert not report.passed
     kinds = {v.check for v in report.violations}
@@ -134,14 +141,14 @@ def test_sqrt_potential_fails_near_zero():
 
 
 def test_zero_potential_fails_degeneracy():
-    p = custom(lambda x: 0.0 * x, lambda x: 0.0 * x, name="zero")
+    p = Potential("zero", lambda x: 0.0 * x, lambda x: 0.0 * x)
     report = check_assumptions(p, x_max=10.0, samples=200)
     assert not report.passed
     assert {v.check for v in report.violations} == {Check.NON_DEGENERACY}
 
 
 def test_inconsistent_pair_caught_by_fd_check():
-    p = custom(lambda x: x * x, lambda x: 3.0 * x, name="bad-derivative")
+    p = Potential("bad-derivative", lambda x: x * x, lambda x: 3.0 * x)
     report = check_assumptions(p, x_max=10.0, samples=200)
     assert any(v.check is Check.CONSISTENCY for v in report.violations)
 
@@ -149,7 +156,8 @@ def test_inconsistent_pair_caught_by_fd_check():
 def test_report_passed_iff_no_violations():
     good = check_assumptions(quartic(), 10.0, 100)
     assert good.passed and not good.violations
-    bad = check_assumptions(custom(lambda x: -x, lambda x: -1.0 + 0 * x), 10.0, 100)
+    bad = check_assumptions(Potential("custom", lambda x: -x, lambda x: -1.0 + 0 * x),
+                            10.0, 100)
     assert not bad.passed and bad.violations
 
 
@@ -158,10 +166,10 @@ def test_report_passed_iff_no_violations():
 def test_scaling_closure(a, b, c):
     # a*psi(b*x^(1+c)) with its chain-rule derivative stays admissible
     base = saturable_log()
-    scaled = custom(
+    scaled = Potential(
+        "scaled",
         lambda x, a=a, b=b, c=c: a * base.psi(b * x ** (1.0 + c)),
         lambda x, a=a, b=b, c=c: a * base.dpsi(b * x ** (1.0 + c)) * b * (1.0 + c) * x**c,
-        name="scaled",
     )
     assert check_assumptions(scaled, x_max=5.0, samples=200).passed
 
@@ -226,22 +234,24 @@ def test_check_assumptions_validates_arguments():
 
 
 def test_nonzero_psi_at_zero_is_a_normalization_violation():
-    report = check_assumptions(custom(lambda x: 1.0 + x * x, lambda x: 2.0 * x), 10.0, 200)
+    report = check_assumptions(Potential("custom", lambda x: 1.0 + x * x, lambda x: 2.0 * x),
+                               10.0, 200)
     at_zero = [v for v in report.violations if v.check is Check.NORMALIZATION]
     assert [(v.x, v.lhs, v.rhs) for v in at_zero] == [(0.0, 1.0, 0.0)]
 
 
 def test_overflowing_samples_are_normalization_violations():
     # expm1(1000 x) overflows above x = log(DBL_MAX)/1000, about 0.71
-    p = custom(lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
-               lambda x: 1000.0 * np.expm1(1000.0 * x))
+    p = Potential("custom", lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
+                  lambda x: 1000.0 * np.expm1(1000.0 * x))
     report = check_assumptions(p, x_max=10.0, samples=200)
     bad = [v for v in report.violations if v.check is Check.NORMALIZATION]
     assert bad and all(v.x > 0.7 and not math.isfinite(v.lhs) for v in bad)
 
 
 def test_psi_vanishing_above_a_positive_value_is_degenerate():
-    p = custom(lambda x: np.where(x < 1.0, x * x, 0.0), lambda x: np.where(x < 1.0, 2.0 * x, 0.0))
+    p = Potential("custom", lambda x: np.where(x < 1.0, x * x, 0.0),
+                  lambda x: np.where(x < 1.0, 2.0 * x, 0.0))
     report = check_assumptions(p, x_max=10.0, samples=200)
     assert report.violations
     assert {v.check for v in report.violations} == {Check.NON_DEGENERACY}
@@ -273,8 +283,8 @@ def test_psi_that_raises_at_zero_is_a_normalization_violation():
             return f(x)
         return g
 
-    report = check_assumptions(custom(at_zero_refused(lambda x: x * x),
-                                      at_zero_refused(lambda x: 2.0 * x)), 10.0, 200)
+    report = check_assumptions(Potential("custom", at_zero_refused(lambda x: x * x),
+                                         at_zero_refused(lambda x: 2.0 * x)), 10.0, 200)
     assert [v.to_dict() for v in report.violations] == [
         {"x": 0.0, "check": "normalization", "lhs": None, "rhs": 0.0}] * 2
 
@@ -341,17 +351,17 @@ def reference_check_assumptions(p, x_max, samples):
 # one pair per check it breaks, one that breaks three at each sample past 0.3,
 # a psi that overflows where dpsi stays finite, and a NaN psi, with dpsi infinite past 0.7
 VIOLATORS = [
-    custom(lambda x: -x, lambda x: -1.0 + 0.0 * x, name="negative"),
-    custom(np.sqrt, lambda x: 0.5 / np.sqrt(np.maximum(x, 1e-300)), name="sub-linear"),
-    custom(lambda x: np.where(x < 0.3, x * x, 0.0), lambda x: np.where(x < 0.3, 2.0 * x, 0.0),
-           name="vanishing"),
-    custom(lambda x: np.where(x < 0.3, x * x, -x), lambda x: np.where(x < 0.3, 2.0 * x, -2.0),
-           name="turning-negative"),
-    custom(lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
-           lambda x: 1000.0 * np.expm1(np.minimum(1000.0 * x, 700.0)), name="overflowing"),
-    custom(lambda x: np.where(x > 0.5, np.nan, x**4),
-           lambda x: np.where(x > 0.7, np.inf, 4.0 * x**3), name="nan"),
-    custom(lambda x: x * x, lambda x: 3.0 * x, name="inconsistent"),
+    Potential("negative", lambda x: -x, lambda x: -1.0 + 0.0 * x),
+    Potential("sub-linear", np.sqrt, lambda x: 0.5 / np.sqrt(np.maximum(x, 1e-300))),
+    Potential("vanishing", lambda x: np.where(x < 0.3, x * x, 0.0),
+              lambda x: np.where(x < 0.3, 2.0 * x, 0.0)),
+    Potential("turning-negative", lambda x: np.where(x < 0.3, x * x, -x),
+              lambda x: np.where(x < 0.3, 2.0 * x, -2.0)),
+    Potential("overflowing", lambda x: np.expm1(1000.0 * x) - 1000.0 * x,
+              lambda x: 1000.0 * np.expm1(np.minimum(1000.0 * x, 700.0))),
+    Potential("nan", lambda x: np.where(x > 0.5, np.nan, x**4),
+              lambda x: np.where(x > 0.7, np.inf, 4.0 * x**3)),
+    Potential("inconsistent", lambda x: x * x, lambda x: 3.0 * x),
 ]
 
 
@@ -409,7 +419,7 @@ def test_a_solve_and_a_check_import_nothing_new():
     ("psi", lambda x: np.stack([x * x, x * x]) if np.ndim(x) else x * x, lambda x: 2.0 * x),
 ])
 def test_one_value_per_sample_or_a_value_error(name, psi, dpsi):
-    p = custom(psi, dpsi)
+    p = Potential("custom", psi, dpsi)
     with pytest.raises(ValueError, match=f"^{name} must return one value per sample: got shape"):
         check_assumptions(p, 10.0, 200)
     with pytest.raises(ValueError, match=f"^{name} must return one value per sample"):
@@ -418,7 +428,7 @@ def test_one_value_per_sample_or_a_value_error(name, psi, dpsi):
 
 def test_a_psi_of_the_wrong_shape_at_zero_is_a_value_error():
     # one value for the 0-d probe at x = 0 must be a 0-d value, as on the grid
-    p = custom(lambda x: np.atleast_1d(x * x), lambda x: 2 * x)
+    p = Potential("custom", lambda x: np.atleast_1d(x * x), lambda x: 2 * x)
     with pytest.raises(ValueError, match=r"^psi must return one value per sample: "
                                          r"got shape \(1,\) for 1 samples$"):
         check_assumptions(p, 10.0, 200)

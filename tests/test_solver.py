@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import dnls.solver
 from dnls.evolution import relative_equilibrium_check
 from dnls.functionals import (DegenerateProfileError, energy, flow, level_energies,
-                              p_value, power, residual, sigma)
+                              p_value, power, residual)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                           project_cone)
-from dnls.potentials import (CATALOG, check_assumptions, custom, exp_quadratic,
+from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
@@ -152,7 +152,7 @@ def test_iterate_once_increases_energy_from_ansatz():
     pot = saturable_arctan()
     u = initial_ansatz(cfg, pot)
     before = energy(u, pot, cfg.alpha).p_total
-    v, _, _, steps = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
+    v, _, _, steps, _ = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
     assert steps == 1
     after = energy(u.with_values(v), pot, cfg.alpha).p_total
     assert after >= before - 1e-14
@@ -163,7 +163,7 @@ def test_iterate_once_preserves_power():
     pot = saturable_arctan()
     u = initial_ansatz(cfg, pot)
     for _ in range(5):
-        v, _, _, steps = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
+        v, _, _, steps, _ = _run(u.values, cfg, pot, u.cell, RunDiagnostics(), 1)
         assert steps == 1
         u = u.with_values(v)
         assert abs(power(u) - cfg.rho) <= 1e-12 * cfg.rho
@@ -187,7 +187,7 @@ def test_solve_reports_flow_multiplier_consistency():
     # reported frequency is half the Rayleigh multiplier of the gradient
     cfg = small_cfg()
     sol = solve(cfg, quartic())
-    s_flow = sigma(sol.profile, quartic(), cfg.alpha)
+    s_flow = flow(sol.profile.values, sol.profile.periodic, quartic(), cfg.alpha)[0]
     assert sol.sigma == 0.5 * s_flow
     assert residual(sol.profile, sol.sigma, quartic(), cfg.alpha) == sol.residual
     assert sol.residual <= cfg.tol_residual
@@ -202,8 +202,8 @@ def test_fixed_point_characterization():
 
 
 def test_solve_rejects_bad_potential():
-    bad = custom(lambda x: np.sqrt(x),
-                 lambda x: np.where(x > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf))
+    bad = Potential("custom", lambda x: np.sqrt(x),
+                    lambda x: np.where(x > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf))
     with pytest.raises(ValueError, match="growth assumptions"):
         solve(small_cfg(), bad)
 
@@ -226,17 +226,17 @@ def kick_restart_reference(cfg, p):
     Returns the kept profile and the stop reason of the last run.
     """
     cell, diag = cfg.cell(), RunDiagnostics()
-    v, _, _, steps = _run(initial_ansatz(cfg, p).values.copy(), cfg, p, cell, diag,
-                          cfg.max_iters)
+    v, _, _, steps, stop = _run(initial_ansatz(cfg, p).values.copy(), cfg, p, cell, diag,
+                                cfg.max_iters)
     if _is_near_constant(v, cfg) and steps < cfg.max_iters:
         d = np.abs(cell.doubled_indices())
         kicked = v.copy()
         kicked[d == d.min()] += 1e-3 * math.sqrt(cfg.rho)
         kicked *= math.sqrt(cfg.rho / float(kicked @ kicked))
-        v2 = _run(kicked, cfg, p, cell, diag, cfg.max_iters - steps)[0]
+        v2, _, _, _, stop = _run(kicked, cfg, p, cell, diag, cfg.max_iters - steps)
         if p_value(v2, True, p, cfg.alpha) >= p_value(v, True, p, cfg.alpha):
             v = v2
-    return v, diag.stop_reason
+    return v, stop
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -288,10 +288,9 @@ def test_losing_kicked_run_keeps_the_first_stop_reason():
     def run(v, cfg, p, cell, diag, budget):
         if not first_stops:
             out = _run(v, cfg, p, cell, diag, budget)
-            first_stops.append(diag.stop_reason)
+            first_stops.append(out[4])
             return out
-        diag.stop_reason = "max_iters"
-        return 0.5 * v, 0.0, 1.0, 1
+        return 0.5 * v, 0.0, 1.0, 1, "max_iters"
 
     with mock.patch.object(dnls.solver, "_run", run):
         sol = solve(cfg, nonconvex_rational())
@@ -373,10 +372,10 @@ def test_lazy_step_matches_eager_step(name, scheme, n, alpha, rho):
         with mock.patch.object(dnls.solver, "_step", step):
             out = _run(v0.copy(), cfg, p, cfg.cell(), diag, cfg.max_iters)
         runs.append((out, diag))
-    (v, sig, res, steps), diag = runs[0]
-    (v_ref, sig_ref, res_ref, steps_ref), diag_ref = runs[1]
+    (v, sig, res, steps, stop), diag = runs[0]
+    (v_ref, sig_ref, res_ref, steps_ref, stop_ref), diag_ref = runs[1]
     assert np.array_equal(v, v_ref)
-    assert (sig, res, steps) == (sig_ref, res_ref, steps_ref)
+    assert (sig, res, steps, stop) == (sig_ref, res_ref, steps_ref, stop_ref)
     assert diag == diag_ref
 
 
@@ -395,7 +394,7 @@ def test_converged_is_the_stop_rule_verdict(name, scheme, n, alpha, rho, tol, ma
     sol = solve(cfg, p)
     assert sol.converged == (sol.diagnostics.stop_reason == "residual")
     assert residual(sol.profile, sol.sigma, p, alpha) == sol.residual
-    assert sol.sigma == 0.5 * sigma(sol.profile, p, alpha)
+    assert sol.sigma == 0.5 * flow(sol.profile.values, sol.profile.periodic, p, alpha)[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
