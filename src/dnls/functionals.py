@@ -66,10 +66,11 @@ def p_value(v: np.ndarray, periodic: bool, p: Potential, alpha: float) -> float:
     """P on raw values by math.fsum, correctly rounded whatever the term order.
 
     Step acceptance compares energies whose difference can sit below the
-    roundoff of a naive sum.
+    roundoff of a naive sum. The coupling and potential terms go to fsum as
+    two lists, with no array joined from them.
     """
     left, right = bonds(v, periodic)
-    return math.fsum(np.concatenate([2.0 * alpha * left * right, p.psi(v * v)]).tolist())
+    return math.fsum((2.0 * alpha * left * right).tolist() + p.psi(v * v).tolist())
 
 
 def energy(u: Profile, p: Potential, alpha: float) -> EnergyBreakdown:
@@ -103,7 +104,7 @@ def grad_p(u: Profile, p: Potential, alpha: float) -> Profile:
 def _tangent(g: np.ndarray, v: np.ndarray, mult: float):
     """Tangent field g - mult*v and the standing-wave residual, half its sup norm."""
     f = g - mult * v
-    return f, 0.5 * float(np.max(np.abs(f)))
+    return f, 0.5 * float(np.abs(f).max())
 
 
 def flow(v: np.ndarray, periodic: bool, p: Potential, alpha: float):
@@ -132,8 +133,9 @@ def level_energies(a: np.ndarray, cell: Cell, p: Potential, alpha: float) -> np.
     """P of B even profiles from their amplitudes a, shape (L, B), on the levels of ``cell.fold``.
 
     mult @ psi(a^2) + alpha L with L from ``cell.level_coupling``. The only
-    batched scorer (ansatz samples and oracle blocks). It sums plainly: a
-    per-profile fsum as in ``p_value`` would make the oracle's scan far slower.
+    batched scorer (ansatz samples, oracle tile bounds and rows). It sums
+    plainly: a per-profile fsum as in ``p_value`` would make the oracle's scan
+    far slower.
     """
     _, mult, _ = cell.fold
     self_w, pair_w = cell.level_coupling

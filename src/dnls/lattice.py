@@ -181,13 +181,18 @@ def neighbor_sum(values: np.ndarray, periodic: bool) -> np.ndarray:
     return out
 
 
+def cone_slack_values(v: np.ndarray, cell: Cell) -> float:
+    """Largest violation of non-negativity, evenness, or unimodality (0 on the cone)
+    of the values v on ``cell``; the ascent step's cone test, with no ``Profile`` built."""
+    site_level, _, right = cell.fold
+    half = v[right]
+    return max(0.0, -float(v.min()), float(np.abs(v - half[site_level]).max()),
+               float((half[1:] - half[:-1]).max(initial=0.0)))
+
+
 def cone_slack(u: Profile) -> float:
     """Largest violation of non-negativity, evenness, or unimodality (0 on the cone)."""
-    v = u.values
-    site_level, _, right = u.cell.fold
-    half = v[right]
-    return max(0.0, -float(np.min(v)), float(np.max(np.abs(v - half[site_level]))),
-               float(np.max(np.diff(half), initial=0.0)))
+    return cone_slack_values(u.values, u.cell)
 
 
 def in_cone(u: Profile, tol: float = 0.0) -> bool:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
-from .lattice import Cell, IndexScheme, Profile, cone_slack, in_cone, restrict
+from .lattice import Cell, IndexScheme, Profile, cone_slack, cone_slack_values, restrict
 from .potentials import Potential, check_assumptions
 
 
@@ -30,10 +30,11 @@ from .potentials import Potential, check_assumptions
 # beyond ~45 the nominal 1e-14 would be sub-ulp and acceptance would turn
 # into a rounding lottery, so the slack never falls below one part in 2^52
 _ENERGY_SLACK = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 def _energy_slack(p0: float) -> float:
-    return max(_ENERGY_SLACK, np.finfo(float).eps * abs(p0))
+    return max(_ENERGY_SLACK, _EPS * abs(p0))
 _MAX_HALVINGS = 30
 # sup-distance to the flat profile below which a run counts as near-constant
 _NEAR_CONSTANT_TOL = 1e-8
@@ -48,6 +49,8 @@ _ANSATZ_WEIGHTS = np.array([w for w in itertools.product(range(8), repeat=4)
 # step of the differences for psi'' (relative to x, absolute at 0); near the
 # cube root of the machine epsilon, where truncation and roundoff errors balance
 _D2PSI_STEP = 1e-5
+# the least power rho/N per site of a valid config
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -78,6 +81,11 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.rho / self.n < _NORMAL_MIN:
+            # subnormal site values round the ansatz and the multiplier's dot
+            # products at their coarse ulp: the solve would report a wrong wave
+            raise ValueError(f"rho/N must be at least the smallest normal float "
+                             f"{_NORMAL_MIN!r}, not rho/N = {self.rho!r}/{self.n}")
         if not 0 < self.tau <= 1e3:
             raise ValueError("tau must lie in (0, 1e3]")
         if self.tol_residual <= 0:
@@ -194,8 +202,8 @@ _GROWTH_EVIDENCE = 1e-12
 _RES_GROWTH = 1e-2
 
 
-def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
-          tau: float):
+def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | None,
+          cell: Cell, tau: float):
     """One normalized ascent step, always backtracked.
 
     The trial step is halved (up to 30 times) until the candidate is
@@ -209,6 +217,10 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     found the input itself is returned, a step of size zero that the caller
     surfaces as stagnation.
 
+    ``p_v`` is P(v) when the caller has it, else None. The energy slack is
+    computed once per step, and the cone test reads the plain trial array: a
+    non-finite trial has a NaN energy and fails the energy test first.
+
     Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, halvings);
     flow_of_w carries (multiplier, field, residual) at the accepted point.
     """
@@ -216,27 +228,29 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, cell: Cell,
     # baseline energy of the renormalized point: candidates pass through
     # the same normalization, so its ulp-level radial shift of P (about
     # rho*sigma*eps) cancels out of the comparison and the gain vanishes
-    # as tau goes to zero
-    base = v * (sqrt_rho / float(np.sqrt(v @ v)))
-    p0 = p_value(base, True, p, cfg.alpha)
+    # as tau goes to zero. A factor of exactly 1 leaves v bit for bit, so
+    # the carried P(v) is that energy.
+    scale = sqrt_rho / math.sqrt(v @ v)
+    p0 = p_v if scale == 1.0 and p_v is not None else p_value(v * scale, True, p, cfg.alpha)
+    floor = -_energy_slack(p0)
     # the smooth 2-norm of the field serves as the contraction measure; the
     # sup residual can rise at a kink when the leading site switches. The
     # ulp-level renormalization jitter shifts the field by about
     # eps*multiplier*sqrt(rho), which the comparison must tolerate.
-    res0 = float(np.linalg.norm(flow0[1]))
+    res0 = math.sqrt(flow0[1] @ flow0[1])
     res_limit = res0 * (1.0 + _RES_GROWTH) \
-        + 8.0 * np.finfo(float).eps * abs(flow0[0]) * sqrt_rho
+        + 8.0 * _EPS * abs(flow0[0]) * sqrt_rho
     for halvings in range(_MAX_HALVINGS + 1):
         w = v + tau * flow0[1]
-        w *= sqrt_rho / float(np.sqrt(w @ w))
+        w *= sqrt_rho / math.sqrt(w @ w)
         p1 = p_value(w, True, p, cfg.alpha)
         gain = p1 - p0
-        if gain >= -_energy_slack(p0):
-            slack = cone_slack(Profile(cell, w))
+        if gain >= floor:
+            slack = cone_slack_values(w, cell)
             if slack <= _CONE_MONITOR_TOL:
                 flow_w = flow(w, True, p, cfg.alpha)
                 if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
-                        or float(np.linalg.norm(flow_w[1])) <= res_limit):
+                        or math.sqrt(flow_w[1] @ flow_w[1]) <= res_limit):
                     return w, flow_w, p0, p1, slack, tau, halvings
         tau *= 0.5
     return v, flow0, p0, p0, 0.0, tau, _MAX_HALVINGS + 1
@@ -246,14 +260,16 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
          diag: RunDiagnostics, budget: int):
     """Iterate to a stopping rule; returns (values, flow multiplier, residual, steps, stop).
 
-    The accepted step size is carried to the next trial with one doubling
-    (capped at the configured tau); oversized trials are cut back by the
-    admissibility tests inside the step. Fixed points of the map do not
-    depend on the step size. The stop reason is ``residual`` when the last
+    The energy of each accepted point is carried to the next step, which
+    reuses it when the point needs no rescaling. The accepted step size is
+    carried to the next trial with one doubling (capped at the configured
+    tau); oversized trials are cut back by the admissibility tests inside
+    the step. Fixed points of the map do not depend on the step size. The stop reason is ``residual`` when the last
     residual meets the tolerance, else the rule that ended the loop.
     """
     flow0 = flow(v, True, p, cfg.alpha)
     sig_flow, _, res = flow0
+    p_v = None  # P(v), known once a step has been accepted
     steps = 0
     tau_trial = cfg.tau
     tiny_streak = 0
@@ -262,16 +278,17 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
         if res <= cfg.tol_residual:
             break
         w, flow_w, p0, p1, slack, tau_used, halvings = _step(
-            v, cfg, p, flow0, cell, tau_trial)
+            v, cfg, p, flow0, p_v, cell, tau_trial)
         steps += 1
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
         diag.max_halvings = max(diag.max_halvings, halvings)
         diag.max_cone_slack = max(diag.max_cone_slack, slack)
         drift = abs(float(w @ w) - cfg.rho) / cfg.rho
         diag.max_power_drift = max(diag.max_power_drift, drift)
-        step_size = float(np.max(np.abs(w - v)))
-        v = w
-        flow0 = flow_w
+        step_size = float(np.abs(w - v).max())
+        # a rejected step returns v itself, whose zero step size ends the run
+        # below, so p1 is P(w) whenever the loop goes on
+        v, flow0, p_v = w, flow_w, p1
         sig_flow, _, res = flow0
         # one freak deep backtrack must not destroy the carried size
         tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
@@ -287,7 +304,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
 
 
 def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
-    return float(np.max(np.abs(v - math.sqrt(cfg.rho / cfg.n)))) <= _NEAR_CONSTANT_TOL
+    return float(np.abs(v - math.sqrt(cfg.rho / cfg.n)).max()) <= _NEAR_CONSTANT_TOL
 
 
 def _d2psi(p: Potential, x: float) -> float:
@@ -312,6 +329,18 @@ def _flat_lambda1(cfg: SolverConfig, p: Potential) -> float:
     return 4.0 * c2 * _d2psi(p, c2) - 4.0 * cfg.alpha * (1.0 - math.cos(2.0 * math.pi / cfg.n))
 
 
+def _require_assumptions(cfg: SolverConfig, p: Potential) -> None:
+    """Refuse a potential that fails ``check_assumptions`` on [0, max(rho, 1)].
+
+    ``solve`` and ``oracle_maximize`` both rest on them: the ascent on the
+    super-linearity, the oracle's tile bound on psi being non-decreasing.
+    """
+    report = check_assumptions(p, x_max=max(cfg.rho, 1.0), samples=400)
+    if not report.passed:
+        kinds = sorted({v.check.value for v in report.violations})
+        raise ValueError(f"potential violates growth assumptions on [0, rho]: {kinds}")
+
+
 def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     """Maximize the energy at fixed power and return the converged standing wave.
 
@@ -329,10 +358,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     Non-convergence is reported through the returned flags, not raised.
     """
     cfg.validate()
-    report = check_assumptions(p, x_max=max(cfg.rho, 1.0), samples=400)
-    if not report.passed:
-        kinds = sorted({v.check.value for v in report.violations})
-        raise ValueError(f"potential violates growth assumptions on [0, rho]: {kinds}")
+    _require_assumptions(cfg, p)
 
     start = initial_ansatz(cfg, p)
     cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived
@@ -365,7 +391,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
         residual=res,
         iterations=iterations,
         converged=res <= cfg.tol_residual,
-        in_cone=in_cone(profile, tol=_CONE_MONITOR_TOL),
+        in_cone=cone_slack(profile) <= _CONE_MONITOR_TOL,
         near_constant=_is_near_constant(v, cfg),
         decay=None,
         diagnostics=diag,
@@ -509,10 +535,88 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
                             sup_diffs, tail_fracs, max_amps, verdict, margin, floor)
 
 
-# most rows per block of the oracle's global scan, so that its memory does not grow
-# with the grid; and points per dimension of each window of its local zoom
-_ORACLE_BLOCK = 1 << 15
+# rows per tile of the oracle's global scan (16 x 16 with two free ratios, 256 x 1
+# with one); most rows per batch of the tiles it scores, so that its memory does
+# not grow with the grid; relative headroom of a tile's bound for the rounding of
+# its energy; and points per ratio of each window of the local zoom
+_ORACLE_TILE = 256
+_ORACLE_BATCH = 1 << 13
+_ORACLE_BOUND_SLACK = 1e-12
 _ORACLE_ZOOM = 41
+
+
+def _ratio_grid(lo, hi, n: int, dims: int):
+    """np.linspace(lo, hi, n) per free ratio; a single 1.0 for an absent second ratio."""
+    # per axis: a 2-D linspace rounds every axis differently once one has zero width
+    r1 = np.linspace(lo[0], hi[0], n)
+    return r1, np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)
+
+
+def _level_amps(r1: np.ndarray, r2: np.ndarray, levels: int) -> np.ndarray:
+    """Level amplitudes 1, r1, r1*r2 (the first ``levels`` of them) of rows with ratios r1, r2."""
+    return np.stack((np.ones_like(r1), r1, r1 * r2)[:levels])
+
+
+def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
+    """Level amplitudes at power rho, shape (L, B), and energies of rows with ratios r1, r2."""
+    mult = cell.fold[1]
+    amps = _level_amps(r1, r2, mult.size)
+    amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
+    return amps, level_energies(amps, cell, p, cfg.alpha)
+
+
+def _tile_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
+    """Best row ``(ratios, P, level amplitudes)`` of the grid r1 x r2, rows in row-major order.
+
+    The grid is cut into tiles of ``_ORACLE_TILE`` rows, and one
+    ``level_energies`` call bounds them all: the upper ratios' amplitudes,
+    normalized by the lower ratios' normalizer, dominate every row of the
+    tile, and P does not decrease in any amplitude, since every weight is
+    non-negative and psi does not decrease where the growth assumptions
+    hold. Tiles are scored in batches of at most ``_ORACLE_BATCH`` rows,
+    highest bound first, and a tile whose bound, raised by
+    ``_ORACLE_BOUND_SLACK`` for rounding, falls below the best energy found
+    so far is skipped (a NaN bound never is). Among equal maxima the first
+    row in row-major order wins, as in a plain scan of the whole grid.
+    """
+    mult = cell.fold[1]
+    t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
+    t1 = _ORACLE_TILE // t2
+    s1, s2 = np.arange(0, r1.size, t1), np.arange(0, r2.size, t2)
+
+    def corners(reduce):
+        return _level_amps(np.repeat(reduce.reduceat(r1, s1), s2.size),
+                           np.tile(reduce.reduceat(r2, s2), s1.size), mult.size)
+
+    upper, lower = corners(np.maximum), corners(np.minimum)
+    upper *= np.sqrt(cfg.rho / (mult @ (lower * lower)))
+    bound = level_energies(upper, cell, p, cfg.alpha)
+    bound += _ORACLE_BOUND_SLACK * np.abs(bound)
+    todo = np.argsort(-bound, kind="stable")
+    d1, d2 = np.arange(t1)[:, None], np.arange(t2)
+    tiles_per_batch = _ORACLE_BATCH // _ORACLE_TILE
+    best, best_k = (None, -math.inf, None), -1
+    while True:
+        todo = todo[~(bound[todo] < best[1])]
+        if not todo.size:
+            return best
+        batch, todo = todo[:tiles_per_batch], todo[tiles_per_batch:]
+        i, j = np.divmod(batch, s2.size)
+        i, j = np.broadcast_arrays(s1[i, None, None] + d1, s2[j, None, None] + d2)
+        inside = (i < r1.size) & (j < r2.size)
+        i, j = i[inside], j[inside]
+        amps, p_all = _score_rows(r1[i], r2[j], cfg, p, cell)
+        top = int(np.argmax(p_all))
+        # no row as good as the best, or a NaN, where argmax stops as in a plain scan
+        if not p_all[top] >= best[1]:
+            continue
+        k = i * r2.size + j
+        ties = np.flatnonzero(p_all == p_all[top])
+        top = ties[np.argmin(k[ties])]
+        if p_all[top] > best[1] or k[top] < best_k:
+            best_k = k[top]
+            best = (np.array([r1[i[top]], r2[j[top]]][:mult.size - 1]), float(p_all[top]),
+                    amps[:, top].copy())
 
 
 def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
@@ -522,9 +626,12 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
     covers a uniform grid of ``grid_points`` samples per free ratio (at least
     3; capped at 701 when two ratios are free and at 701**2 = 491,401 when
-    one is). ``level_energies`` scores it in blocks of whole runs of the last
-    ratio, at most 32,768 rows each, keeping only the running best, so memory
-    does not grow with the grid; only the best row is expanded to the sites.
+    one is). It scores only the tiles of 256 rows whose bound can beat the
+    best row found so far (``_tile_scan``), in batches of at most 8,192
+    rows, so memory does not grow with the grid; the answer is the plain
+    scan's, ties included, and only the best row is expanded to the sites.
+    The bound needs psi non-decreasing, so a potential that fails
+    ``check_assumptions`` on [0, max(rho, 1)] is refused, as ``solve`` refuses it.
     A local zoom then rescans windows of +-2 spacings around the best point,
     41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
     for g samples per ratio, where five rescans of g samples per window would
@@ -536,26 +643,10 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         raise ValueError("the brute-force oracle covers N <= 4 only")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
+    _require_assumptions(cfg, p)
     cell = cfg.cell()
     site_level, mult, _ = cell.fold
     dims = mult.size - 1
-
-    def scan(lo, hi, n, best):
-        """``best`` raised to the best row of np.linspace(lo, hi, n) per ratio."""
-        # per axis: a 2-D linspace rounds every axis differently once one has zero width
-        r1_all = np.linspace(lo[0], hi[0], n)
-        r2 = np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)  # one run of one row
-        chunk = max(1, _ORACLE_BLOCK // r2.size)
-        for start in range(0, n, chunk):
-            r1 = r1_all[start:start + chunk, None]
-            amps = np.stack(np.broadcast_arrays(1.0, r1, r1 * r2)[:dims + 1]).reshape(dims + 1, -1)
-            amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
-            p_all = level_energies(amps, cell, p, cfg.alpha)
-            k = int(np.argmax(p_all))
-            if p_all[k] > best[1]:
-                i, j = divmod(k, r2.size)
-                best = np.array([r1[i, 0], r2[j]][:dims]), float(p_all[k]), amps[:, k][site_level]
-        return best
 
     if dims == 0:
         amps = np.sqrt(cfg.rho / mult)[:, None]
@@ -564,12 +655,17 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
     g = min(int(grid_points), 701 ** (2 // dims))
-    best = scan(np.zeros(dims), np.ones(dims), g, (None, -math.inf, None))
+    best = _tile_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
     spacing = np.full(dims, 1.0 / (g - 1))
     final = spacing[0] * (4.0 * spacing[0]) ** 5
     while spacing.max() > final:
         lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
         hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
         spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
-        best = scan(lo, hi, _ORACLE_ZOOM, best)
-    return Profile(cell, best[2]), best[1]
+        r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM, dims)
+        r1, r2 = np.repeat(r1, r2.size), np.tile(r2, r1.size)
+        amps, p_all = _score_rows(r1, r2, cfg, p, cell)
+        k = int(np.argmax(p_all))
+        if p_all[k] > best[1]:
+            best = np.array([r1[k], r2[k]][:dims]), float(p_all[k]), amps[:, k]
+    return Profile(cell, best[2][site_level]), best[1]

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import os
 import warnings
 from pathlib import Path
@@ -275,15 +274,15 @@ def test_homoclinic_sizes_follow_the_library_rule(tmp_path, monkeypatch, capsys)
     assert list(Path.cwd().iterdir()) == []
 
 
-def test_solve_at_a_subnormal_power_keeps_flat(tmp_path):
-    # the relative step of psi'' at rho/N = 2e-321 underflows to 0
+def test_solve_refuses_a_subnormal_power_per_site(tmp_path, capsys):
+    # rho/N = 2e-321 is subnormal: the ansatz rounded to 8.5% off rho and the
+    # solve reported sigma 1.9479 for the flat wave of frequency 2, with exit 0
     code = main(["solve", "--potential", "quartic", "--alpha", "1", "--rho", "1e-320",
                  "--N", "5", "--out", str(tmp_path / "w")])
-    assert code == 0
-    data = read_json(tmp_path / "w.json")
-    assert data["converged"] is True and data["near_constant"] is True
-    lambda1 = data["diagnostics"]["flat_lambda1"]
-    assert math.isfinite(lambda1) and lambda1 < 0
+    assert code == 1
+    assert ("error: rho/N must be at least the smallest normal float 2.2250738585072014e-308, "
+            "not rho/N = 1e-320/5") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_potential_command(tmp_path):

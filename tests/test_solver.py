@@ -20,10 +20,10 @@ from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadrati
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
-                         _NEAR_CONSTANT_TOL, _RES_GROWTH, HomoclinicVerdict,
-                         RunDiagnostics, SolverConfig, _energy_slack, _flat_lambda1,
-                         _is_near_constant, _run, _step, decay_fit, homoclinic,
-                         initial_ansatz, oracle_maximize, solve)
+                         _NEAR_CONSTANT_TOL, _ORACLE_TILE, _ORACLE_ZOOM, _RES_GROWTH,
+                         HomoclinicVerdict, RunDiagnostics, SolverConfig, _energy_slack,
+                         _flat_lambda1, _is_near_constant, _run, _step, decay_fit,
+                         homoclinic, initial_ansatz, oracle_maximize, solve)
 
 ON, INTER = IndexScheme.ON_SITE, IndexScheme.INTER_SITE
 
@@ -47,6 +47,15 @@ def test_config_validation_messages():
         SolverConfig(alpha=1.0, rho=1.0, tau=2e3).validate()
     with pytest.raises(ValueError, match="alpha must be finite, not inf"):
         SolverConfig(alpha=math.inf, rho=1.0).validate()
+
+
+@pytest.mark.parametrize("rho, n", [(1e-320, 5), (5e-324, 2), (1e-306, 1000)])
+def test_config_refuses_a_subnormal_power_per_site(rho, n):
+    # subnormal site values would round the ansatz and the multiplier at their coarse ulp
+    with pytest.raises(ValueError, match=rf"^rho/N must be at least the smallest normal "
+                                         rf"float .*, not rho/N = {rho!r}/{n}$"):
+        SolverConfig(alpha=1.0, rho=rho, n=n).validate()
+    SolverConfig(alpha=1.0, rho=np.finfo(float).tiny * n, n=n).validate()
 
 
 def test_solve_refuses_a_scheme_given_as_text():
@@ -130,7 +139,7 @@ def test_ansatz_picks_the_site_space_maximizer(name, scheme, n, alpha, rho):
 def stepped(u, cfg, p):
     """One backtracked ascent step from u, taken whatever its residual."""
     v = u.values
-    return _step(v, cfg, p, flow(v, True, p, cfg.alpha), u.cell, cfg.tau)[0]
+    return _step(v, cfg, p, flow(v, True, p, cfg.alpha), None, u.cell, cfg.tau)[0]
 
 
 def test_iterate_once_fixes_constant_profile():
@@ -206,6 +215,18 @@ def test_solve_rejects_bad_potential():
                     lambda x: np.where(x > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf))
     with pytest.raises(ValueError, match="growth assumptions"):
         solve(small_cfg(), bad)
+
+
+def test_solve_and_oracle_refuse_a_failing_potential_alike():
+    # psi decreases past x = 1, where the oracle's tile bound would be wrong
+    bad = Potential("hump", lambda x: x * x * np.exp(-x), lambda x: (2.0 - x) * x * np.exp(-x))
+    cfg = SolverConfig(alpha=1.0, rho=3.0, scheme=ON, n=4)
+    messages = []
+    for run in (solve, oracle_maximize):
+        with pytest.raises(ValueError, match=r"^potential violates growth assumptions") as err:
+            run(cfg, bad)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_solve_near_constant_flag():
@@ -327,9 +348,10 @@ def test_flat_stability_costs_no_iterations_on_large_cells():
     assert sol.near_constant
 
 
-def eager_step(v, cfg, p, flow0, cell, tau):
+def eager_step(v, cfg, p, flow0, p_v, cell, tau):
     """Reference ascent step that evaluates the energy, the cone slack and
-    the flow of every trial before deciding on it."""
+    the flow of every trial before deciding on it. It ignores the carried
+    P(v) and computes the base energy afresh at every step."""
     sqrt_rho = math.sqrt(cfg.rho)
     base = v * (sqrt_rho / float(np.sqrt(v @ v)))
     p0 = p_value(base, True, p, cfg.alpha)
@@ -362,7 +384,8 @@ def eager_step(v, cfg, p, flow0, cell, tau):
        n=st.integers(2, 16), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
 def test_lazy_step_matches_eager_step(name, scheme, n, alpha, rho):
     # the step skips the cone test and the flow of trials that an earlier
-    # test already rejected; the run must not change by a single bit
+    # test already rejected, and reuses the carried P(v) where its rescale
+    # factor is exactly 1; the run must not change by a single bit
     p = CATALOG[name]()
     cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=2000)
     v0 = initial_ansatz(cfg, p).values
@@ -665,9 +688,90 @@ def test_oracle_matches_six_scans_on_acceptance_cells():
 @example(name="saturable-arctan", scheme=ON, n=4, alpha=0.25, rho=10.0, grid_points=701)
 @example(name="exp-quadratic", scheme=ON, n=4, alpha=0.5, rho=4.0, grid_points=301)
 def test_oracle_matches_six_scans(name, scheme, n, alpha, rho, grid_points):
-    # one free ratio scans all grid_points (several blocks from 32,769 on); two use 701
+    # one free ratio scans all grid_points (in batches of at most 8,192 rows); two use 701
     cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
     assert_oracle_matches_six_scans(cfg, CATALOG[name](), grid_points)
+
+
+def plain_scan(lo, hi, n, cfg, p, best, scorer):
+    """Reference: every row of np.linspace(lo, hi, n) per ratio scored, in blocks of
+    whole runs of the last ratio; a row replaces ``best`` only with a higher energy."""
+    cell = cfg.cell()
+    _, mult, _ = cell.fold
+    dims = mult.size - 1
+    r1_all = np.linspace(lo[0], hi[0], n)
+    r2 = np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)
+    chunk = max(1, (1 << 15) // r2.size)
+    for start in range(0, n, chunk):
+        r1 = r1_all[start:start + chunk, None]
+        amps = np.stack(np.broadcast_arrays(1.0, r1, r1 * r2)[:dims + 1]).reshape(dims + 1, -1)
+        amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
+        p_all = scorer(amps, cell, p, cfg.alpha)
+        k = int(np.argmax(p_all))
+        if p_all[k] > best[1]:
+            i, j = divmod(k, r2.size)
+            best = np.array([r1[i, 0], r2[j]][:dims]), float(p_all[k]), amps[:, k]
+    return best
+
+
+def plain_oracle(cfg, p, grid_points, scorer):
+    """Reference oracle: the capped grid scanned whole, then the zoom.
+
+    Returns the best row of the global scan and the answer, profile and energy."""
+    cell = cfg.cell()
+    site_level, mult, _ = cell.fold
+    dims = mult.size - 1
+    if dims == 0:
+        amps = np.sqrt(cfg.rho / mult)[:, None]
+        return None, (amps[site_level, 0], float(scorer(amps, cell, p, cfg.alpha)[0]))
+    g = min(grid_points, 701 ** (2 // dims))
+    best = first = plain_scan(np.zeros(dims), np.ones(dims), g, cfg, p,
+                              (None, -math.inf, None), scorer)
+    spacing = np.full(dims, 1.0 / (g - 1))
+    final = spacing[0] * (4.0 * spacing[0]) ** 5
+    while spacing.max() > final:
+        lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
+        hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
+        spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
+        best = plain_scan(lo, hi, _ORACLE_ZOOM, cfg, p, best, scorer)
+    return first, (best[2][site_level], best[1])
+
+
+def same_row(a, b):
+    return (a[0].tobytes(), a[1], a[2].tobytes()) == (b[0].tobytes(), b[1], b[2].tobytes())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 4), alpha=st.floats(0.05, 4.0), rho=st.floats(0.05, 20.0),
+       grid_points=st.one_of(st.integers(3, 100), st.integers(3, 10**6)),
+       quantum=st.sampled_from([None, 2.0**-2, 2.0**-30]))
+# the single-site peak ties along all of r1 = 0, where r2 is arbitrary
+@example(name="quartic", scheme=ON, n=4, alpha=0.05, rho=20.0, grid_points=701, quantum=None)
+@example(name="quartic", scheme=ON, n=4, alpha=0.05, rho=20.0, grid_points=3, quantum=None)
+# a coarse energy quantum makes whole regions of the grid tie exactly
+@example(name="saturable-log", scheme=ON, n=4, alpha=1.0, rho=2.0, grid_points=2001,
+         quantum=2.0**-2)
+@example(name="exp-quadratic", scheme=INTER, n=3, alpha=0.5, rho=4.0, grid_points=10**6,
+         quantum=2.0**-30)
+def test_pruned_oracle_matches_the_plain_scan(name, scheme, n, alpha, rho, grid_points,
+                                              quantum):
+    # bit for bit: the global scan's best ratios, energy and amplitudes, then the answer
+    p = CATALOG[name]()
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
+    scorer = level_energies
+    if quantum is not None:  # floored energies: monotone, so every tile bound still holds
+        def scorer(a, cell, p, alpha):
+            return np.floor(level_energies(a, cell, p, alpha) / quantum) * quantum
+    first, (v_ref, p_ref) = plain_oracle(cfg, p, grid_points, scorer)
+    with mock.patch.object(dnls.solver, "level_energies", scorer):
+        best, p_best = oracle_maximize(cfg, p, grid_points=grid_points)
+        if first is not None:
+            dims = first[0].size
+            g = min(grid_points, 701 ** (2 // dims))
+            grid = dnls.solver._ratio_grid(np.zeros(dims), np.ones(dims), g, dims)
+            assert same_row(dnls.solver._tile_scan(*grid, cfg, p, cfg.cell()), first)
+    assert p_best == p_ref and best.values.tobytes() == v_ref.tobytes()
 
 
 def assert_oracle_energy_is_its_profiles(cfg, p, grid_points):
@@ -713,12 +817,25 @@ def test_oracle_scores_a_cell_without_free_ratio_once():
 
 
 def test_oracle_caps_the_scan_of_one_free_ratio():
-    # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's
+    # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's.
+    # Each row of the capped grid is scored once or lies in a tile its bound pruned
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
     with mock.patch.object(dnls.solver, "level_energies", wraps=level_energies) as scorer:
         _, p_best = oracle_maximize(cfg, quartic(), grid_points=10**9)
-    rows = sum(call.args[0].shape[1] for call in scorer.call_args_list)
-    assert 701**2 <= rows <= 701**2 + 41 * scorer.call_count
+    calls = [call.args[0] for call in scorer.call_args_list]
+    cap, tile = 701**2, _ORACLE_TILE
+    sizes = np.minimum(tile, cap - tile * np.arange(-(-cap // tile)))  # the last tile is short
+    assert calls[0].shape[1] == sizes.size  # one bound per tile
+    # the scan's batches come before the zoom's windows of 41 rows; a row's ratio
+    # r1 = amplitude 1 / amplitude 0 is on the grid of step 1/(cap - 1)
+    batches = itertools.takewhile(lambda a: a.shape[1] != _ORACLE_ZOOM, calls[1:])
+    rows = np.concatenate([np.rint(a[1] / a[0] * (cap - 1)).astype(np.int64) for a in batches])
+    assert np.unique(rows).size == rows.size and 0 <= rows.min() and rows.max() < cap
+    scored = np.zeros(sizes.size, dtype=bool)
+    scored[rows // tile] = True
+    assert rows.size == sizes[scored].sum()  # a tile is scored whole or not at all
+    assert rows.size + sizes[~scored].sum() == cap
+    assert rows.size < cap // 2
     assert p_best == pytest.approx(oracle_maximize(cfg, quartic(), grid_points=20_000)[1],
                                    rel=1e-12)
 
@@ -857,7 +974,7 @@ def test_homoclinic_localized_above_threshold():
 def test_a_step_with_no_admissible_size_stops_the_run(monkeypatch):
     # every trial leaves the cone, so all _MAX_HALVINGS + 1 sizes are refused
     # and the step hands back its input unchanged: the run stagnates at once
-    monkeypatch.setattr(dnls.solver, "cone_slack", lambda u: 1.0)
+    monkeypatch.setattr(dnls.solver, "cone_slack_values", lambda v, cell: 1.0)
     cfg = SolverConfig(alpha=0.5, rho=2.0, n=9)
     sol = solve(cfg, quartic())
     assert sol.iterations == 1 and not sol.converged
