@@ -9,13 +9,14 @@ from .functionals import (DegenerateProfileError, EnergyBreakdown, box_profile,
 from .lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                       neighbor_sum, profile_from_csv, profile_to_csv,
                       project_cone, restrict)
+from .oracle import oracle_maximize
 from .potentials import (CATALOG, AssumptionReport, Check, Potential,
                          Violation, check_assumptions, exp_quadratic,
                          nonconvex_rational, parse_potential_spec, power_law,
                          quartic, saturable_arctan, saturable_log)
 from .solver import (DecayFit, HomoclinicResult, HomoclinicVerdict,
                      RunDiagnostics, SolverConfig, WaveSolution, decay_fit,
-                     homoclinic, initial_ansatz, oracle_maximize, solve)
+                     homoclinic, initial_ansatz, solve)
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,8 @@ from .evolution import _check_equilibrium_times, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import IndexScheme, _index_labels, _write_csv, profile_to_csv
 from .potentials import Potential, check_assumptions, parse_potential_spec
-from .solver import SolverConfig, homoclinic, oracle_maximize, solve
+from .oracle import oracle_maximize
+from .solver import SolverConfig, homoclinic, solve
 
 USAGE_ERROR = 1
 OPERATIONAL_ERROR = 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -256,3 +257,29 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     grid = (f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} points; "
             f"fd check on [{0.05 * x_max:g}, {x_max:g}]")
     return AssumptionReport(passed=not violations, violations=violations, grid=grid)
+
+
+@lru_cache(maxsize=16)
+def _kept_report(p: Potential, x_max: float) -> AssumptionReport:
+    return check_assumptions(p, x_max=x_max, samples=400)
+
+
+def _require_assumptions(p: Potential, rho: float) -> None:
+    """Refuse a potential that fails ``check_assumptions`` on [0, max(rho, 1)].
+
+    ``solve`` and ``oracle_maximize`` both rest on them: the ascent on the
+    super-linearity, the oracle's tile bound on psi being non-decreasing.
+    The report is kept for the last 16 (potential, range) pairs, so an
+    oracle call after its solve checks nothing twice; a refused potential is
+    refused on every call. A potential with an unhashable callback is
+    checked afresh each time.
+    """
+    try:
+        hash(p)
+        check = _kept_report
+    except TypeError:  # an unhashable callback gives no cache key
+        check = _kept_report.__wrapped__
+    report = check(p, max(rho, 1.0))
+    if not report.passed:
+        kinds = sorted({v.check.value for v in report.violations})
+        raise ValueError(f"potential violates growth assumptions on [0, rho]: {kinds}")

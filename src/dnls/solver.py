@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
 
 from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
 from .lattice import Cell, IndexScheme, Profile, cone_slack, cone_slack_values, restrict
-from .potentials import Potential, check_assumptions
+from .oracle import oracle_maximize  # noqa: F401  (the benchmark calls dnls.solver.oracle_maximize)
+from .potentials import Potential, _require_assumptions
 
 
 # acceptance slack for the monotone-energy backtracking test; for energies
@@ -42,6 +43,10 @@ _NEAR_CONSTANT_TOL = 1e-8
 _CONE_MONITOR_TOL = 1e-12
 # sup-norm of an iterate change below which a step counts as tiny
 _TOL_STEP = 1e-12
+# largest spectral (BB2) trial step: the inverse of the flattest curvature it may follow
+_TAU_BB_MAX = 1e6
+# the tests of ``_step`` that can refuse a trial, in the order they run
+_REJECTION_REASONS = ("energy", "cone", "residual")
 # the ansatz weights: the 120 tuples of four non-negative integers summing to 7,
 # in lexicographic order
 _ANSATZ_WEIGHTS = np.array([w for w in itertools.product(range(8), repeat=4)
@@ -132,6 +137,9 @@ class RunDiagnostics:
     cone_violations: int = 0
     max_cone_slack: float = 0.0
     max_halvings: int = 0
+    trials: int = 0                       # trial points evaluated by every step
+    # refused trials by the test that refused them
+    rejections: dict = field(default_factory=lambda: dict.fromkeys(_REJECTION_REASONS, 0))
     restarted: bool = False               # flat was unstable; a kicked run was made
     # lambda_1 at the flat profile; set only when the first run ended
     # near-constant on a cell where the k=1 mode does not vanish
@@ -141,7 +149,8 @@ class RunDiagnostics:
     def to_dict(self) -> dict:
         inc = self.min_energy_increment
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "min_energy_increment": None if math.isinf(inc) else inc}
+                "min_energy_increment": None if math.isinf(inc) else inc,
+                "rejections": dict(self.rejections)}
 
 
 @dataclass
@@ -217,12 +226,20 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | No
     found the input itself is returned, a step of size zero that the caller
     surfaces as stagnation.
 
+    The base point and the trials are normalized by one factor
+    ``sqrt(rho)/||v||``; a trial whose own factor lies more than 4 ulps from
+    it takes its own. Two factors rounded apart by one ulp would shift P by
+    about eps*rho*|m|, m the flow multiplier, far above the gains of the
+    endgame.
+
     ``p_v`` is P(v) when the caller has it, else None. The energy slack is
     computed once per step, and the cone test reads the plain trial array: a
     non-finite trial has a NaN energy and fails the energy test first.
 
-    Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, halvings);
-    flow_of_w carries (multiplier, field, residual) at the accepted point.
+    Returns (w, flow_of_w, p0, p1, cone_slack, tau_used, rejected);
+    flow_of_w carries (multiplier, field, residual) at the accepted point,
+    and ``rejected`` counts the refused trials by reason, in the order of
+    ``_REJECTION_REASONS``; the step halved ``sum(rejected)`` times.
     """
     sqrt_rho = math.sqrt(cfg.rho)
     # baseline energy of the renormalized point: candidates pass through
@@ -231,6 +248,7 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | No
     # as tau goes to zero. A factor of exactly 1 leaves v bit for bit, so
     # the carried P(v) is that energy.
     scale = sqrt_rho / math.sqrt(v @ v)
+    near = 4.0 * math.ulp(scale)
     p0 = p_v if scale == 1.0 and p_v is not None else p_value(v * scale, True, p, cfg.alpha)
     floor = -_energy_slack(p0)
     # the smooth 2-norm of the field serves as the contraction measure; the
@@ -240,20 +258,25 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | No
     res0 = math.sqrt(flow0[1] @ flow0[1])
     res_limit = res0 * (1.0 + _RES_GROWTH) \
         + 8.0 * _EPS * abs(flow0[0]) * sqrt_rho
-    for halvings in range(_MAX_HALVINGS + 1):
+    rejected = [0, 0, 0]
+    for _ in range(_MAX_HALVINGS + 1):
         w = v + tau * flow0[1]
-        w *= sqrt_rho / math.sqrt(w @ w)
+        own = sqrt_rho / math.sqrt(w @ w)
+        w *= scale if abs(own - scale) <= near else own
         p1 = p_value(w, True, p, cfg.alpha)
         gain = p1 - p0
-        if gain >= floor:
-            slack = cone_slack_values(w, cell)
-            if slack <= _CONE_MONITOR_TOL:
-                flow_w = flow(w, True, p, cfg.alpha)
-                if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
-                        or math.sqrt(flow_w[1] @ flow_w[1]) <= res_limit):
-                    return w, flow_w, p0, p1, slack, tau, halvings
+        if not gain >= floor:
+            rejected[0] += 1
+        elif (slack := cone_slack_values(w, cell)) > _CONE_MONITOR_TOL:
+            rejected[1] += 1
+        else:
+            flow_w = flow(w, True, p, cfg.alpha)
+            if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
+                    or math.sqrt(flow_w[1] @ flow_w[1]) <= res_limit):
+                return w, flow_w, p0, p1, slack, tau, rejected
+            rejected[2] += 1
         tau *= 0.5
-    return v, flow0, p0, p0, 0.0, tau, _MAX_HALVINGS + 1
+    return v, flow0, p0, p0, 0.0, tau, rejected
 
 
 def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
@@ -261,11 +284,15 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     """Iterate to a stopping rule; returns (values, flow multiplier, residual, steps, stop).
 
     The energy of each accepted point is carried to the next step, which
-    reuses it when the point needs no rescaling. The accepted step size is
-    carried to the next trial with one doubling (capped at the configured
-    tau); oversized trials are cut back by the admissibility tests inside
-    the step. Fixed points of the map do not depend on the step size. The stop reason is ``residual`` when the last
-    residual meets the tolerance, else the rule that ended the loop.
+    reuses it when the point needs no rescaling. The first trial size is the
+    configured tau; each later one is the spectral (Barzilai-Borwein BB2)
+    step s.y / y.y of the step just taken, s = w - v and y = F(v) - F(w),
+    capped at ``_TAU_BB_MAX``. Where s.y <= 0 (no positive curvature seen) or
+    a trial of that step left the cone, the accepted size is carried instead,
+    with one doubling and capped at the configured tau. Oversized trials are
+    cut back by the admissibility tests inside the step. Fixed points of the
+    map do not depend on the step size. The stop reason is ``residual`` when
+    the last residual meets the tolerance, else the rule that ended the loop.
     """
     flow0 = flow(v, True, p, cfg.alpha)
     sig_flow, _, res = flow0
@@ -277,27 +304,35 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     for _ in range(budget):
         if res <= cfg.tol_residual:
             break
-        w, flow_w, p0, p1, slack, tau_used, halvings = _step(
+        w, flow_w, p0, p1, slack, tau_used, rejected = _step(
             v, cfg, p, flow0, p_v, cell, tau_trial)
         steps += 1
+        halvings = sum(rejected)
+        diag.trials += halvings + (w is not v)  # plus the accepted trial, if any
+        for reason, count in zip(_REJECTION_REASONS, rejected):
+            diag.rejections[reason] += count
         diag.min_energy_increment = min(diag.min_energy_increment, p1 - p0)
         diag.max_halvings = max(diag.max_halvings, halvings)
         diag.max_cone_slack = max(diag.max_cone_slack, slack)
         drift = abs(float(w @ w) - cfg.rho) / cfg.rho
         diag.max_power_drift = max(diag.max_power_drift, drift)
-        step_size = float(np.abs(w - v).max())
+        s = w - v
+        y = flow0[1] - flow_w[1]
+        sy, yy = float(s @ y), float(y @ y)
+        step_size = float(np.abs(s).max())
         # a rejected step returns v itself, whose zero step size ends the run
         # below, so p1 is P(w) whenever the loop goes on
         v, flow0, p_v = w, flow_w, p1
         sig_flow, _, res = flow0
-        # one freak deep backtrack must not destroy the carried size
-        tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
-        # a tiny step only counts as stagnation when nothing bigger was on
-        # offer (a full-size trial barely moved, or an exact no-op such as
-        # every size rejected) or when it persists across many iterations
+        if sy > 0.0 and not rejected[1]:
+            tau_trial = _TAU_BB_MAX if sy >= _TAU_BB_MAX * yy else sy / yy
+        else:
+            # one freak deep backtrack must not destroy the carried size
+            tau_trial = min(cfg.tau, max(2.0 * tau_used, 0.25 * tau_trial))
+        # a tiny step only counts as stagnation when it is an exact no-op
+        # (every size rejected) or when it persists across many iterations
         tiny_streak = tiny_streak + 1 if step_size <= _TOL_STEP else 0
-        if (step_size == 0.0 or tiny_streak >= 40
-                or (tiny_streak and tau_used >= cfg.tau)):
+        if step_size == 0.0 or tiny_streak >= 40:
             stop = "stagnation"
             break
     return v, sig_flow, res, steps, "residual" if res <= cfg.tol_residual else stop
@@ -329,18 +364,6 @@ def _flat_lambda1(cfg: SolverConfig, p: Potential) -> float:
     return 4.0 * c2 * _d2psi(p, c2) - 4.0 * cfg.alpha * (1.0 - math.cos(2.0 * math.pi / cfg.n))
 
 
-def _require_assumptions(cfg: SolverConfig, p: Potential) -> None:
-    """Refuse a potential that fails ``check_assumptions`` on [0, max(rho, 1)].
-
-    ``solve`` and ``oracle_maximize`` both rest on them: the ascent on the
-    super-linearity, the oracle's tile bound on psi being non-decreasing.
-    """
-    report = check_assumptions(p, x_max=max(cfg.rho, 1.0), samples=400)
-    if not report.passed:
-        kinds = sorted({v.check.value for v in report.violations})
-        raise ValueError(f"potential violates growth assumptions on [0, rho]: {kinds}")
-
-
 def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     """Maximize the energy at fixed power and return the converged standing wave.
 
@@ -358,7 +381,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     Non-convergence is reported through the returned flags, not raised.
     """
     cfg.validate()
-    _require_assumptions(cfg, p)
+    _require_assumptions(p, cfg.rho)
 
     start = initial_ansatz(cfg, p)
     cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived
@@ -533,139 +556,3 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
         verdict = HomoclinicVerdict.UNDETERMINED
     return HomoclinicResult(solutions, restricted, n_sequence, t_values,
                             sup_diffs, tail_fracs, max_amps, verdict, margin, floor)
-
-
-# rows per tile of the oracle's global scan (16 x 16 with two free ratios, 256 x 1
-# with one); most rows per batch of the tiles it scores, so that its memory does
-# not grow with the grid; relative headroom of a tile's bound for the rounding of
-# its energy; and points per ratio of each window of the local zoom
-_ORACLE_TILE = 256
-_ORACLE_BATCH = 1 << 13
-_ORACLE_BOUND_SLACK = 1e-12
-_ORACLE_ZOOM = 41
-
-
-def _ratio_grid(lo, hi, n: int, dims: int):
-    """np.linspace(lo, hi, n) per free ratio; a single 1.0 for an absent second ratio."""
-    # per axis: a 2-D linspace rounds every axis differently once one has zero width
-    r1 = np.linspace(lo[0], hi[0], n)
-    return r1, np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)
-
-
-def _level_amps(r1: np.ndarray, r2: np.ndarray, levels: int) -> np.ndarray:
-    """Level amplitudes 1, r1, r1*r2 (the first ``levels`` of them) of rows with ratios r1, r2."""
-    return np.stack((np.ones_like(r1), r1, r1 * r2)[:levels])
-
-
-def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
-    """Level amplitudes at power rho, shape (L, B), and energies of rows with ratios r1, r2."""
-    mult = cell.fold[1]
-    amps = _level_amps(r1, r2, mult.size)
-    amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
-    return amps, level_energies(amps, cell, p, cfg.alpha)
-
-
-def _tile_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
-    """Best row ``(ratios, P, level amplitudes)`` of the grid r1 x r2, rows in row-major order.
-
-    The grid is cut into tiles of ``_ORACLE_TILE`` rows, and one
-    ``level_energies`` call bounds them all: the upper ratios' amplitudes,
-    normalized by the lower ratios' normalizer, dominate every row of the
-    tile, and P does not decrease in any amplitude, since every weight is
-    non-negative and psi does not decrease where the growth assumptions
-    hold. Tiles are scored in batches of at most ``_ORACLE_BATCH`` rows,
-    highest bound first, and a tile whose bound, raised by
-    ``_ORACLE_BOUND_SLACK`` for rounding, falls below the best energy found
-    so far is skipped (a NaN bound never is). Among equal maxima the first
-    row in row-major order wins, as in a plain scan of the whole grid.
-    """
-    mult = cell.fold[1]
-    t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
-    t1 = _ORACLE_TILE // t2
-    s1, s2 = np.arange(0, r1.size, t1), np.arange(0, r2.size, t2)
-
-    def corners(reduce):
-        return _level_amps(np.repeat(reduce.reduceat(r1, s1), s2.size),
-                           np.tile(reduce.reduceat(r2, s2), s1.size), mult.size)
-
-    upper, lower = corners(np.maximum), corners(np.minimum)
-    upper *= np.sqrt(cfg.rho / (mult @ (lower * lower)))
-    bound = level_energies(upper, cell, p, cfg.alpha)
-    bound += _ORACLE_BOUND_SLACK * np.abs(bound)
-    todo = np.argsort(-bound, kind="stable")
-    d1, d2 = np.arange(t1)[:, None], np.arange(t2)
-    tiles_per_batch = _ORACLE_BATCH // _ORACLE_TILE
-    best, best_k = (None, -math.inf, None), -1
-    while True:
-        todo = todo[~(bound[todo] < best[1])]
-        if not todo.size:
-            return best
-        batch, todo = todo[:tiles_per_batch], todo[tiles_per_batch:]
-        i, j = np.divmod(batch, s2.size)
-        i, j = np.broadcast_arrays(s1[i, None, None] + d1, s2[j, None, None] + d2)
-        inside = (i < r1.size) & (j < r2.size)
-        i, j = i[inside], j[inside]
-        amps, p_all = _score_rows(r1[i], r2[j], cfg, p, cell)
-        top = int(np.argmax(p_all))
-        # no row as good as the best, or a NaN, where argmax stops as in a plain scan
-        if not p_all[top] >= best[1]:
-            continue
-        k = i * r2.size + j
-        ties = np.flatnonzero(p_all == p_all[top])
-        top = ties[np.argmin(k[ties])]
-        if p_all[top] > best[1] or k[top] < best_k:
-            best_k = k[top]
-            best = (np.array([r1[i[top]], r2[j[top]]][:mult.size - 1]), float(p_all[top]),
-                    amps[:, top].copy())
-
-
-def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
-    """Brute-force maximum of P on cone-and-sphere for cells of at most 4 sites.
-
-    On the levels of ``Cell.fold`` at most two amplitude ratios stay free: a
-    profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
-    covers a uniform grid of ``grid_points`` samples per free ratio (at least
-    3; capped at 701 when two ratios are free and at 701**2 = 491,401 when
-    one is). It scores only the tiles of 256 rows whose bound can beat the
-    best row found so far (``_tile_scan``), in batches of at most 8,192
-    rows, so memory does not grow with the grid; the answer is the plain
-    scan's, ties included, and only the best row is expanded to the sites.
-    The bound needs psi non-decreasing, so a potential that fails
-    ``check_assumptions`` on [0, max(rho, 1)] is refused, as ``solve`` refuses it.
-    A local zoom then rescans windows of +-2 spacings around the best point,
-    41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
-    for g samples per ratio, where five rescans of g samples per window would
-    end. A cell with no free ratio scores its one profile.
-    Returns the best profile and its energy, independent of the ascent.
-    """
-    cfg.validate()
-    if cfg.n > 4:
-        raise ValueError("the brute-force oracle covers N <= 4 only")
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be at least 3, not {grid_points}")
-    _require_assumptions(cfg, p)
-    cell = cfg.cell()
-    site_level, mult, _ = cell.fold
-    dims = mult.size - 1
-
-    if dims == 0:
-        amps = np.sqrt(cfg.rho / mult)[:, None]
-        p_one = float(level_energies(amps, cell, p, cfg.alpha)[0])
-        return Profile(cell, amps[site_level, 0]), p_one
-    # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
-    # recovers the resolution of a huge flat grid
-    g = min(int(grid_points), 701 ** (2 // dims))
-    best = _tile_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
-    spacing = np.full(dims, 1.0 / (g - 1))
-    final = spacing[0] * (4.0 * spacing[0]) ** 5
-    while spacing.max() > final:
-        lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
-        hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
-        spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
-        r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM, dims)
-        r1, r2 = np.repeat(r1, r2.size), np.tile(r2, r1.size)
-        amps, p_all = _score_rows(r1, r2, cfg, p, cell)
-        k = int(np.argmax(p_all))
-        if p_all[k] > best[1]:
-            best = np.array([r1[k], r2[k]][:dims]), float(p_all[k]), amps[:, k]
-    return Profile(cell, best[2][site_level]), best[1]
