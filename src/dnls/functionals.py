@@ -133,7 +133,7 @@ def level_energies(a: np.ndarray, cell: Cell, p: Potential, alpha: float) -> np.
     """P of B even profiles from their amplitudes a, shape (L, B), on the levels of ``cell.fold``.
 
     mult @ psi(a^2) + alpha L with L from ``cell.level_coupling``. The only
-    batched scorer (ansatz samples, oracle tile bounds and rows). It sums
+    batched scorer (ansatz samples, oracle box bounds and rows). It sums
     plainly: a per-profile fsum as in ``p_value`` would make the oracle's scan
     far slower.
     """

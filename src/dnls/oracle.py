@@ -22,10 +22,13 @@ if TYPE_CHECKING:
 
 
 # rows per tile of the oracle's global scan (16 x 16 with two free ratios, 256 x 1
-# with one); most rows per batch of the tiles it scores, so that its memory does
-# not grow with the grid; relative headroom of a tile's bound for the rounding of
-# its energy; and points per ratio of each window of the local zoom
+# with one; a power of 4, so that its descent halves tiles evenly); rows per ratio
+# of a box that the descent no longer halves; most rows per batch of the boxes it
+# scores, so that no batch grows with the grid; relative headroom of a box's
+# bound for the rounding of its energy; and points per ratio of each window of
+# the local zoom
 _ORACLE_TILE = 256
+_ORACLE_LEAF = 2
 _ORACLE_BATCH = 1 << 12
 _ORACLE_BOUND_SLACK = 1e-12
 _ORACLE_ZOOM = 41
@@ -51,58 +54,92 @@ def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
     return amps, level_energies(amps, cell, p, cfg.alpha)
 
 
-def _tile_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
-    """Best row ``(ratios, P, level amplitudes)`` of the grid r1 x r2, rows in row-major order.
+def _box_bounds(r1, r2, first, last, cfg: SolverConfig, p: Potential, cell: Cell):
+    """Upper bounds of P on boxes of rows of the ascending grids r1 x r2, shape (B,).
 
-    The grid is cut into tiles of ``_ORACLE_TILE`` rows, and one
-    ``level_energies`` call bounds them all: the upper ratios' amplitudes,
-    normalized by the lower ratios' normalizer, dominate every row of the
-    tile, and P does not decrease in any amplitude, since every weight is
-    non-negative and psi does not decrease where the growth assumptions
-    hold. Tiles are scored in batches of at most ``_ORACLE_BATCH`` rows,
-    highest bound first, and a tile whose bound, raised by
-    ``_ORACLE_BOUND_SLACK`` for rounding, falls below the best energy found
-    so far is skipped (a NaN bound never is). Among equal maxima the first
-    row in row-major order wins, as in a plain scan of the whole grid.
+    Box b holds the rows ``first[k, b]`` to ``last[k, b]`` of ratio k. The
+    amplitudes of its last ratios, normalized by the normalizer of its first
+    ratios, dominate every row of it, and P does not decrease in any
+    amplitude, since every weight is non-negative and psi does not decrease
+    where the growth assumptions hold. Each bound is raised by
+    ``_ORACLE_BOUND_SLACK`` for rounding.
     """
     mult = cell.fold[1]
-    t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
-    t1 = _ORACLE_TILE // t2
-    s1, s2 = np.arange(0, r1.size, t1), np.arange(0, r2.size, t2)
-
-    def corners(reduce):
-        return _level_amps(np.repeat(reduce.reduceat(r1, s1), s2.size),
-                           np.tile(reduce.reduceat(r2, s2), s1.size), mult.size)
-
-    upper, lower = corners(np.maximum), corners(np.minimum)
-    upper *= np.sqrt(cfg.rho / (mult @ (lower * lower)))
+    upper = _level_amps(r1[last[0]], r2[last[1]], mult.size)
+    upper *= np.sqrt(cfg.rho / (mult @ _level_amps(r1[first[0]], r2[first[1]], mult.size) ** 2))
     bound = level_energies(upper, cell, p, cfg.alpha)
-    bound += _ORACLE_BOUND_SLACK * np.abs(bound)
+    return bound + _ORACLE_BOUND_SLACK * np.abs(bound)
+
+
+def _score_boxes(r1, r2, first, side, best, cfg: SolverConfig, p: Potential, cell: Cell):
+    """``best`` after scoring the rows of boxes of ``side`` rows per ratio from ``first``.
+
+    ``best`` is the best row so far as ``(ratios, P, level amplitudes,
+    row-major index)``. A row replaces it when its energy is higher, or equal
+    and the row comes first in row-major order, so among equal maxima the
+    first row wins, as in a plain scan of the whole grid. The batch's arrays
+    are freed on return, so the descent's levels never coexist with them.
+    """
+    d1, d2 = np.indices(side[:, 0]).reshape(2, -1)
+    i, j = first[0, :, None] + d1, first[1, :, None] + d2
+    inside = (i < r1.size) & (j < r2.size)
+    i, j = i[inside], j[inside]
+    amps, p_all = _score_rows(r1[i], r2[j], cfg, p, cell)
+    top = int(np.argmax(p_all))
+    # no row as good as the best, or a NaN, where argmax stops as in a plain scan
+    if not p_all[top] >= best[1]:
+        return best
+    k = i * r2.size + j
+    ties = np.flatnonzero(p_all == p_all[top])
+    top = ties[np.argmin(k[ties])]
+    if p_all[top] > best[1] or k[top] < best[3]:
+        ratios = np.array([r1[i[top]], r2[j[top]]][:amps.shape[0] - 1])
+        return ratios, float(p_all[top]), amps[:, top].copy(), k[top]
+    return best
+
+
+def _global_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
+    """Best row ``(ratios, P, level amplitudes)`` of the ascending grids r1 x r2.
+
+    A branch-and-bound descent on aligned boxes of rows. It starts from
+    tiles of ``_ORACLE_TILE`` rows, and before every step it drops each box
+    whose bound (``_box_bounds``) falls below the best energy found so far;
+    a NaN bound is never dropped. A step scores the boxes of highest bound,
+    at most ``_ORACLE_BATCH`` rows (``_score_boxes``), unless a row has been
+    scored already and the boxes left hold more than one batch of rows: then
+    it halves every box along each ratio longer than ``_ORACLE_LEAF`` rows
+    and bounds the children with one ``level_energies`` call. So the first
+    batch sets the incumbent, the descent prunes down to boxes of
+    ``_ORACLE_LEAF`` rows per ratio, and what is left is scored highest bound
+    first.
+    """
+    n = np.array([[r1.size], [r2.size]])
+    t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
+    side = np.array([[_ORACLE_TILE // t2], [t2]])
+    first = np.indices((-(-n // side))[:, 0]).reshape(2, -1) * side
+    bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
     todo = np.argsort(-bound, kind="stable")
-    d1, d2 = np.arange(t1)[:, None], np.arange(t2)
-    tiles_per_batch = _ORACLE_BATCH // _ORACLE_TILE
-    best, best_k = (None, -math.inf, None), -1
+    best, descend = (None, -math.inf, None, -1), True
     while True:
         todo = todo[~(bound[todo] < best[1])]
+        if descend and best[0] is not None:
+            span = np.minimum(first[:, todo] + side, n) - first[:, todo]
+            descend = span[0] @ span[1] > _ORACLE_BATCH and (side > _ORACLE_LEAF).any()
+            if descend:
+                halve = side > _ORACLE_LEAF
+                side = side >> halve  # the tile's sides are powers of 2
+                offsets = np.indices(1 + halve[:, 0]).reshape(2, -1) * side
+                first = (first[:, todo, None] + offsets[:, None]).reshape(2, -1)
+                first = first[:, (first[0] < r1.size) & (first[1] < r2.size)]
+                bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
+                todo = np.arange(bound.size)
+                continue
+            todo = todo[np.argsort(-bound[todo], kind="stable")]
         if not todo.size:
-            return best
-        batch, todo = todo[:tiles_per_batch], todo[tiles_per_batch:]
-        i, j = np.divmod(batch, s2.size)
-        i, j = np.broadcast_arrays(s1[i, None, None] + d1, s2[j, None, None] + d2)
-        inside = (i < r1.size) & (j < r2.size)
-        i, j = i[inside], j[inside]
-        amps, p_all = _score_rows(r1[i], r2[j], cfg, p, cell)
-        top = int(np.argmax(p_all))
-        # no row as good as the best, or a NaN, where argmax stops as in a plain scan
-        if not p_all[top] >= best[1]:
-            continue
-        k = i * r2.size + j
-        ties = np.flatnonzero(p_all == p_all[top])
-        top = ties[np.argmin(k[ties])]
-        if p_all[top] > best[1] or k[top] < best_k:
-            best_k = k[top]
-            best = (np.array([r1[i[top]], r2[j[top]]][:mult.size - 1]), float(p_all[top]),
-                    amps[:, top].copy())
+            return best[:3]
+        per_batch = _ORACLE_BATCH // int(side.prod())
+        best = _score_boxes(r1, r2, first[:, todo[:per_batch]], side, best, cfg, p, cell)
+        todo = todo[per_batch:]
 
 
 def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
@@ -110,12 +147,15 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
 
     On the levels of ``Cell.fold`` at most two amplitude ratios stay free: a
     profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
-    covers a uniform grid of ``grid_points`` samples per free ratio (at least
-    3; capped at 701 when two ratios are free and at 701**2 = 491,401 when
-    one is). It scores only the tiles of 256 rows whose bound can beat the
-    best row found so far (``_tile_scan``), in batches of at most 4,096
-    rows, so memory does not grow with the grid; the answer is the plain
-    scan's, ties included, and only the best row is expanded to the sites.
+    covers a uniform grid of ``grid_points`` samples per free ratio (finite
+    and at least 3; capped at 701 when two ratios are free and at 701**2 =
+    491,401 when one is). A branch-and-bound descent (``_global_scan``)
+    scores the tiles of 256 rows with the highest bounds, halves the tiles
+    whose bound can still beat the best row so far down to boxes of 2 x 2
+    rows (2 with one ratio), bounding each level with one call, and scores
+    the boxes left highest bound first, in batches of at most 4,096 rows,
+    so no batch grows with the grid. The answer is the plain scan's bit for
+    bit, ties included, and only the best row is expanded to the sites.
     The bound needs psi non-decreasing, so a potential that fails
     ``check_assumptions`` on [0, max(rho, 1)] is refused, as ``solve`` refuses it.
     A local zoom then rescans windows of +-2 spacings around the best point,
@@ -127,6 +167,8 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     cfg.validate()
     if cfg.n > 4:
         raise ValueError("the brute-force oracle covers N <= 4 only")
+    if not grid_points < math.inf:
+        raise ValueError(f"grid_points must be finite, not {grid_points}")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
     _require_assumptions(p, cfg.rho)
@@ -141,7 +183,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
     g = min(int(grid_points), 701 ** (2 // dims))
-    best = _tile_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
+    best = _global_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
     spacing = np.full(dims, 1.0 / (g - 1))
     final = spacing[0] * (4.0 * spacing[0]) ** 5
     while spacing.max() > final:

@@ -39,7 +39,11 @@ class Potential:
 
 
 def power_law(eta: float, c: float = 1.0) -> Potential:
-    """psi(x) = c x^(1+eta)/(1+eta), dpsi(x) = c x^eta with finite eta, c > 0."""
+    """psi(x) = c x^(1+eta)/(1+eta), dpsi(x) = c x^eta with finite eta, c > 0.
+
+    Each call builds new callbacks, so unlike a catalog entry, two equal
+    power laws are two potentials and ``solve`` checks each one anew.
+    """
     if not (0 < eta < np.inf and 0 < c < np.inf):
         raise ValueError(f"power potential needs finite eta > 0 and c > 0, not eta={eta}, c={c}")
     return Potential(
@@ -49,49 +53,72 @@ def power_law(eta: float, c: float = 1.0) -> Potential:
     )
 
 
+# the catalog's callbacks live at module level, so that every instance of an
+# entry compares and hashes alike and one kept assumption report serves them all
+
+def _saturable_log_psi(x):
+    return x - np.log1p(x)
+
+
+def _saturable_log_dpsi(x):
+    return x / (1.0 + x)
+
+
+def _saturable_arctan_psi(x):
+    return x - np.arctan(x)
+
+
+def _saturable_arctan_dpsi(x):
+    return (sq := x * x) / (1.0 + sq)
+
+
+def _exp_quadratic_psi(x):
+    return np.expm1(x) - 0.5 * x * x - x
+
+
+def _exp_quadratic_dpsi(x):
+    return np.expm1(x) - x
+
+
+def _nonconvex_rational_psi(x):
+    return x**3 / (1.0 + x * x)
+
+
+def _nonconvex_rational_dpsi(x):
+    return (sq := x * x) * (3.0 + sq) / (1.0 + sq) ** 2
+
+
+def _quartic_psi(x):
+    return x**4
+
+
+def _quartic_dpsi(x):
+    return 4.0 * x**3
+
+
 def saturable_log() -> Potential:
     """psi(x) = x - log(1+x), dpsi(x) = x/(1+x)."""
-    return Potential(
-        "saturable-log",
-        psi=lambda x: x - np.log1p(x),
-        dpsi=lambda x: x / (1.0 + x),
-    )
+    return Potential("saturable-log", _saturable_log_psi, _saturable_log_dpsi)
 
 
 def saturable_arctan() -> Potential:
     """psi(x) = x - arctan(x), dpsi(x) = x^2/(1+x^2)."""
-    return Potential(
-        "saturable-arctan",
-        psi=lambda x: x - np.arctan(x),
-        dpsi=lambda x: (sq := x * x) / (1.0 + sq),
-    )
+    return Potential("saturable-arctan", _saturable_arctan_psi, _saturable_arctan_dpsi)
 
 
 def exp_quadratic() -> Potential:
     """psi(x) = e^x - x^2/2 - x - 1, dpsi(x) = e^x - x - 1."""
-    return Potential(
-        "exp-quadratic",
-        psi=lambda x: np.expm1(x) - 0.5 * x * x - x,
-        dpsi=lambda x: np.expm1(x) - x,
-    )
+    return Potential("exp-quadratic", _exp_quadratic_psi, _exp_quadratic_dpsi)
 
 
 def nonconvex_rational() -> Potential:
     """psi(x) = x^3/(1+x^2), dpsi(x) = x^2 (3+x^2)/(1+x^2)^2; not convex."""
-    return Potential(
-        "nonconvex-rational",
-        psi=lambda x: x**3 / (1.0 + x * x),
-        dpsi=lambda x: (sq := x * x) * (3.0 + sq) / (1.0 + sq) ** 2,
-    )
+    return Potential("nonconvex-rational", _nonconvex_rational_psi, _nonconvex_rational_dpsi)
 
 
 def quartic() -> Potential:
     """psi(x) = x^4, dpsi(x) = 4 x^3."""
-    return Potential(
-        "quartic",
-        psi=lambda x: x**4,
-        dpsi=lambda x: 4.0 * x**3,
-    )
+    return Potential("quartic", _quartic_psi, _quartic_dpsi)
 
 
 CATALOG = {f().label: f for f in (saturable_log, saturable_arctan, exp_quadratic,
@@ -268,11 +295,11 @@ def _require_assumptions(p: Potential, rho: float) -> None:
     """Refuse a potential that fails ``check_assumptions`` on [0, max(rho, 1)].
 
     ``solve`` and ``oracle_maximize`` both rest on them: the ascent on the
-    super-linearity, the oracle's tile bound on psi being non-decreasing.
+    super-linearity, the oracle's box bound on psi being non-decreasing.
     The report is kept for the last 16 (potential, range) pairs, so an
-    oracle call after its solve checks nothing twice; a refused potential is
-    refused on every call. A potential with an unhashable callback is
-    checked afresh each time.
+    oracle call after its solve checks nothing twice, and every instance of a
+    catalog entry shares one report; a refused potential is refused on every
+    call. A potential with an unhashable callback is checked afresh each time.
     """
     try:
         hash(p)

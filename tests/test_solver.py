@@ -18,7 +18,7 @@ from dnls.functionals import (DegenerateProfileError, energy, flow, level_energi
                               p_value, power, residual)
 from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
                           project_cone)
-from dnls.oracle import _ORACLE_TILE, _ORACLE_ZOOM
+from dnls.oracle import _ORACLE_LEAF, _ORACLE_TILE, _ORACLE_ZOOM
 from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
@@ -221,7 +221,7 @@ def test_solve_rejects_bad_potential():
 
 
 def test_solve_and_oracle_refuse_a_failing_potential_alike():
-    # psi decreases past x = 1, where the oracle's tile bound would be wrong
+    # psi decreases past x = 1, where the oracle's box bound would be wrong
     bad = Potential("hump", lambda x: x * x * np.exp(-x), lambda x: (2.0 - x) * x * np.exp(-x))
     cfg = SolverConfig(alpha=1.0, rho=3.0, scheme=ON, n=4)
     messages = []
@@ -246,12 +246,16 @@ def test_a_refused_potential_is_refused_on_every_call():
 def test_a_potential_is_checked_once_per_range():
     p = quartic()
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    dnls.potentials._kept_report.cache_clear()  # earlier tests checked the catalog too
     with mock.patch.object(dnls.potentials, "check_assumptions", wraps=check_assumptions) as checker:
         solve(cfg, p)
         oracle_maximize(cfg, p, grid_points=11)
         solve(replace(cfg, rho=3.0), p)
-        solve(cfg, quartic())  # a new instance has new callbacks: checked anew
+        solve(cfg, quartic())  # a catalog entry is a value: every instance shares its check
+        # a hand-built potential has new callbacks: checked anew
+        solve(cfg, Potential("quartic", lambda x: x**4, lambda x: 4.0 * x**3))
     assert [c.kwargs["x_max"] for c in checker.call_args_list] == [2.0, 3.0, 2.0]
+    assert quartic() == quartic() and hash(quartic()) == hash(quartic())
 
 
 def test_a_potential_with_unhashable_callbacks_is_checked_each_time():
@@ -871,6 +875,17 @@ def plain_oracle(cfg, p, grid_points, scorer):
     return first, (best[2][site_level], best[1])
 
 
+def floored_scorer(quantum):
+    """level_energies floored to multiples of quantum (None: unchanged). Flooring is
+    monotone, so every box bound still holds, and it makes whole regions tie."""
+    if quantum is None:
+        return level_energies
+
+    def scorer(a, cell, p, alpha):
+        return np.floor(level_energies(a, cell, p, alpha) / quantum) * quantum
+    return scorer
+
+
 def same_row(a, b):
     return (a[0].tobytes(), a[1], a[2].tobytes()) == (b[0].tobytes(), b[1], b[2].tobytes())
 
@@ -888,15 +903,19 @@ def same_row(a, b):
          quantum=2.0**-2)
 @example(name="exp-quadratic", scheme=INTER, n=3, alpha=0.5, rho=4.0, grid_points=10**6,
          quantum=2.0**-30)
+# the descent halves down to its smallest boxes (test_the_descent_partitions_the_grid):
+# ties over whole regions, a peak inside the box, and one free ratio
+@example(name="quartic", scheme=ON, n=4, alpha=1.0, rho=2.0, grid_points=701, quantum=2.0**-2)
+@example(name="nonconvex-rational", scheme=ON, n=4, alpha=0.5, rho=4.0, grid_points=2001,
+         quantum=None)
+@example(name="quartic", scheme=ON, n=3, alpha=1.0, rho=2.0, grid_points=10**6,
+         quantum=2.0**-2)
 def test_pruned_oracle_matches_the_plain_scan(name, scheme, n, alpha, rho, grid_points,
                                               quantum):
     # bit for bit: the global scan's best ratios, energy and amplitudes, then the answer
     p = CATALOG[name]()
     cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
-    scorer = level_energies
-    if quantum is not None:  # floored energies: monotone, so every tile bound still holds
-        def scorer(a, cell, p, alpha):
-            return np.floor(level_energies(a, cell, p, alpha) / quantum) * quantum
+    scorer = floored_scorer(quantum)
     first, (v_ref, p_ref) = plain_oracle(cfg, p, grid_points, scorer)
     with mock.patch.object(dnls.oracle, "level_energies", scorer):
         best, p_best = oracle_maximize(cfg, p, grid_points=grid_points)
@@ -904,7 +923,7 @@ def test_pruned_oracle_matches_the_plain_scan(name, scheme, n, alpha, rho, grid_
             dims = first[0].size
             g = min(grid_points, 701 ** (2 // dims))
             grid = dnls.oracle._ratio_grid(np.zeros(dims), np.ones(dims), g, dims)
-            assert same_row(dnls.oracle._tile_scan(*grid, cfg, p, cfg.cell()), first)
+            assert same_row(dnls.oracle._global_scan(*grid, cfg, p, cfg.cell()), first)
     assert p_best == p_ref and best.values.tobytes() == v_ref.tobytes()
 
 
@@ -950,28 +969,146 @@ def test_oracle_scores_a_cell_without_free_ratio_once():
     assert scorer.call_count == 1 and scorer.call_args.args[0].shape == (1, 1)
 
 
+def traced_scan(cfg, p, grid_points, scorer=level_energies):
+    """oracle_maximize's answer, and of its global scan: the grid's size per ratio,
+    the boxes of each bounding call as (first, last, bound), the row-major index
+    of the rows of each scoring call, and the energy of its best row."""
+    bound_boxes, score_rows = dnls.oracle._box_bounds, dnls.oracle._score_rows
+    scan, grid, levels, rows, best = dnls.oracle._global_scan, [], [], [], []
+
+    def bounds(r1, r2, first, last, *args):
+        levels.append((first.copy(), last.copy(), bound_boxes(r1, r2, first, last, *args)))
+        return levels[-1][2]
+
+    def score(r1, r2, *args):
+        if len(grid) == 2:  # the zoom's windows are off the grid
+            i, j = np.searchsorted(grid[0], r1), np.searchsorted(grid[1], r2)
+            assert (grid[0][i] == r1).all() and (grid[1][j] == r2).all()
+            rows.append(i * grid[1].size + j)
+        return score_rows(r1, r2, *args)
+
+    def scan_grid(r1, r2, *args):
+        grid.extend((r1, r2))
+        best.append(scan(r1, r2, *args))
+        grid.append(None)
+        return best[0]
+
+    with mock.patch.multiple(dnls.oracle, _box_bounds=bounds, _score_rows=score,
+                             _global_scan=scan_grid, level_energies=scorer):
+        answer = oracle_maximize(cfg, p, grid_points=grid_points)
+    return answer, (grid[0].size, grid[1].size), levels, rows, best[0][1]
+
+
+def box_rows(first, last, n2):
+    """Row-major indices of the rows of the boxes, and the box of each row."""
+    d1, d2 = np.indices((last - first + 1).max(axis=1)).reshape(2, -1)
+    i, j = first[0, :, None] + d1, first[1, :, None] + d2
+    inside = (i <= last[0, :, None]) & (j <= last[1, :, None])
+    box = np.broadcast_to(np.arange(first.shape[1])[:, None], i.shape)
+    return (i * n2 + j)[inside], box[inside]
+
+
+def assert_descent_partitions_the_grid(shape, levels, rows, p_scan):
+    """Each row of the grid is scored exactly once or lies in a box its bound pruned.
+
+    A box is split when a box of the next bounding call lies in it, and
+    terminal otherwise. The terminal boxes partition the grid; each is scored
+    whole or not at all, and one that is not scored has a bound below the
+    scan's best energy."""
+    scored = np.concatenate(rows)
+    assert np.unique(scored).size == scored.size
+    terminal, pruned = [], 0
+    covered = [box_rows(first, last, shape[1])[0] for first, last, _ in levels] + [[]]
+    for (first, last, bound), inner in zip(levels, covered[1:]):
+        at, box = box_rows(first, last, shape[1])
+        assert np.unique(at).size == at.size and 0 <= at.min() and at.max() < np.prod(shape)
+        assert np.isin(inner, at).all()  # children lie in their parents
+        split = np.zeros(bound.size, dtype=bool)
+        split[box[np.isin(at, inner)]] = True
+        end = ~split[box]
+        terminal.append(at[end])
+        size = np.bincount(box[end], minlength=bound.size)
+        hit = np.bincount(box[end], weights=np.isin(at[end], scored), minlength=bound.size)
+        assert ((hit == 0) | (hit == size))[~split].all()  # a box is scored whole or not at all
+        assert (bound[~split & (hit == 0)] < p_scan).all()
+        pruned += size[~split & (hit == 0)].sum()
+    terminal = np.concatenate(terminal)
+    assert terminal.size == np.unique(terminal).size == np.prod(shape)
+    assert scored.size + pruned == np.prod(shape)
+    return scored.size
+
+
 def test_oracle_caps_the_scan_of_one_free_ratio():
-    # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's.
-    # Each row of the capped grid is scored once or lies in a tile its bound pruned
+    # N=3 has one free ratio: its scan is capped at 701**2 rows, a two-ratio cell's
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
-    with mock.patch.object(dnls.oracle, "level_energies", wraps=level_energies) as scorer:
-        _, p_best = oracle_maximize(cfg, quartic(), grid_points=10**9)
-    calls = [call.args[0] for call in scorer.call_args_list]
-    cap, tile = 701**2, _ORACLE_TILE
-    sizes = np.minimum(tile, cap - tile * np.arange(-(-cap // tile)))  # the last tile is short
-    assert calls[0].shape[1] == sizes.size  # one bound per tile
-    # the scan's batches come before the zoom's windows of 41 rows; a row's ratio
-    # r1 = amplitude 1 / amplitude 0 is on the grid of step 1/(cap - 1)
-    batches = itertools.takewhile(lambda a: a.shape[1] != _ORACLE_ZOOM, calls[1:])
-    rows = np.concatenate([np.rint(a[1] / a[0] * (cap - 1)).astype(np.int64) for a in batches])
-    assert np.unique(rows).size == rows.size and 0 <= rows.min() and rows.max() < cap
-    scored = np.zeros(sizes.size, dtype=bool)
-    scored[rows // tile] = True
-    assert rows.size == sizes[scored].sum()  # a tile is scored whole or not at all
-    assert rows.size + sizes[~scored].sum() == cap
-    assert rows.size < cap // 2
+    (_, p_best), shape, levels, rows, p_scan = traced_scan(cfg, quartic(), 10**9)
+    cap = 701**2
+    assert shape == (cap, 1)
+    assert levels[0][0].shape[1] == -(-cap // _ORACLE_TILE)  # one bound per tile
+    scored = assert_descent_partitions_the_grid(shape, levels, rows, p_scan)
+    assert scored < cap // 2
     assert p_best == pytest.approx(oracle_maximize(cfg, quartic(), grid_points=20_000)[1],
                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("name, n, alpha, rho, grid_points, quantum", [
+    ("quartic", 4, 1.0, 2.0, 701, 2.0**-2),
+    ("nonconvex-rational", 4, 0.5, 4.0, 2001, None),
+    ("quartic", 3, 1.0, 2.0, 10**6, 2.0**-2),
+])
+def test_the_descent_partitions_the_grid(name, n, alpha, rho, grid_points, quantum):
+    # examples of test_pruned_oracle_matches_the_plain_scan: each halves its tiles
+    # level by level down to the smallest boxes
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=ON, n=n)
+    _, shape, levels, rows, p_scan = traced_scan(cfg, CATALOG[name](), grid_points,
+                                                 floored_scorer(quantum))
+    sides = [int((last - first + 1).max()) for first, last, _ in levels]
+    tile = _ORACLE_TILE if shape[1] == 1 else math.isqrt(_ORACLE_TILE)
+    assert sides == [tile >> k for k in range(len(sides))] and sides[-1] == _ORACLE_LEAF
+    assert_descent_partitions_the_grid(shape, levels, rows, p_scan)
+
+
+def criterion_7_cells(dims):
+    """The combinations of criterion 7 with ``dims`` free ratios, and their potentials."""
+    for n, scheme, name, alpha, rho in itertools.product(
+            (2, 3, 4), (ON, INTER), ("quartic", "saturable-log"), (0.5, 1.0), (1.0, 2.0)):
+        cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, tau=1.0)
+        if cfg.cell().fold[1].size == dims + 1:
+            yield cfg, CATALOG[name]()
+
+
+def test_the_descent_scores_few_rows_of_the_two_ratio_cells():
+    # the eight N=4 on-site cells: scoring every row of each 256-row tile whose bound
+    # could win scored 513,357 of their 8 * 701**2 rows; the descent scores 56,123
+    # and bounds 65,203 boxes
+    scored = bounded = cells = 0
+    for cfg, p in criterion_7_cells(2):
+        _, shape, levels, rows, _ = traced_scan(cfg, p, 2001)
+        assert shape == (701, 701)
+        scored += sum(r.size for r in rows)
+        bounded += sum(bound.size for *_, bound in levels)
+        cells += 1
+    assert cells == 8 and scored <= 60_000 and bounded <= 70_000
+
+
+def test_a_one_ratio_scan_of_2001_rows_scores_each_row_once():
+    # its eight tiles fit one batch, so the first batch scores them all and nothing splits
+    cells = 0
+    for cfg, p in criterion_7_cells(1):
+        _, shape, levels, rows, _ = traced_scan(cfg, p, 2001)
+        assert shape == (2001, 1) and len(levels) == 1 and len(rows) == 1
+        assert np.array_equal(np.sort(rows[0]), np.arange(2001))
+        cells += 1
+    assert cells == 32
+
+
+@pytest.mark.parametrize("grid_points", [math.inf, math.nan])
+def test_oracle_refuses_a_non_finite_grid(grid_points):
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    with mock.patch.object(dnls.oracle, "_require_assumptions") as check:
+        with pytest.raises(ValueError, match=rf"^grid_points must be finite, not {grid_points}$"):
+            oracle_maximize(cfg, quartic(), grid_points=grid_points)
+    check.assert_not_called()  # refused before any work
 
 
 def test_oracle_rejects_large_cells():
