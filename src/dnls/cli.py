@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "at least 3 and capped at 701 when two ratios are free "
                          "and at 491401 when one is; "
                          "the scan runs in bounded memory and a local zoom "
-                         "sharpens its best point")
+                         "sharpens its best point until a window's energies "
+                         "agree to rounding")
     sp.set_defaults(func=cmd_oracle, out="oracle")
 
     sp = sub.add_parser("evolve", help="validate a wave as a relative equilibrium")

@@ -25,13 +25,16 @@ if TYPE_CHECKING:
 # with one; a power of 4, so that its descent halves tiles evenly); rows per ratio
 # of a box that the descent no longer halves; most rows per batch of the boxes it
 # scores, so that no batch grows with the grid; relative headroom of a box's
-# bound for the rounding of its energy; and points per ratio of each window of
-# the local zoom
+# bound for the rounding of its energy; points per ratio of each window of the
+# local zoom; and the relative spread of a window's energies that rounding alone
+# can make (level_energies may miss each by 4 ulps): a window that spreads no
+# wider cannot rank its rows, nor can the narrower windows inside it
 _ORACLE_TILE = 256
 _ORACLE_LEAF = 2
 _ORACLE_BATCH = 1 << 12
 _ORACLE_BOUND_SLACK = 1e-12
 _ORACLE_ZOOM = 41
+_ORACLE_ZOOM_RESOLUTION = 8 * np.finfo(float).eps
 
 
 def _ratio_grid(lo, hi, n: int, dims: int):
@@ -101,7 +104,9 @@ def _score_boxes(r1, r2, first, side, best, cfg: SolverConfig, p: Potential, cel
 def _global_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
     """Best row ``(ratios, P, level amplitudes)`` of the ascending grids r1 x r2.
 
-    A branch-and-bound descent on aligned boxes of rows. It starts from
+    A grid of at most ``_ORACLE_BATCH`` rows is scored whole, with no bound:
+    its first batch would score every tile whatever its bound. A larger one
+    is a branch-and-bound descent on aligned boxes of rows. It starts from
     tiles of ``_ORACLE_TILE`` rows, and before every step it drops each box
     whose bound (``_box_bounds``) falls below the best energy found so far;
     a NaN bound is never dropped. A step scores the boxes of highest bound,
@@ -114,12 +119,15 @@ def _global_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential
     first.
     """
     n = np.array([[r1.size], [r2.size]])
+    best = (None, -math.inf, None, -1)
+    if r1.size * r2.size <= _ORACLE_BATCH:  # one batch scores every row: nothing to bound
+        return _score_boxes(r1, r2, np.zeros((2, 1), int), n, best, cfg, p, cell)[:3]
     t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
     side = np.array([[_ORACLE_TILE // t2], [t2]])
     first = np.indices((-(-n // side))[:, 0]).reshape(2, -1) * side
     bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
     todo = np.argsort(-bound, kind="stable")
-    best, descend = (None, -math.inf, None, -1), True
+    descend = True
     while True:
         todo = todo[~(bound[todo] < best[1])]
         if descend and best[0] is not None:
@@ -147,21 +155,26 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
 
     On the levels of ``Cell.fold`` at most two amplitude ratios stay free: a
     profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
-    covers a uniform grid of ``grid_points`` samples per free ratio (finite
-    and at least 3; capped at 701 when two ratios are free and at 701**2 =
-    491,401 when one is). A branch-and-bound descent (``_global_scan``)
+    covers a uniform grid of ``grid_points`` samples per free ratio (a
+    finite whole number, at least 3; capped at 701 when two ratios are free
+    and at 701**2 = 491,401 when one is). A branch-and-bound descent (``_global_scan``)
     scores the tiles of 256 rows with the highest bounds, halves the tiles
     whose bound can still beat the best row so far down to boxes of 2 x 2
     rows (2 with one ratio), bounding each level with one call, and scores
     the boxes left highest bound first, in batches of at most 4,096 rows,
-    so no batch grows with the grid. The answer is the plain scan's bit for
-    bit, ties included, and only the best row is expanded to the sites.
+    so no batch grows with the grid; a grid of at most 4,096 rows is scored
+    whole, unbounded. The answer is the plain scan's bit for bit, ties
+    included, and only the best row is expanded to the sites.
     The bound needs psi non-decreasing, so a potential that fails
     ``check_assumptions`` on [0, max(rho, 1)] is refused, as ``solve`` refuses it.
     A local zoom then rescans windows of +-2 spacings around the best point,
-    41 samples per ratio, until the spacing reaches (1/(g-1)) * (4/(g-1))**5
-    for g samples per ratio, where five rescans of g samples per window would
-    end. A cell with no free ratio scores its one profile.
+    41 samples per ratio. It stops after the first window whose energies
+    agree to rounding (a spread of at most ``_ORACLE_ZOOM_RESOLUTION``, 8 eps,
+    relative to its highest; never on a NaN spread), since every later window
+    lies inside it, and at the latest when the spacing reaches
+    (1/(g-1)) * (4/(g-1))**5 for g samples per ratio, where five rescans of
+    g samples per window would end. A cell with no free ratio scores its one
+    profile.
     Returns the best profile and its energy, independent of the ascent.
     """
     cfg.validate()
@@ -169,6 +182,8 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         raise ValueError("the brute-force oracle covers N <= 4 only")
     if not grid_points < math.inf:
         raise ValueError(f"grid_points must be finite, not {grid_points}")
+    if not float(grid_points).is_integer():
+        raise ValueError(f"grid_points must be a whole number, not {grid_points!r}")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
     _require_assumptions(p, cfg.rho)
@@ -196,4 +211,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         k = int(np.argmax(p_all))
         if p_all[k] > best[1]:
             best = np.array([r1[k], r2[k]][:dims]), float(p_all[k]), amps[:, k]
+        # every later window lies in this one; a NaN spread never stops the zoom
+        if p_all.max() - p_all.min() <= _ORACLE_ZOOM_RESOLUTION * abs(p_all.max()):
+            break
     return Profile(cell, best[2][site_level]), best[1]

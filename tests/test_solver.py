@@ -833,23 +833,48 @@ def test_oracle_matches_six_scans(name, scheme, n, alpha, rho, grid_points):
 
 def plain_scan(lo, hi, n, cfg, p, best, scorer):
     """Reference: every row of np.linspace(lo, hi, n) per ratio scored, in blocks of
-    whole runs of the last ratio; a row replaces ``best`` only with a higher energy."""
+    whole runs of the last ratio; a row replaces ``best`` only with a higher energy.
+
+    Returns ``best`` and the lowest and highest energy scored (NaN if any is NaN)."""
     cell = cfg.cell()
     _, mult, _ = cell.fold
     dims = mult.size - 1
     r1_all = np.linspace(lo[0], hi[0], n)
     r2 = np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)
     chunk = max(1, (1 << 15) // r2.size)
+    p_lo, p_hi = math.inf, -math.inf
     for start in range(0, n, chunk):
         r1 = r1_all[start:start + chunk, None]
         amps = np.stack(np.broadcast_arrays(1.0, r1, r1 * r2)[:dims + 1]).reshape(dims + 1, -1)
         amps *= np.sqrt(cfg.rho / (mult @ (amps * amps)))
         p_all = scorer(amps, cell, p, cfg.alpha)
+        p_lo, p_hi = np.minimum(p_lo, p_all.min()), np.maximum(p_hi, p_all.max())
         k = int(np.argmax(p_all))
         if p_all[k] > best[1]:
             i, j = divmod(k, r2.size)
             best = np.array([r1[i, 0], r2[j]][:dims]), float(p_all[k]), amps[:, k]
-    return best
+    return best, (p_lo, p_hi)
+
+
+def plain_zoom(cfg, p, best, g, scorer, stop=True):
+    """Reference zoom from the best row ``best`` of a global scan of g points per ratio.
+
+    Windows of +-2 spacings around the best row so far, _ORACLE_ZOOM points per
+    ratio, down to the spacing (1/(g-1)) * (4/(g-1))**5 or, with ``stop``, until
+    a window's energies agree to 8 eps. ``stop=False`` is the fixed-depth zoom.
+    Returns the best row and the number of windows scored."""
+    spacing = np.full(best[0].size, 1.0 / (g - 1))
+    final = spacing[0] * (4.0 * spacing[0]) ** 5
+    windows = 0
+    while spacing.max() > final:
+        lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
+        hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
+        spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
+        best, (p_lo, p_hi) = plain_scan(lo, hi, _ORACLE_ZOOM, cfg, p, best, scorer)
+        windows += 1
+        if stop and p_hi - p_lo <= 8 * np.finfo(float).eps * abs(p_hi):
+            break
+    return best, windows
 
 
 def plain_oracle(cfg, p, grid_points, scorer):
@@ -863,15 +888,9 @@ def plain_oracle(cfg, p, grid_points, scorer):
         amps = np.sqrt(cfg.rho / mult)[:, None]
         return None, (amps[site_level, 0], float(scorer(amps, cell, p, cfg.alpha)[0]))
     g = min(grid_points, 701 ** (2 // dims))
-    best = first = plain_scan(np.zeros(dims), np.ones(dims), g, cfg, p,
-                              (None, -math.inf, None), scorer)
-    spacing = np.full(dims, 1.0 / (g - 1))
-    final = spacing[0] * (4.0 * spacing[0]) ** 5
-    while spacing.max() > final:
-        lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
-        hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
-        spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
-        best = plain_scan(lo, hi, _ORACLE_ZOOM, cfg, p, best, scorer)
+    first, _ = plain_scan(np.zeros(dims), np.ones(dims), g, cfg, p,
+                          (None, -math.inf, None), scorer)
+    best, _ = plain_zoom(cfg, p, first, g, scorer)
     return first, (best[2][site_level], best[1])
 
 
@@ -1092,14 +1111,102 @@ def test_the_descent_scores_few_rows_of_the_two_ratio_cells():
 
 
 def test_a_one_ratio_scan_of_2001_rows_scores_each_row_once():
-    # its eight tiles fit one batch, so the first batch scores them all and nothing splits
+    # the grid fits one batch, which scores every row: nothing is bounded or split
     cells = 0
     for cfg, p in criterion_7_cells(1):
         _, shape, levels, rows, _ = traced_scan(cfg, p, 2001)
-        assert shape == (2001, 1) and len(levels) == 1 and len(rows) == 1
+        assert shape == (2001, 1) and len(levels) == 0 and len(rows) == 1
         assert np.array_equal(np.sort(rows[0]), np.arange(2001))
         cells += 1
     assert cells == 32
+
+
+def test_a_two_ratio_grid_of_one_batch_is_scored_whole():
+    # 64**2 = 4,096 rows: one scoring call, no bounding call, the plain scan's row
+    cells = 0
+    for cfg, p in criterion_7_cells(2):
+        _, shape, levels, rows, _ = traced_scan(cfg, p, 64)
+        assert shape == (64, 64) and len(levels) == 0 and len(rows) == 1
+        assert np.array_equal(np.sort(rows[0]), np.arange(64**2))
+        grid = dnls.oracle._ratio_grid(np.zeros(2), np.ones(2), 64, 2)
+        first, _ = plain_scan(np.zeros(2), np.ones(2), 64, cfg, p, (None, -math.inf, None),
+                              level_energies)
+        assert same_row(dnls.oracle._global_scan(*grid, cfg, p, cfg.cell()), first)
+        cells += 1
+    assert cells == 8
+
+
+def zoom_windows(cfg, p, grid_points):
+    """oracle_maximize's answer, its global scan's best row (None on a cell with no
+    free ratio) and the number of windows its zoom scored."""
+    score_rows, scan = dnls.oracle._score_rows, dnls.oracle._global_scan
+    calls, first = [0], []
+
+    def score(*args):
+        calls[0] += 1
+        return score_rows(*args)
+
+    def scan_grid(*args):
+        first.extend((scan(*args), calls[0]))
+        return first[0]
+
+    with mock.patch.multiple(dnls.oracle, _score_rows=score, _global_scan=scan_grid):
+        answer = oracle_maximize(cfg, p, grid_points=grid_points)
+    return answer, *((first[0], calls[0] - first[1]) if first else (None, 0))
+
+
+def assert_zoom_within_rounding_of_the_fixed_depth_zoom(cfg, p, grid_points):
+    """The zoom stops within rounding of the fixed-depth zoom from the same scan, after
+    no more windows. Returns both answers' profiles and the zoom's windows."""
+    (best, p_best), first, windows = zoom_windows(cfg, p, grid_points)
+    if first is None:
+        return best.values, best.values, 0
+    assert p_best >= first[1]
+    g = min(grid_points, 701 ** (2 // first[0].size))
+    fixed, fixed_windows = plain_zoom(cfg, p, first, g, level_energies, stop=False)
+    assert abs(p_best - fixed[1]) <= 16 * np.finfo(float).eps * abs(fixed[1])
+    assert windows <= fixed_windows
+    return best.values, fixed[2][cfg.cell().fold[0]], windows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 4), alpha=st.floats(0.05, 4.0), rho=st.floats(0.05, 20.0),
+       grid_points=st.integers(3, 3000))
+def test_the_zoom_stops_within_rounding_of_the_fixed_depth_zoom(name, scheme, n, alpha, rho,
+                                                                 grid_points):
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n)
+    assert_zoom_within_rounding_of_the_fixed_depth_zoom(cfg, CATALOG[name](), grid_points)
+
+
+def test_the_zoom_stops_early_on_the_criterion_7_cells():
+    # the fixed-depth zoom scores 503 windows on these 48 cells
+    windows = cells = 0
+    for cfg, p in itertools.chain(*map(criterion_7_cells, (0, 1, 2))):
+        v, v_fixed, w = assert_zoom_within_rounding_of_the_fixed_depth_zoom(cfg, p, 2001)
+        assert np.max(np.abs(v - v_fixed)) <= 1e-6
+        windows += w
+        cells += 1
+    assert cells == 48 and windows <= 240
+
+
+def test_a_nan_spread_never_stops_the_zoom():
+    # energies floored to 2**-2 make the windows flat, so the zoom stops after one;
+    # a NaN in every window keeps it going as deep as the fixed-depth zoom
+    floored = floored_scorer(2.0**-2)
+
+    def scorer(a, cell, p, alpha):
+        out = floored(a, cell, p, alpha)
+        if a.shape[1] == _ORACLE_ZOOM:  # a window, not the 2001-row scan
+            out[0] = math.nan
+        return out
+
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    with mock.patch.object(dnls.oracle, "level_energies", floored):
+        assert zoom_windows(cfg, quartic(), 2001)[2] == 1
+    with mock.patch.object(dnls.oracle, "level_energies", scorer):
+        _, first, windows = zoom_windows(cfg, quartic(), 2001)
+    assert windows == plain_zoom(cfg, quartic(), first, 2001, scorer, stop=False)[1] > 1
 
 
 @pytest.mark.parametrize("grid_points", [math.inf, math.nan])
@@ -1109,6 +1216,23 @@ def test_oracle_refuses_a_non_finite_grid(grid_points):
         with pytest.raises(ValueError, match=rf"^grid_points must be finite, not {grid_points}$"):
             oracle_maximize(cfg, quartic(), grid_points=grid_points)
     check.assert_not_called()  # refused before any work
+
+
+@pytest.mark.parametrize("grid_points", [101.9, 2.5, 1e3 + 0.5])
+def test_oracle_refuses_a_fractional_grid(grid_points):
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    with mock.patch.object(dnls.oracle, "_require_assumptions") as check:
+        with pytest.raises(ValueError,
+                           match=rf"^grid_points must be a whole number, not {grid_points}$"):
+            oracle_maximize(cfg, quartic(), grid_points=grid_points)
+    check.assert_not_called()  # refused before any work
+
+
+def test_oracle_takes_a_whole_float_grid_as_its_integer():
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
+    best, p_best = oracle_maximize(cfg, quartic(), grid_points=101.0)
+    ref, p_ref = oracle_maximize(cfg, quartic(), grid_points=101)
+    assert p_best == p_ref and best.values.tobytes() == ref.values.tobytes()
 
 
 def test_oracle_rejects_large_cells():
