@@ -29,6 +29,8 @@ from .solver import SolverConfig, homoclinic, solve
 
 USAGE_ERROR = 1
 OPERATIONAL_ERROR = 2
+_SWEEP_MAX_POINTS = 1000
+_EVOLVE_MAX_SITE_STEPS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +135,8 @@ def _sweep_grid(args):
         return (float(x) for x in args.values.split(",") if x.strip())
     if None in (args.start, args.stop, args.step) or args.step <= 0:
         return ()
-    count = int(round((args.stop - args.start) / args.step)) + 1
+    # no further than one value past the cap, which a longer range exceeds
+    count = round(min((args.stop - args.start) / args.step, _SWEEP_MAX_POINTS)) + 1
     grid = (args.start + k * args.step for k in range(count))
     return (g for g in grid if g <= args.stop + 1e-12 * max(1.0, abs(args.stop)))
 
@@ -142,6 +145,8 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     base, potential = _solver_inputs(args, out)
     tags = {}  # each value is judged as it arrives, before any solve
     for value in _sweep_grid(args):
+        if len(tags) == _SWEEP_MAX_POINTS:
+            raise ValueError(f"a sweep grid may hold at most {_SWEEP_MAX_POINTS} points")
         if args.param == "N" and not value.is_integer():
             raise ValueError(f"sweep values of N must be integers, not {value!r}")
         tag = f"{args.param}={value:g}"
@@ -221,6 +226,12 @@ def cmd_evolve(args, out: _Artifacts) -> int:
     _check_equilibrium_times(args.t_end, args.dt)
     cfg, potential = _solver_inputs(args, out)
     out.config.update(t_end=args.t_end, dt=args.dt, sample_every=args.sample_every)
+    cfg.validate()
+    steps = args.t_end / args.dt  # integrate takes max(round(steps), 1) of them
+    site_steps = (max(round(steps), 1) if steps < _EVOLVE_MAX_SITE_STEPS else steps) * cfg.n
+    if site_steps > _EVOLVE_MAX_SITE_STEPS:
+        raise ValueError(f"evolve would take {site_steps:.3g} RK4 site-steps, "
+                         f"more than the cap of {_EVOLVE_MAX_SITE_STEPS:.0e}")
     sol = solve(cfg, potential)
     if not sol.converged:
         print("solver did not converge; nothing to evolve", file=sys.stderr)

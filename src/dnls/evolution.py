@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from .lattice import Cell, Profile
 from .potentials import Potential
 
 _BLOWUP_LIMIT = 1e6
-# states stacked into one block: checked, measured and handed out together
+# states checked, measured and handed out together; states per blow-up test of the steps
 _BLOCK = 128
+_CHECK = 16
 
 
 class BlowUpError(RuntimeError):
@@ -89,25 +89,33 @@ def _check_equilibrium_times(t_end: float, dt: float) -> None:
         raise ValueError(f"t_end must be positive to measure a phase rotation, not {t_end}")
 
 
-def _rk4_states(a: np.ndarray, n_steps: int, h: float, periodic: bool, p: Potential,
+def _rk4_blocks(a: np.ndarray, n_steps: int, h: float, periodic: bool, p: Potential,
                 alpha: float):
-    """A, then each of ``n_steps`` RK4 steps of size h as a fresh array: four field
-    evaluations (one dpsi call each); a state's |A|^2 feeds the next first stage."""
+    """A and each of ``n_steps`` RK4 steps of size h, in fresh blocks (states, |A|^2) of up
+    to ``_BLOCK`` rows; one whose last ``_CHECK`` rows fail the blow-up test ends there."""
     # the factor i of dA/dt = i F(A) folded into the stage coefficients
     ihh, ih, ih6 = 1j * (0.5 * h), 1j * h, 1j * (h / 6.0)
     mod2 = _mod2(a)
-    yield a
-    for _ in range(n_steps):
-        f1 = field_values(a, mod2, periodic, p, alpha)
-        b = a + ihh * f1
-        f2 = field_values(b, _mod2(b), periodic, p, alpha)
-        b = a + ihh * f2
-        f3 = field_values(b, _mod2(b), periodic, p, alpha)
-        b = a + ih * f3
-        f4 = field_values(b, _mod2(b), periodic, p, alpha)
-        a = a + ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        mod2 = _mod2(a)
-        yield a
+    for first in range(0, n_steps + 1, _BLOCK):
+        rows = min(_BLOCK, n_steps + 1 - first)
+        states, mod2s = np.empty((rows, a.size), complex), np.empty((rows, a.size))
+        if not first:
+            states[0], mod2s[0] = a, mod2
+        for row in range(0 if first else 1, rows):
+            f1 = field_values(a, mod2, periodic, p, alpha)
+            b = a + ihh * f1
+            f2 = field_values(b, _mod2(b), periodic, p, alpha)
+            b = a + ihh * f2
+            f3 = field_values(b, _mod2(b), periodic, p, alpha)
+            b = a + ih * f3
+            f4 = field_values(b, _mod2(b), periodic, p, alpha)
+            a = np.add(a, ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4), out=states[row])
+            mod2 = np.add(a.real**2, a.imag**2, out=mod2s[row])  # _mod2, in its row
+            if (row % _CHECK == _CHECK - 1
+                    and not mod2s[row + 1 - _CHECK:row + 1].max() <= _BLOWUP_LIMIT**2):
+                yield states[:row + 1], mod2s[:row + 1]
+                return
+        yield states, mod2s
 
 
 def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
@@ -119,10 +127,11 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     the inverse of the fastest local rotation rate. Returns the final state
     and drift diagnostics for power and Hamiltonian.
     The trajectory, the start state and then the state after each step, is
-    stacked in blocks of up to ``_BLOCK`` states whose |A|^2 is formed once.
-    From it the blow-up guard checks every state, and the power and Hamiltonian
-    take one psi call; their drifts are measured from row 0 of the first block
-    and equal those of a step-by-step evaluation. Then the block is handed to
+    written into blocks of up to ``_BLOCK`` states with their |A|^2; the steps stop
+    within ``_CHECK`` states of a blow-up. From the block the blow-up guard checks
+    every state, and the power and Hamiltonian take one psi call; their drifts
+    are measured from row 0 of the first block and equal those of a step-by-step
+    evaluation. Then the block is handed to
     ``callback(steps, times, states)``: the states' step numbers and times and
     the (B, N) states, never modified afterwards, so they may be kept.
     ``t_end`` and ``dt`` must be finite. An amplitude above the blow-up limit,
@@ -134,21 +143,21 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     periodic = state.cell.is_finite
     n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
-    trajectory = _rk4_states(state.amplitudes.astype(complex), n_steps, h, periodic, p, alpha)
+    trajectory = _rk4_blocks(state.amplitudes.astype(complex), n_steps, h, periodic, p, alpha)
     max_dp = max_dh = 0.0
+    first = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps + 1, _BLOCK):
-            states = np.stack(list(islice(trajectory, _BLOCK)))
+        for states, mod2 in trajectory:
             steps = np.arange(first, first + len(states))
+            first += len(states)
             times = state.time + steps * h
-            mod2 = _mod2(states)
             over = np.flatnonzero(~(mod2.max(axis=1) <= _BLOWUP_LIMIT**2))
             if over.size:
                 raise BlowUpError(f"amplitude exceeded {_BLOWUP_LIMIT:g} "
                                   f"at t={times[over[0]]:g}")
             power, ham = _invariants(states, mod2, periodic, p, alpha)
-            if not first:
+            if not steps[0]:
                 p0, h0 = float(power[0]), float(ham[0])
             max_dp = _max_into(max_dp, np.abs(power - p0))
             max_dh = _max_into(max_dh, np.abs(ham - h0))

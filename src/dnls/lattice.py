@@ -27,6 +27,10 @@ class IndexScheme(Enum):
     INTER_SITE = "intersite"
 
 
+# periodic cells kept, with their cached geometry
+_CELL_CACHE = 8
+
+
 @dataclass(frozen=True)
 class Cell:
     """A finite periodicity cell (n sites) or a truncated infinite lattice.
@@ -51,7 +55,8 @@ class Cell:
 
     @staticmethod
     def periodic(scheme: IndexScheme, n: int) -> "Cell":
-        return Cell(scheme, n=int(n))
+        """The shared cell of n sites: one per (scheme, n) of the last ``_CELL_CACHE``."""
+        return _periodic_cell(scheme, int(n))
 
     @staticmethod
     def truncated(scheme: IndexScheme, j_max: float) -> "Cell":
@@ -62,25 +67,34 @@ class Cell:
         return self.n is not None
 
     def doubled_indices(self) -> np.ndarray:
-        """Ordered site indices as exact doubled integers 2j."""
+        """Ordered site indices as exact doubled integers 2j; shared and read-only."""
+        return self._sites[0]
+
+    def indices(self) -> np.ndarray:
+        """Ordered site indices j (half-integers inter-site); shared and read-only."""
+        return self._sites[1]
+
+    @cached_property
+    def _sites(self) -> tuple[np.ndarray, np.ndarray]:
         if self.is_finite:
             n = self.n
             if self.scheme is IndexScheme.ON_SITE:
                 start = -2 * ((n - 1) // 2)
             else:
                 start = (-n + 1) if n % 2 == 0 else (-n + 2)
-            return start + 2 * np.arange(n, dtype=np.int64)
-        if self.scheme is IndexScheme.ON_SITE:
+            d = start + 2 * np.arange(n, dtype=np.int64)
+        elif self.scheme is IndexScheme.ON_SITE:
             m = int(np.floor(self.j_max))
-            return 2 * np.arange(-m, m + 1, dtype=np.int64)
-        k = int(np.floor(self.j_max - 0.5))
-        if k < 0:
-            raise ValueError("inter-site truncation must cover |j| = 1/2")
-        return 2 * np.arange(-k, k + 2, dtype=np.int64) - 1
-
-    def indices(self) -> np.ndarray:
-        """Ordered site indices j (half-integers inter-site)."""
-        return self.doubled_indices() / 2.0
+            d = 2 * np.arange(-m, m + 1, dtype=np.int64)
+        else:
+            k = int(np.floor(self.j_max - 0.5))
+            if k < 0:
+                raise ValueError("inter-site truncation must cover |j| = 1/2")
+            d = 2 * np.arange(-k, k + 2, dtype=np.int64) - 1
+        out = (d, d / 2.0)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     @property
     def size(self) -> int:
@@ -124,6 +138,11 @@ class Cell:
         for a in out:
             a.flags.writeable = False
         return out
+
+
+@lru_cache(maxsize=_CELL_CACHE)
+def _periodic_cell(scheme: IndexScheme, n: int) -> Cell:
+    return Cell(scheme, n=n)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,13 @@ def _ratio_grid(lo, hi, n: int, dims: int):
 
 
 def _level_amps(r1: np.ndarray, r2: np.ndarray, levels: int) -> np.ndarray:
-    """Level amplitudes 1, r1, r1*r2 (the first ``levels`` of them) of rows with ratios r1, r2."""
-    return np.stack((np.ones_like(r1), r1, r1 * r2)[:levels])
+    """Level amplitudes 1, r1, r1*r2 (the first ``levels`` of them) of the rows of r1 and r2
+    broadcast together, flattened in row-major order."""
+    amps = np.empty((levels, *np.broadcast(r1, r2).shape))
+    amps[0], amps[1] = 1.0, r1
+    if levels == 3:
+        np.multiply(r1, r2, out=amps[2])
+    return amps.reshape(levels, -1)
 
 
 def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
@@ -206,11 +211,11 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
         spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
         r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM, dims)
-        r1, r2 = np.repeat(r1, r2.size), np.tile(r2, r1.size)
-        amps, p_all = _score_rows(r1, r2, cfg, p, cell)
+        amps, p_all = _score_rows(r1[:, None], r2, cfg, p, cell)  # row k is (k // n2, k % n2)
         k = int(np.argmax(p_all))
         if p_all[k] > best[1]:
-            best = np.array([r1[k], r2[k]][:dims]), float(p_all[k]), amps[:, k]
+            i, j = divmod(k, r2.size)
+            best = np.array([r1[i], r2[j]][:dims]), float(p_all[k]), amps[:, k]
         # every later window lies in this one; a NaN spread never stops the zoom
         if p_all.max() - p_all.min() <= _ORACLE_ZOOM_RESOLUTION * abs(p_all.max()):
             break

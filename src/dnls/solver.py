@@ -18,11 +18,13 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
-from .lattice import Cell, IndexScheme, Profile, cone_slack, cone_slack_values, restrict
+from .lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, cone_slack, cone_slack_values,
+                      restrict)
 from .oracle import oracle_maximize  # noqa: F401  (the benchmark calls dnls.solver.oracle_maximize)
 from .potentials import Potential, _require_assumptions
 
@@ -177,6 +179,19 @@ class WaveSolution:
         return out
 
 
+@lru_cache(maxsize=_CELL_CACHE)
+def _ansatz_basis(cell: Cell) -> tuple:
+    """Read-only terms, shape (4, N), and candidate norms of ``initial_ansatz`` on a cell."""
+    aj = np.abs(cell.indices())
+    terms = np.stack([np.ones_like(aj), (aj < 1.0).astype(float),
+                      1.0 + np.cos(np.pi * aj / cell.n), np.exp(-20.0 * (aj / cell.n) ** 2)])
+    cands = _ANSATZ_WEIGHTS @ terms
+    out = (terms, np.einsum("ij,ij->i", cands, cands))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     """Best starting profile from a four-term family of even unimodal shapes.
 
@@ -188,18 +203,13 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     |j| and every weight is non-negative, so each candidate lies in the cone.
     """
     cell = cfg.cell()
-    aj = np.abs(cell.indices())
-    terms = np.stack([
-        np.ones_like(aj),
-        (aj < 1.0).astype(float),
-        1.0 + np.cos(np.pi * aj / cfg.n),
-        np.exp(-20.0 * (aj / cfg.n) ** 2),
-    ])
-    cands = _ANSATZ_WEIGHTS @ terms
-    norms = np.einsum("ij,ij->i", cands, cands)
-    cands *= np.sqrt(cfg.rho / norms)[:, None]
-    p_all = level_energies(cands.T[cell.fold[2]], cell, p, cfg.alpha)
-    return Profile(cell, cands[int(np.argmax(p_all))])
+    site_level, _, right = cell.fold
+    terms, norms = _ansatz_basis(cell)
+    # the candidates are even: score their levels at power rho, and expand the winner's
+    levels = (_ANSATZ_WEIGHTS @ terms).T[right]
+    levels *= np.sqrt(cfg.rho / norms)
+    p_all = level_energies(levels, cell, p, cfg.alpha)
+    return Profile(cell, levels[:, int(np.argmax(p_all))][site_level])
 
 
 # energy gains above this relative scale are clearly measurable; below it
@@ -407,18 +417,11 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
-    sol = WaveSolution(
-        profile=profile,
-        sigma=0.5 * sig_flow,
-        energies=energy(profile, p, cfg.alpha),
-        residual=res,
-        iterations=iterations,
-        converged=res <= cfg.tol_residual,
-        in_cone=cone_slack(profile) <= _CONE_MONITOR_TOL,
-        near_constant=_is_near_constant(v, cfg),
-        decay=None,
-        diagnostics=diag,
-    )
+    sol = WaveSolution(profile=profile, sigma=0.5 * sig_flow,
+                       energies=energy(profile, p, cfg.alpha), residual=res,
+                       iterations=iterations, converged=res <= cfg.tol_residual,
+                       in_cone=cone_slack(profile) <= _CONE_MONITOR_TOL,
+                       near_constant=_is_near_constant(v, cfg), decay=None, diagnostics=diag)
     if sol.converged and sol.sigma > 2.0 * cfg.alpha:
         sol.decay = decay_fit(sol, cfg)
     return sol
@@ -441,15 +444,11 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
     if sig <= 2.0 * alpha:
         raise ValueError("decay fit requires sigma > 2*alpha")
 
-    prof = sol.profile
-    j = prof.cell.indices()
-    v = prof.values
-    right = j > 0
-    jr, vr = j[right], v[right]
+    prof, v = sol.profile, sol.profile.values
+    right = prof.cell.indices() > 0
+    jr, vr = prof.cell.indices()[right], v[right]
 
-    floor = 1e-13 * math.sqrt(cfg.rho)
-    inner_mask = vr < 0.1 * float(np.max(v))
-    usable = (vr > floor) & inner_mask
+    usable = (vr > 1e-13 * math.sqrt(cfg.rho)) & (vr < 0.1 * float(np.max(v)))
     if prof.cell.is_finite:
         usable &= jr <= prof.cell.symmetric_doubled_max() / 2.0 - 2.0
     jw, vw = jr[usable], vr[usable]
@@ -459,13 +458,9 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
     slope, intercept = np.polyfit(jw, np.log(vw), 1)
     fit_res = float(np.max(np.abs(np.log(vw) - (intercept + slope * jw))))
     kappa_lin = (sig - math.sqrt(sig * sig - 4.0 * alpha * alpha)) / (2.0 * alpha)
-    return DecayFit(
-        fitted_rate=float(-slope),
-        bound_rate=-math.log(alpha / (sig - alpha)),
-        linear_rate=-math.log(kappa_lin),
-        tail_window=(float(jw[0]), float(jw[-1])),
-        fit_residual=fit_res,
-    )
+    return DecayFit(fitted_rate=float(-slope), bound_rate=-math.log(alpha / (sig - alpha)),
+                    linear_rate=-math.log(kappa_lin), tail_window=(float(jw[0]), float(jw[-1])),
+                    fit_residual=fit_res)
 
 
 class HomoclinicVerdict(Enum):
@@ -535,11 +530,8 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     max_amps = [float(np.max(s.profile.values)) for s in solutions]
     sup_diffs = [float(np.max(np.abs(b.values - a.values)))
                  for a, b in zip(restricted, restricted[1:])]
-    tail_fracs = []
-    for n, s in zip(n_sequence, solutions):
-        jj = np.abs(s.profile.cell.indices())
-        mass = float(np.sum(s.profile.values[jj > n / 4.0] ** 2))
-        tail_fracs.append(mass / cfg.rho)
+    tail_fracs = [float(np.sum(s.profile.values[np.abs(s.profile.cell.indices()) > n / 4.0] ** 2))
+                  / cfg.rho for n, s in zip(n_sequence, solutions)]
 
     floor = 2.0 * _WAVE_ERROR_PER_RESIDUAL * cfg.tol_residual
     diffs_shrink = (all(b <= max(a, floor) for a, b in zip(sup_diffs, sup_diffs[1:]))

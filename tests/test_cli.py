@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -446,6 +447,58 @@ def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, flag, va
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_end, dt, n, message", [
+    ("1", "1e-300", "5", "evolve would take 5e+300 RK4 site-steps, more than the cap of 1e+07"),
+    ("1e300", "1e-300", "5", "evolve would take inf RK4 site-steps, more than the cap of 1e+07"),
+    # just past the cap: round(1 / 4.999e-7) = 2,000,400 steps on 5 sites
+    ("1", "4.999e-7", "5", "evolve would take 1e+07 RK4 site-steps, more than the cap of 1e+07"),
+])
+def test_evolve_refuses_too_many_site_steps_before_solving(tmp_path, capsys, monkeypatch,
+                                                          t_end, dt, n, message):
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    start = time.perf_counter()
+    code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "2", "--N", n,
+                 "--t-end", t_end, "--dt", dt, "--out", str(tmp_path / "sub" / "evo")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_at_its_cap_goes_on_to_solve(tmp_path, monkeypatch):
+    # 2e6 steps on 5 sites is the cap itself: the command solves (here, refuses to converge)
+    unconverged = mock.Mock(converged=False)
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(return_value=unconverged))
+    code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "2", "--N", "5",
+                 "--t-end", "1", "--dt", "5e-7", "--out", str(tmp_path / "evo")])
+    assert code == 2 and dnls.cli.solve.call_count == 1
+
+
+@pytest.mark.parametrize("grid", [
+    ["--param", "N", "--from", "2", "--to", "100000", "--step", "1"],
+    # a range too long for an integer count
+    ["--param", "rho", "--from", "0", "--to", "1e300", "--step", "1e-300"],
+    ["--param", "rho", "--values", ",".join(str(1 + k) for k in range(1001))],
+])
+def test_sweep_refuses_more_points_than_its_cap_before_solving(tmp_path, capsys, monkeypatch,
+                                                              grid):
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    start = time.perf_counter()
+    code = main(["sweep", *grid, "--potential", "quartic", "--alpha", "1", "--N", "5",
+                 "--out", str(tmp_path / "s")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err == "error: a sweep grid may hold at most 1000 points\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_of_as_many_points_as_its_cap_goes_on_to_solve(tmp_path, monkeypatch):
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=RuntimeError("solved")))
+    code = main(["sweep", "--param", "N", "--from", "2", "--to", "1001", "--step", "1",
+                 "--potential", "quartic", "--alpha", "1", "--out", str(tmp_path / "s")])
+    assert code == 2 and dnls.cli.solve.call_count == 1
 
 
 @pytest.mark.parametrize("argv, message", [

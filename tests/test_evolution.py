@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnls.evolution
-from dnls.evolution import (_BLOCK, BlowUpError, EquilibriumReport, EvolutionState,
+from dnls.evolution import (_BLOCK, _CHECK, BlowUpError, EquilibriumReport, EvolutionState,
                             _check_equilibrium_times, _invariants, integrate,
                             relative_equilibrium_check)
 from dnls.functionals import field_values
@@ -444,6 +444,25 @@ def test_a_blow_up_inside_a_run_names_its_first_state(start, t_end, dt, first_ba
     assert str(err.value) == f"amplitude exceeded 1e+06 at t={state.time + first_bad * h:g}"
     # every block before the one that holds the bad state, and nothing else
     assert handed == rows[:first_bad // _BLOCK * _BLOCK]
+
+
+@pytest.mark.parametrize("start, t_end, dt, first_bad", [
+    (quartic_wave_start, 50.0, 0.03, 2),
+    (linear_rotation_start, 400 * 1.425, 1.425, 257),
+])
+def test_a_blow_up_stops_the_steps_within_one_check(start, t_end, dt, first_bad):
+    # the steps stop at the first check after the first bad state, not at its block's end
+    state, base, alpha = start()
+    calls = [0]
+
+    def dpsi(x):
+        calls[0] += 1
+        return base.dpsi(x)
+
+    with pytest.raises(BlowUpError):
+        integrate(state, Potential("counted", base.psi, dpsi), alpha, t_end, dt)
+    assert 4 * first_bad <= calls[0] <= 4 * (first_bad + _CHECK)
+    assert _CHECK <= 16  # the block of 128 states ran up to 508 calls on the first start
 
 
 def test_an_over_limit_start_state_is_a_blow_up_without_a_step():

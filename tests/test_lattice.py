@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls.functionals import coupling, power
-from dnls.lattice import (Cell, IndexScheme, Profile, _index_labels, _pav_nonincreasing,
-                          _write_csv, cone_slack, in_cone, profile_from_csv, profile_to_csv,
+from dnls.lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _index_labels,
+                          _pav_nonincreasing, _periodic_cell, _wrap_index, _write_csv,
+                          cone_slack, in_cone, profile_from_csv, profile_to_csv,
                           project_cone, restrict)
 
 from conftest import random_cone_profile, stagger
@@ -44,6 +45,43 @@ def test_cell_counting_identities(scheme, n):
         assert np.all(d % 2 == 0)
     else:
         assert np.all(d % 2 != 0)
+
+
+@pytest.mark.parametrize("scheme", [ON, INTER])
+def test_periodic_cells_are_shared(scheme):
+    for n in (2, 5, 40):
+        cell = Cell.periodic(scheme, n)
+        assert Cell.periodic(scheme, n) is cell
+        assert Cell.periodic(scheme, np.int64(n)) is cell  # the key is int(n)
+        assert cell == Cell(scheme, n=n) and cell.n == n
+
+
+def cached_geometry(cell):
+    return [cell.doubled_indices(), cell.indices(), *cell.fold, *cell.level_coupling]
+
+
+@pytest.mark.parametrize("scheme", [ON, INTER])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_cached_geometry_is_built_once_and_read_only(scheme, periodic):
+    cell = Cell.periodic(scheme, 7) if periodic else Cell.truncated(scheme, 3.5)
+    arrays = cached_geometry(cell)
+    assert all(a is b for a, b in zip(arrays, cached_geometry(cell)))
+    for a in arrays + [_wrap_index(7)]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert cell.indices().tolist() == (cell.doubled_indices() / 2.0).tolist()
+
+
+def test_the_periodic_cell_cache_holds_at_most_its_size():
+    _periodic_cell.cache_clear()
+    cells = [Cell.periodic(scheme, n) for n in range(2, 2 + _CELL_CACHE) for scheme in (ON, INTER)]
+    info = _periodic_cell.cache_info()
+    assert info.maxsize == _CELL_CACHE and info.currsize == _CELL_CACHE
+    # the most recent cells are still shared; an evicted one is built anew, equal
+    assert all(Cell.periodic(c.scheme, c.n) is c for c in cells[-_CELL_CACHE:])
+    again = Cell.periodic(ON, 2)
+    assert again == cells[0] and again is not cells[0]
+    assert _periodic_cell.cache_info().currsize == _CELL_CACHE
 
 
 def test_truncated_cells():

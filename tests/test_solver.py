@@ -10,21 +10,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dnls.lattice
 import dnls.oracle
 import dnls.potentials
 import dnls.solver
 from dnls.evolution import relative_equilibrium_check
 from dnls.functionals import (DegenerateProfileError, energy, flow, level_energies,
                               p_value, power, residual)
-from dnls.lattice import (Cell, IndexScheme, Profile, cone_slack, in_cone,
-                          project_cone)
+from dnls.lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _periodic_cell, cone_slack,
+                          in_cone, project_cone)
 from dnls.oracle import _ORACLE_LEAF, _ORACLE_TILE, _ORACLE_ZOOM
 from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadratic,
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _GROWTH_EVIDENCE, _MAX_HALVINGS,
                          _NEAR_CONSTANT_TOL, _RES_GROWTH, _TOL_STEP,
-                         HomoclinicVerdict, RunDiagnostics, SolverConfig, _energy_slack,
+                         HomoclinicVerdict, RunDiagnostics, SolverConfig, _ansatz_basis,
+                         _energy_slack,
                          _flat_lambda1, _is_near_constant, _run, _step, decay_fit,
                          homoclinic, initial_ansatz, oracle_maximize, solve)
 
@@ -137,6 +139,57 @@ def test_ansatz_picks_the_site_space_maximizer(name, scheme, n, alpha, rho):
     rows = scorer.call_args.args[0][cfg.cell().fold[0]].T
     assert rows.shape == (120, n)
     assert u.values.tobytes() == rows[int(np.argmax(row_energies(rows, p, alpha)))].tobytes()
+
+
+def test_the_ansatz_basis_is_kept_per_cell_read_only_and_bounded():
+    _ansatz_basis.cache_clear()
+    cfg = small_cfg()
+    first = initial_ansatz(cfg, quartic())
+    assert initial_ansatz(replace(cfg, rho=3.0), quartic()).cell is first.cell
+    info = _ansatz_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    terms, norms = _ansatz_basis(cfg.cell())
+    assert terms.shape == (4, cfg.n) and norms.shape == (120,)
+    for a in (terms, norms):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    for n in range(2, 2 + 2 * _CELL_CACHE):
+        initial_ansatz(replace(cfg, n=n), quartic())
+    info = _ansatz_basis.cache_info()
+    assert info.maxsize == _CELL_CACHE and info.currsize == _CELL_CACHE
+
+
+def answers(cfg, p):
+    """The bytes of a solve's JSON dict and profile, and of the oracle's answer on N <= 4."""
+    sol = solve(cfg, p)
+    out = [json.dumps(sol.to_dict(cfg)).encode(), sol.profile.values.tobytes()]
+    if cfg.n <= 4:
+        best, p_best = oracle_maximize(cfg, p, grid_points=2001)
+        out += [best.values.tobytes(), float(p_best).hex().encode()]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CATALOG)), scheme=st.sampled_from([ON, INTER]),
+       n=st.integers(2, 40), alpha=st.floats(0.25, 4.0), rho=st.floats(0.5, 10.0))
+@example(name="quartic", scheme=ON, n=4, alpha=0.5, rho=2.0)
+@example(name="saturable-log", scheme=INTER, n=3, alpha=1.0, rho=1.0)
+def test_cached_cells_give_the_answers_of_fresh_ones(name, scheme, n, alpha, rho):
+    p = CATALOG[name]()
+    cfg = SolverConfig(alpha=alpha, rho=rho, scheme=scheme, n=n, max_iters=20_000)
+    _periodic_cell.cache_clear()
+    _ansatz_basis.cache_clear()
+    cold = answers(cfg, p)
+    assert cfg.cell() is cfg.cell()
+    hits = _ansatz_basis.cache_info().hits
+    warm = answers(cfg, p)
+    assert _ansatz_basis.cache_info().hits == hits + 1
+    # no cache at all: a new cell, its geometry and its basis on every call
+    with mock.patch.object(dnls.lattice, "_periodic_cell", _periodic_cell.__wrapped__), \
+            mock.patch.object(dnls.solver, "_ansatz_basis", _ansatz_basis.__wrapped__):
+        assert cfg.cell() is not cfg.cell()
+        fresh = answers(cfg, p)
+    assert cold == warm == fresh
 
 
 def stepped(u, cfg, p):
