@@ -48,7 +48,7 @@ _TOL_STEP = 1e-12
 # largest spectral (BB2) trial step: the inverse of the flattest curvature it may follow
 _TAU_BB_MAX = 1e6
 # the tests of ``_step`` that can refuse a trial, in the order they run
-_REJECTION_REASONS = ("energy", "cone", "residual")
+_REJECTION_REASONS = ("energy", "cone")
 # the ansatz weights: the 120 tuples of four non-negative integers summing to 7,
 # in lexicographic order
 _ANSATZ_WEIGHTS = np.array([w for w in itertools.product(range(8), repeat=4)
@@ -132,7 +132,12 @@ class DecayFit:
 
 @dataclass
 class RunDiagnostics:
-    """Per-run monitors: constraint drift, energy monotonicity, cone membership."""
+    """Per-run monitors: constraint drift, energy monotonicity, cone membership.
+
+    ``cone_violations`` is 0 by construction: every accepted trial passed the
+    cone test of ``_step``. It stays because acceptance criterion 5 and
+    ``perfbench`` read it.
+    """
 
     max_power_drift: float = 0.0          # relative to rho
     min_energy_increment: float = math.inf
@@ -212,29 +217,17 @@ def initial_ansatz(cfg: SolverConfig, p: Potential) -> Profile:
     return Profile(cell, levels[:, int(np.argmax(p_all))][site_level])
 
 
-# energy gains above this relative scale are clearly measurable; below it
-# they drown in the roundoff of evaluating the energy terms
-_GROWTH_EVIDENCE = 1e-12
-# allowed per-step relative growth of the residual: the sup-residual may rise
-# a little on the legitimate path (the leading site can switch), while an
-# unstable step size multiplies it by a visibly larger factor
-_RES_GROWTH = 1e-2
-
-
 def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | None,
           cell: Cell, tau: float):
     """One normalized ascent step, always backtracked.
 
     The trial step is halved (up to 30 times) until the candidate is
-    admissible: the energy must not decrease beyond slack, the candidate must
-    stay in the cone, and, once energy gains are too small to measure, the
-    standing-wave residual must not grow by more than a token factor. The
-    continuous flow satisfies all three, so a violation marks a too-large
-    discrete step; the residual test keeps the endgame contracting where
-    energy comparisons drown in roundoff. The tests run in that order and
-    each runs only when the ones before it pass. If no admissible step is
-    found the input itself is returned, a step of size zero that the caller
-    surfaces as stagnation.
+    admissible: the energy must not decrease beyond slack, and the candidate
+    must stay in the cone. The continuous flow satisfies both, so a
+    violation marks a too-large discrete step. The cone test runs only on a
+    trial that passed the energy test, and the flow is computed once, at the
+    accepted trial. If no admissible step is found the input itself is
+    returned, a step of size zero that the caller surfaces as stagnation.
 
     The base point and the trials are normalized by one factor
     ``sqrt(rho)/||v||``; a trial whose own factor lies more than 4 ulps from
@@ -261,30 +254,18 @@ def _step(v: np.ndarray, cfg: SolverConfig, p: Potential, flow0, p_v: float | No
     near = 4.0 * math.ulp(scale)
     p0 = p_v if scale == 1.0 and p_v is not None else p_value(v * scale, True, p, cfg.alpha)
     floor = -_energy_slack(p0)
-    # the smooth 2-norm of the field serves as the contraction measure; the
-    # sup residual can rise at a kink when the leading site switches. The
-    # ulp-level renormalization jitter shifts the field by about
-    # eps*multiplier*sqrt(rho), which the comparison must tolerate.
-    res0 = math.sqrt(flow0[1] @ flow0[1])
-    res_limit = res0 * (1.0 + _RES_GROWTH) \
-        + 8.0 * _EPS * abs(flow0[0]) * sqrt_rho
-    rejected = [0, 0, 0]
+    rejected = [0, 0]
     for _ in range(_MAX_HALVINGS + 1):
         w = v + tau * flow0[1]
         own = sqrt_rho / math.sqrt(w @ w)
         w *= scale if abs(own - scale) <= near else own
         p1 = p_value(w, True, p, cfg.alpha)
-        gain = p1 - p0
-        if not gain >= floor:
+        if not p1 - p0 >= floor:
             rejected[0] += 1
         elif (slack := cone_slack_values(w, cell)) > _CONE_MONITOR_TOL:
             rejected[1] += 1
         else:
-            flow_w = flow(w, True, p, cfg.alpha)
-            if (gain > _GROWTH_EVIDENCE * max(1.0, abs(p1))
-                    or math.sqrt(flow_w[1] @ flow_w[1]) <= res_limit):
-                return w, flow_w, p0, p1, slack, tau, rejected
-            rejected[2] += 1
+            return w, flow(w, True, p, cfg.alpha), p0, p1, slack, tau, rejected
         tau *= 0.5
     return v, flow0, p0, p0, 0.0, tau, rejected
 
@@ -300,7 +281,7 @@ def _run(v: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell,
     capped at ``_TAU_BB_MAX``. Where s.y <= 0 (no positive curvature seen) or
     a trial of that step left the cone, the accepted size is carried instead,
     with one doubling and capped at the configured tau. Oversized trials are
-    cut back by the admissibility tests inside the step. Fixed points of the
+    cut back by the energy and cone tests inside the step. Fixed points of the
     map do not depend on the step size. The stop reason is ``residual`` when
     the last residual meets the tolerance, else the rule that ended the loop.
     """

@@ -240,6 +240,19 @@ def test_solve_converged_is_the_stop_rule_verdict(tmp_path):
     assert data["residual"] <= 1e-15
 
 
+@pytest.mark.parametrize("n, alpha, rho", [("3", "1.2", "29"), ("10", "2.45", "23.77")])
+def test_a_high_energy_solve_converges(tmp_path, n, alpha, rho):
+    # P is about 4e12 (2e10 at N=10), where no energy gain is measurable; a
+    # residual test on such steps refused every trial and stopped the run on
+    # stagnation after one step, at residual 6.5 (12 at N=10)
+    code = main(["solve", "--potential", "exp-quadratic", "--scheme", "onsite", "--N", n,
+                 "--alpha", alpha, "--rho", rho, "--out", str(tmp_path / "w")])
+    assert code == 0
+    data = read_json(tmp_path / "w.json")
+    assert data["converged"] is True and data["iterations"] <= 10
+    assert data["diagnostics"]["stop_reason"] == "residual"
+
+
 def test_homoclinic_command(tmp_path):
     out = tmp_path / "homo"
     code = main(["homoclinic", "--potential", "quartic", "--alpha", "0.3",
