@@ -15,7 +15,7 @@ solver output by measuring modulus drift and the phase rotation rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class EvolutionState:
     @staticmethod
     def from_profile(u: Profile) -> "EvolutionState":
         return EvolutionState(time=0.0, amplitudes=u.values.astype(complex), cell=u.cell)
-
-
-def _mod2(a: np.ndarray) -> np.ndarray:
-    return a.real**2 + a.imag**2
 
 
 def _invariants(a: np.ndarray, mod2: np.ndarray, periodic: bool, p: Potential,
@@ -92,25 +88,34 @@ def _check_equilibrium_times(t_end: float, dt: float) -> None:
 def _rk4_blocks(a: np.ndarray, n_steps: int, h: float, periodic: bool, p: Potential,
                 alpha: float):
     """A and each of ``n_steps`` RK4 steps of size h, in fresh blocks (states, |A|^2) of up
-    to ``_BLOCK`` rows; one whose last ``_CHECK`` rows fail the blow-up test ends there."""
+    to ``_BLOCK`` rows; one whose last ``_CHECK`` rows fail the blow-up test ends there.
+    |A|^2 is a square of the float view (re, im, ...) into ``sq`` and an add of its even and
+    odd entries, re**2 + im**2 bit for bit; the stages reuse ``b`` and ``m``. Outputs go in
+    positionally: ``out=`` adds to each call's cost, which outweighs the arithmetic here."""
     # the factor i of dA/dt = i F(A) folded into the stage coefficients
     ihh, ih, ih6 = 1j * (0.5 * h), 1j * h, 1j * (h / 6.0)
-    mod2 = _mod2(a)
+    b, m, sq = np.empty_like(a), np.empty(a.size), np.empty(2 * a.size)
+    bf, re2, im2 = b.view(float), sq[::2], sq[1::2]
     for first in range(0, n_steps + 1, _BLOCK):
         rows = min(_BLOCK, n_steps + 1 - first)
         states, mod2s = np.empty((rows, a.size), complex), np.empty((rows, a.size))
-        if not first:
-            states[0], mod2s[0] = a, mod2
-        for row in range(0 if first else 1, rows):
-            f1 = field_values(a, mod2, periodic, p, alpha)
-            b = a + ihh * f1
-            f2 = field_values(b, _mod2(b), periodic, p, alpha)
-            b = a + ihh * f2
-            f3 = field_values(b, _mod2(b), periodic, p, alpha)
-            b = a + ih * f3
-            f4 = field_values(b, _mod2(b), periodic, p, alpha)
-            a = np.add(a, ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4), out=states[row])
-            mod2 = np.add(a.real**2, a.imag**2, out=mod2s[row])  # _mod2, in its row
+        for row in range(rows):
+            if first + row:  # a step; the first block's row 0 is the start state
+                f1 = field_values(a, mod2, periodic, p, alpha)
+                np.add(a, np.multiply(f1, ihh, b), b)
+                np.square(bf, sq)
+                f2 = field_values(b, np.add(re2, im2, m), periodic, p, alpha)
+                np.add(a, np.multiply(f2, ihh, b), b)
+                np.square(bf, sq)
+                f3 = field_values(b, np.add(re2, im2, m), periodic, p, alpha)
+                np.add(a, np.multiply(f3, ih, b), b)
+                np.square(bf, sq)
+                f4 = field_values(b, np.add(re2, im2, m), periodic, p, alpha)
+                a = np.add(a, ih6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4), states[row])
+            else:
+                states[0] = a
+            np.square(a.view(float), sq)
+            mod2 = np.add(re2, im2, mod2s[row])
             if (row % _CHECK == _CHECK - 1
                     and not mod2s[row + 1 - _CHECK:row + 1].max() <= _BLOWUP_LIMIT**2):
                 yield states[:row + 1], mod2s[:row + 1]
@@ -126,14 +131,13 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     Accuracy degrades for dt beyond roughly 0.1/(1 + 2|alpha| + dpsi(max|A|^2)),
     the inverse of the fastest local rotation rate. Returns the final state
     and drift diagnostics for power and Hamiltonian.
-    The trajectory, the start state and then the state after each step, is
-    written into blocks of up to ``_BLOCK`` states with their |A|^2; the steps stop
-    within ``_CHECK`` states of a blow-up. From the block the blow-up guard checks
-    every state, and the power and Hamiltonian take one psi call; their drifts
-    are measured from row 0 of the first block and equal those of a step-by-step
-    evaluation. Then the block is handed to
-    ``callback(steps, times, states)``: the states' step numbers and times and
-    the (B, N) states, never modified afterwards, so they may be kept.
+    The trajectory, the start state and then the state after each step, is written into
+    blocks of up to ``_BLOCK`` states with their |A|^2; the steps stop within ``_CHECK``
+    states of a blow-up. From the block the blow-up guard checks every state, and the power
+    and Hamiltonian take one psi call; their drifts are measured from row 0 of the first
+    block and equal those of a step-by-step evaluation. Then the block is handed to
+    ``callback(steps, times, states)``: the states' step numbers and times and the (B, N)
+    states, never modified afterwards and sharing no reused buffer, so they may be kept.
     ``t_end`` and ``dt`` must be finite. An amplitude above the blow-up limit,
     or one that a step made inf or nan, raises ``BlowUpError`` with the time of
     the first such state, whose block is never handed out; numpy's overflow
@@ -165,7 +169,7 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
                 callback(steps, times, states)
     final = EvolutionState(time=state.time + t_end, amplitudes=states[-1].copy(),
                            cell=state.cell)
-    diagnostics = {
+    return final, {
         "steps": n_steps,
         "dt": h,
         "power_drift": max_dp,
@@ -173,7 +177,6 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
         "hamiltonian_drift": max_dh,
         "hamiltonian_drift_rel": max_dh / abs(h0) if h0 != 0 else max_dh,
     }
-    return final, diagnostics
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ class EquilibriumReport:
     dt: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
@@ -201,8 +204,7 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
     hands out, with the same results as reading them state by state, and the
     block is then passed on to ``callback(steps, times, states)``, so a caller
     can sample the same trajectory without integrating it again.
-    ``t_end`` must be positive and finite, so the rate is fitted to at least
-    two samples.
+    ``t_end`` must be positive and finite, so the rate is fitted to at least two samples.
     """
     _check_equilibrium_times(t_end, dt)
     if not sol.converged:

@@ -16,7 +16,7 @@ boundaries, matching the zero extension of restricted profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class EnergyBreakdown:
     t_value: float | None
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 def power(u: Profile) -> float:

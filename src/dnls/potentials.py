@@ -164,7 +164,7 @@ class Violation:
 
     def to_dict(self) -> dict:
         """The fields, with a non-finite side as None: JSON has no Infinity or NaN."""
-        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "check": self.check.value,
+        return {**vars(self), "check": self.check.value,
                 **{k: None for k in ("lhs", "rhs") if not np.isfinite(getattr(self, k))}}
 
 

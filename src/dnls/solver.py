@@ -104,8 +104,7 @@ class SolverConfig:
         return Cell.periodic(self.scheme, self.n)
 
     def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "scheme": self.scheme.value}
+        return {**vars(self), "scheme": self.scheme.value}
 
     @staticmethod
     def from_dict(data: dict) -> "SolverConfig":
@@ -127,7 +126,7 @@ class DecayFit:
     fit_residual: float
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
 
 @dataclass
@@ -155,8 +154,7 @@ class RunDiagnostics:
 
     def to_dict(self) -> dict:
         inc = self.min_energy_increment
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "min_energy_increment": None if math.isinf(inc) else inc,
+        return {**vars(self), "min_energy_increment": None if math.isinf(inc) else inc,
                 "rejections": dict(self.rejections)}
 
 

@@ -397,6 +397,116 @@ def test_rk4_step_kernel_budget():
         assert all(a.base is None for a in kept)
 
 
+def test_the_rk4_steps_take_their_field_from_the_one_kernel(monkeypatch):
+    # every field of a step is a call of functionals.field_values, one per stage: a field
+    # formed any other way would leave the dpsi calls at 4k and the kernel calls below it
+    calls = {"field": 0, "dpsi": 0}
+    base = saturable_arctan()
+
+    def dpsi(x):
+        calls["dpsi"] += 1
+        return base.dpsi(x)
+
+    def counted_field(*args):
+        calls["field"] += 1
+        return field_values(*args)
+
+    monkeypatch.setattr(dnls.evolution, "field_values", counted_field)
+    p = Potential("counted", base.psi, dpsi)
+    for cell in (Cell.periodic(ON, 5), Cell.truncated(INTER, 3.0)):
+        state = EvolutionState(0.0, np.linspace(0.2, 0.9, cell.size) * (1 - 0.5j), cell)
+        for steps in (0, 1, 7, _BLOCK, _BLOCK + 1):
+            calls.update(field=0, dpsi=0)
+            out, _ = integrate(state, p, 1.0, t_end=0.01 * steps, dt=0.01)
+            assert calls == {"field": 4 * steps, "dpsi": 4 * steps}
+            ref, _ = reference_integrate(state, base, 1.0, t_end=0.01 * steps, dt=0.01)
+            assert out.amplitudes.tobytes() == ref.amplitudes.tobytes()
+
+
+def signed_zero_states(n):
+    """States with -0.0 real or imaginary parts: zero states of three sign patterns, one
+    with -0.0 real parts and non-zero imaginary parts, and one with -0.0 on every site's
+    real or imaginary part and a non-zero other part."""
+    k = np.arange(n)
+    parts = [(np.full(n, -0.0), np.zeros(n)), (np.full(n, -0.0), np.full(n, -0.0)),
+             (np.where(k % 2, 0.0, -0.0), np.where(k % 2, -0.0, 0.0)),
+             (np.full(n, -0.0), np.full(n, 0.3)),
+             (np.where(k % 2, 0.4 - 0.1 * k, -0.0), np.where(k % 2, -0.0, 0.7))]
+    states = [np.empty(n, complex) for _ in parts]
+    for a, (re, im) in zip(states, parts):
+        a.real, a.imag = re, im
+    return states
+
+
+@pytest.mark.parametrize("name", ["quartic", "saturable-arctan"])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_signed_zeros_match_the_plain_rk4_loop(name, periodic, n):
+    # x*x and re^2 + im^2 give +0.0 for either zero, and a start state or a stage must not
+    # be copied by arithmetic (0 + -0.0 = +0.0): every sign bit follows the plain loop's
+    p = CATALOG[name]()
+    cell = random_cell(periodic, n % 2 == 0, n)
+    carried = 0  # -0.0 parts of the reference's states after the start
+    for a0 in signed_zero_states(n):
+        for alpha in (1.0, -1.0):
+            state = EvolutionState(0.0, a0, cell)
+            got, want = [], []
+            out, diag = integrate(state, p, alpha, 0.02 * (_CHECK + 3), 0.02,
+                                  callback=block_rows(got))
+            ref, ref_diag = reference_integrate(state, p, alpha, 0.02 * (_CHECK + 3), 0.02,
+                                                callback=block_rows(want))
+            assert got == want
+            assert got[0][2] == a0.tobytes()
+            assert out.amplitudes.tobytes() == ref.amplitudes.tobytes()
+            assert diag == ref_diag
+            later = np.frombuffer(b"".join(a for _, _, a in want[1:]))
+            carried += int(np.sum((later == 0) & np.signbit(later)))
+    assert carried > 0
+
+
+def test_reused_buffers_never_reach_a_caller(monkeypatch):
+    # the stage state b and its |b|^2 reach field_values on stages 2-4 of each step, and
+    # the squares go into np.square's output: each is one buffer for the whole run, and
+    # no handed-out block, nor the final state, shares memory with them or a later block
+    stage_args, square_outs = [], []
+    square = np.square
+
+    def spy_field(a, mod2, *rest):
+        stage_args.append((a, mod2))
+        return field_values(a, mod2, *rest)
+
+    def spy_square(x, out=None, **kwargs):
+        square_outs.append(out)
+        return square(x, out, **kwargs)
+
+    monkeypatch.setattr(dnls.evolution, "field_values", spy_field)
+    monkeypatch.setattr(np, "square", spy_square)
+    state = EvolutionState(0.0, np.exp(-np.abs(np.arange(-3, 4))) * (1 + 0.5j),
+                           Cell.periodic(ON, 7))
+    kept = []
+
+    def keep(steps, times, states):
+        # the blocks kept so far are as they were handed out
+        assert all(a.tobytes() == copy for a, copy in kept)
+        kept.append((states, states.tobytes()))
+
+    out, _ = integrate(state, quartic(), 1.0, t_end=0.01 * (2 * _BLOCK + 3), dt=0.01,
+                       callback=keep)
+    monkeypatch.undo()
+    assert [len(a) for a, _ in kept] == [_BLOCK, _BLOCK, 4]
+    assert len(stage_args) == 4 * (2 * _BLOCK + 3)
+    stages = [args for k, args in enumerate(stage_args) if k % 4]
+    b, m = stages[0]
+    assert all(x is b and y is m for x, y in stages)
+    assert len({id(x) for x in square_outs}) == 1 and square_outs[0] is not None
+    buffers = [b, m, square_outs[0]]
+    handed = [a for a, _ in kept] + [out.amplitudes]
+    assert not any(np.shares_memory(a, buf) for a in handed for buf in buffers)
+    assert not any(np.shares_memory(a, c) for a, c in combinations(handed, 2))
+    assert all(a.tobytes() == copy for a, copy in kept)
+    assert out.amplitudes.tobytes() == kept[-1][0][-1].tobytes()
+
+
 def test_a_step_that_overflows_is_a_blow_up():
     # one RK4 step of h = 1e3 overflows to nan; the guard catches it in the last state
     state = EvolutionState(0.0, np.full(5, math.sqrt(0.4), dtype=complex), Cell.periodic(ON, 5))
