@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .evolution import _check_equilibrium_times, relative_equilibrium_check
 from .functionals import participation_ratio
-from .lattice import IndexScheme, _index_labels, _write_csv, profile_to_csv
+from .lattice import _index_labels, _write_csv, profile_to_csv
 from .potentials import Potential, check_assumptions, parse_potential_spec
 from .oracle import oracle_maximize
 from .solver import SolverConfig, homoclinic, solve
@@ -88,42 +88,40 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
 def _solver_inputs(args, out: _Artifacts) -> tuple[SolverConfig, Potential]:
     """The solver config (``--config``, then the flags) and ``--potential``; the manifest
     ``config`` lists the solver fields, the potential's label, then the command's keys."""
-    base = SolverConfig(alpha=1.0, rho=1.0)
+    file = {}
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text())
+            file = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config}: {exc.strerror}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(file, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        base = SolverConfig.from_dict({**base.to_dict(), **data})
-    overrides = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
-                 if getattr(args, f.name) is not None}
-    if args.scheme is not None:
-        overrides["scheme"] = IndexScheme(args.scheme)
-    cfg = replace(base, **overrides)
+    flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+             if getattr(args, f.name) is not None}
+    cfg = SolverConfig.from_dict({"alpha": 1.0, "rho": 1.0, **file, **flags})
     potential = parse_potential_spec(args.potential)
     out.config = {**cfg.to_dict(), "potential": potential.label}
     return cfg, potential
 
 
-def _finished(sol) -> int:
-    """A solve's exit once its artifacts are written: 0, or 2 and why it did not converge."""
-    if sol.converged:
-        return 0
-    print(f"did not converge: stop={sol.diagnostics.stop_reason} "
-          f"residual={sol.residual:.3e} after {sol.iterations} iterations", file=sys.stderr)
-    return OPERATIONAL_ERROR
+def _finished(waves) -> int:
+    """A solving command's exit once its artifacts are written, over its waves keyed by
+    artifact tag: 0, or 2 and why each wave did not converge, led by its tag if it has one."""
+    unconverged = {tag: sol for tag, sol in waves.items() if not sol.converged}
+    for tag, sol in unconverged.items():
+        print(f"{tag}{': ' if tag else ''}did not converge: stop={sol.diagnostics.stop_reason} "
+              f"residual={sol.residual:.3e} after {sol.iterations} iterations", file=sys.stderr)
+    return OPERATIONAL_ERROR if unconverged else 0
 
 
 def cmd_solve(args, out: _Artifacts) -> int:
     cfg, potential = _solver_inputs(args, out)
     sol = solve(cfg, potential)
-    out.json(".json", sol.to_dict(cfg))
+    out.json(".json", sol.to_dict())
     profile_to_csv(sol.profile, out.path(".profile.csv"))
     print(f"converged={sol.converged} sigma={sol.sigma:.12g} "
           f"residual={sol.residual:.3e} iterations={sol.iterations}")
-    return _finished(sol)
+    return _finished({"": sol})
 
 
 def _sweep_grid(args):
@@ -163,33 +161,37 @@ def cmd_sweep(args, out: _Artifacts) -> int:
                else replace(base, **{args.param: value}) for value in grid]
     for cfg in configs:  # every point is refused before the first solve
         cfg.validate()
+    if args.param == "N" and args.n is not None:
+        raise ValueError("sweep --param N takes its cell sizes from the grid, not --N")
     results = [solve(cfg, potential) for cfg in configs]
 
     rows = []
-    for tag, value, cfg, sol in zip(tags, grid, configs, results):
-        out.json(f".{tag}.json", sol.to_dict(cfg))
+    for tag, value, sol in zip(tags, grid, results):
+        out.json(f".{tag}.json", sol.to_dict())
         rows.append([value, sol.sigma, sol.energies.p_total, sol.energies.t_value, sol.residual,
                      np.max(sol.profile.values), participation_ratio(sol.profile)])
     summary = out.path(".summary.csv")
     _write_csv(summary, ["param", "sigma", "p_total", "t_value", "residual", "max_u",
                          "participation_ratio"], rows)
-    n_conv = sum(1 for s in results if s.converged)
+    n_conv = sum(s.converged for s in results)
     print(f"sweep over {args.param}: {n_conv}/{len(grid)} points converged; "
           f"summary at {summary}")
-    return 0 if n_conv >= 1 else OPERATIONAL_ERROR
+    return _finished(dict(zip(tags, results)))
 
 
 def cmd_homoclinic(args, out: _Artifacts) -> int:
+    if args.n is not None:
+        raise ValueError("homoclinic takes its cell sizes from --N-seq, not --N")
     cfg, potential = _solver_inputs(args, out)
     n_seq = [float(x) for x in args.n_seq.split(",") if x.strip()]
     result = homoclinic(cfg, potential, n_seq, margin=args.margin)
     out.config["n_sequence"] = result.n_sequence
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
-        out.json(f".N={n}.json", sol.to_dict(replace(cfg, n=n)))
+        out.json(f".N={n}.json", sol.to_dict())
         profile_to_csv(rest, out.path(f".N={n}.restricted.csv"))
     out.json(".json", result.to_dict())
     print(f"verdict={result.verdict.value} t_values={result.t_values}")
-    return 0 if all(s.converged for s in result.solutions) else OPERATIONAL_ERROR
+    return _finished({f"N={s.config.n}": s for s in result.solutions})
 
 
 def cmd_check_potential(args, out: _Artifacts) -> int:
@@ -217,7 +219,7 @@ def cmd_oracle(args, out: _Artifacts) -> int:
     })
     profile_to_csv(best, out.path(".profile.csv"))
     print(f"oracle P={p_best:.12g} solver P={sol.energies.p_total:.12g} gap={gap:.2e}")
-    return _finished(sol)
+    return _finished({"": sol})
 
 
 def cmd_evolve(args, out: _Artifacts) -> int:

@@ -132,10 +132,16 @@ def parse_potential_spec(spec: str) -> Potential:
         return CATALOG[spec]()
     if spec.startswith("power:") or spec == "power":
         kv = {}
-        body = spec.partition(":")[2]
-        for item in filter(None, body.split(",")):
+        for item in filter(None, spec.partition(":")[2].split(",")):
             key, _, val = item.partition("=")
-            kv[key.strip()] = float(val)
+            key = key.strip()
+            if key in kv:
+                raise ValueError(f"repeated power potential key: {key}")
+            try:
+                kv[key] = float(val)
+            except ValueError:
+                raise ValueError(f"power potential key {key} needs a number, "
+                                 f"not {val!r}") from None
         unknown = sorted(set(kv) - {"eta", "c"})
         if unknown:
             raise ValueError(f"unknown power potential keys: {', '.join(unknown)}; "

@@ -160,6 +160,7 @@ class RunDiagnostics:
 
 @dataclass
 class WaveSolution:
+    config: SolverConfig  # the config that ``solve`` ran
     profile: Profile
     sigma: float
     residual: float
@@ -171,14 +172,12 @@ class WaveSolution:
     decay: DecayFit | None
     diagnostics: RunDiagnostics
 
-    def to_dict(self, cfg: SolverConfig | None = None) -> dict:
-        """Every field but the profile, which has its own CSV; the config first if given."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
-        out.update(energies=self.energies.to_dict(),
+    def to_dict(self) -> dict:
+        """Every field but the profile, which has its own CSV."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
+        out.update(config=self.config.to_dict(), energies=self.energies.to_dict(),
                    decay=self.decay.to_dict() if self.decay else None,
                    diagnostics=self.diagnostics.to_dict())
-        if cfg is not None:
-            out = {"config": cfg.to_dict(), **out}
         return out
 
 
@@ -396,17 +395,17 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
-    sol = WaveSolution(profile=profile, sigma=0.5 * sig_flow,
+    sol = WaveSolution(config=cfg, profile=profile, sigma=0.5 * sig_flow,
                        energies=energy(profile, p, cfg.alpha), residual=res,
                        iterations=iterations, converged=res <= cfg.tol_residual,
                        in_cone=cone_slack(profile) <= _CONE_MONITOR_TOL,
                        near_constant=_is_near_constant(v, cfg), decay=None, diagnostics=diag)
     if sol.converged and sol.sigma > 2.0 * cfg.alpha:
-        sol.decay = decay_fit(sol, cfg)
+        sol.decay = decay_fit(sol)
     return sol
 
 
-def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
+def decay_fit(sol: WaveSolution) -> DecayFit | None:
     """Affine fit of log u_j against |j| over the exponential tail.
 
     The window runs from the first index where u drops below 0.1*max(u) out
@@ -419,7 +418,7 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
     """
     if not sol.converged:
         raise ValueError("decay fit requires a converged solution")
-    alpha, sig = cfg.alpha, sol.sigma
+    alpha, rho, sig = sol.config.alpha, sol.config.rho, sol.sigma
     if sig <= 2.0 * alpha:
         raise ValueError("decay fit requires sigma > 2*alpha")
 
@@ -427,7 +426,7 @@ def decay_fit(sol: WaveSolution, cfg: SolverConfig) -> DecayFit | None:
     right = prof.cell.indices() > 0
     jr, vr = prof.cell.indices()[right], v[right]
 
-    usable = (vr > 1e-13 * math.sqrt(cfg.rho)) & (vr < 0.1 * float(np.max(v)))
+    usable = (vr > 1e-13 * math.sqrt(rho)) & (vr < 0.1 * float(np.max(v)))
     if prof.cell.is_finite:
         usable &= jr <= prof.cell.symmetric_doubled_max() / 2.0 - 2.0
     jw, vw = jr[usable], vr[usable]

@@ -2,8 +2,10 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import dnls
@@ -34,6 +36,34 @@ def test_public_names():
     assert dnls.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(dnls, name), name
+
+
+def parameter_types(fn, owner=None):
+    """The annotated types of a callable's parameters, unions split; a method's ``self``
+    counts as its class. Names that a module imports only for type checking are read
+    from ``dnls``."""
+    params = list(inspect.signature(fn, eval_str=True, locals=vars(dnls)).parameters.values())
+    out = {owner} if owner is not None and params and params[0].name == "self" else set()
+    for p in params:
+        out.update(typing.get_args(p.annotation) or (p.annotation,))
+    return out
+
+
+def test_no_public_callable_takes_a_wave_beside_a_config():
+    # a wave carries the config it solved; a config passed beside it could
+    # disagree with it, and the wave's own would silently lose
+    callables = []
+    for name in dnls.__all__:
+        obj = getattr(dnls, name)
+        if inspect.isclass(obj):
+            callables += [(m, obj) for attr, m in inspect.getmembers(obj, inspect.isfunction)
+                          if not attr.startswith("_")]
+        elif inspect.isfunction(obj):
+            callables.append((obj, None))
+    assert (dnls.WaveSolution.to_dict, dnls.WaveSolution) in callables
+    assert dnls.WaveSolution in parameter_types(dnls.decay_fit)
+    assert [fn.__qualname__ for fn, owner in callables
+            if {dnls.WaveSolution, dnls.SolverConfig} <= parameter_types(fn, owner)] == []
 
 
 SOLVER_FLAGS = ["--potential", "--alpha", "--rho", "--scheme", "--N", "--tau",

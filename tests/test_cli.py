@@ -681,6 +681,18 @@ def test_check_potential_manifest_names_the_parsed_potential(tmp_path):
         "potential": label, "x_max": 10.0, "samples": 1000}
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("power:eta=1,c=1,eta=2", "repeated power potential key: eta"),
+    ("power:eta=", "power potential key eta needs a number, not ''"),
+])
+@pytest.mark.parametrize("command", [["check-potential"], ["solve"]])
+def test_a_malformed_power_spec_is_a_usage_error(tmp_path, capsys, command, spec, message):
+    code = main([*command, "--potential", spec, "--out", str(tmp_path / "sub" / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_nonconvergence_exit_code(tmp_path, capsys):
     # the solve behind the oracle stops at max_iters: exit 2, as solve does,
     # with the artifacts still written for diagnosis
@@ -692,6 +704,57 @@ def test_oracle_nonconvergence_exit_code(tmp_path, capsys):
                                        "after 5 iterations\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "o.json", "o.manifest.json", "o.profile.csv"]
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    # one point of two converges; a sweep used to exit 0 on a single converged point
+    (["sweep", "--param", "rho", "--values", "2.0,2.6", "--potential", "exp-quadratic",
+      "--alpha", "1", "--N", "41", "--max-iters", "3"],
+     ["s.manifest.json", "s.rho=2.6.json", "s.rho=2.json", "s.summary.csv"],
+     "rho=2.6: did not converge: stop=max_iters residual=4.740e-03 after 3 iterations\n"),
+    # a ladder used to exit 2 without naming the rung that failed
+    (["homoclinic", "--potential", "quartic", "--alpha", "0.5", "--rho", "2",
+      "--N-seq", "24,48", "--max-iters", "2"],
+     ["s.N=24.json", "s.N=24.restricted.csv", "s.N=48.json", "s.N=48.restricted.csv",
+      "s.json", "s.manifest.json"],
+     "".join(f"N={n}: did not converge: stop=max_iters residual=1.105e-02 "
+             "after 2 iterations\n" for n in (24, 48))),
+])
+def test_every_unconverged_wave_of_a_command_is_named_by_its_artifact_tag(
+        tmp_path, capsys, argv, files, err):
+    # the end rule of solve and oracle: the artifacts are written, then exit 2
+    assert main([*argv, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == err
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homoclinic", "--N-seq", "24,48"], "homoclinic takes its cell sizes from --N-seq, not --N"),
+    (["sweep", "--param", "N", "--values", "24,48"],
+     "sweep --param N takes its cell sizes from the grid, not --N"),
+])
+def test_an_n_flag_that_sizes_no_wave_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+    # the manifest recorded "n": 7 for waves of N=24 and N=48
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    monkeypatch.setattr(dnls.solver, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main([*argv, "--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--N", "7",
+                 "--out", str(tmp_path / "sub" / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [COMMANDS["homoclinic"],
+                                  ["sweep", "--param", "N", "--values", "9,17",
+                                   "--potential", "quartic", "--alpha", "0.3", "--rho", "2"]])
+def test_a_config_file_n_stays_the_shared_base(tmp_path, argv):
+    # only the flag is refused: a config file's n is the base of every command
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"n": 7}')
+    assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 0
+    assert read_json(tmp_path / "x.manifest.json")["config"]["n"] == 7
+    assert read_json(tmp_path / "x.N=17.json")["config"]["n"] == 17
 
 
 def test_evolve_overflowing_step_is_a_blow_up(tmp_path, capsys):

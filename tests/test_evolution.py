@@ -113,8 +113,8 @@ def test_perturbed_profile_detected(small_wave):
     cfg, sol = small_wave
     noisy = sol.profile.values.copy()
     noisy += 1e-2 * np.cos(np.arange(noisy.size))
-    fake = type(sol)(profile=sol.profile.with_values(noisy), sigma=sol.sigma,
-                     energies=sol.energies, residual=sol.residual,
+    fake = type(sol)(config=sol.config, profile=sol.profile.with_values(noisy),
+                     sigma=sol.sigma, energies=sol.energies, residual=sol.residual,
                      iterations=sol.iterations, converged=True,
                      in_cone=sol.in_cone, near_constant=False, decay=None,
                      diagnostics=sol.diagnostics)

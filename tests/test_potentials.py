@@ -196,6 +196,18 @@ def test_parse_potential_spec():
         parse_potential_spec("power:et=2")
     with pytest.raises(ValueError, match="unknown power potential keys: d, e;"):
         parse_potential_spec("power:eta=2,e=1,d=3")
+    # a repeated key was silently overridden by its last value
+    with pytest.raises(ValueError, match="^repeated power potential key: eta$"):
+        parse_potential_spec("power:eta=1,c=1,eta=2")
+    with pytest.raises(ValueError, match="^repeated power potential key: c$"):
+        parse_potential_spec("power:c=1, c=1")
+    # a value that is not a number failed with float's bare message
+    with pytest.raises(ValueError, match="^power potential key eta needs a number, not ''$"):
+        parse_potential_spec("power:eta=")
+    with pytest.raises(ValueError, match="^power potential key eta needs a number, not ''$"):
+        parse_potential_spec("power:eta")
+    with pytest.raises(ValueError, match="^power potential key c needs a number, not 'x'$"):
+        parse_potential_spec("power:eta=2,c=x")
     with pytest.raises(ValueError, match="finite eta > 0 and c > 0, not eta=nan, c=1.0"):
         parse_potential_spec("power:eta=nan")
     with pytest.raises(ValueError, match="not eta=1.5, c=inf"):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -24,8 +25,8 @@ from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadrati
                              nonconvex_rational, power_law, quartic,
                              saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _MAX_HALVINGS, _NEAR_CONSTANT_TOL, _TOL_STEP,
-                         HomoclinicVerdict, RunDiagnostics, SolverConfig, _ansatz_basis,
-                         _energy_slack,
+                         HomoclinicVerdict, RunDiagnostics, SolverConfig, WaveSolution,
+                         _ansatz_basis, _energy_slack,
                          _flat_lambda1, _is_near_constant, _run, _step, decay_fit,
                          homoclinic, initial_ansatz, oracle_maximize, solve)
 
@@ -161,7 +162,7 @@ def test_the_ansatz_basis_is_kept_per_cell_read_only_and_bounded():
 def answers(cfg, p):
     """The bytes of a solve's JSON dict and profile, and of the oracle's answer on N <= 4."""
     sol = solve(cfg, p)
-    out = [json.dumps(sol.to_dict(cfg)).encode(), sol.profile.values.tobytes()]
+    out = [json.dumps(sol.to_dict()).encode(), sol.profile.values.tobytes()]
     if cfg.n <= 4:
         best, p_best = oracle_maximize(cfg, p, grid_points=2001)
         out += [best.values.tobytes(), float(p_best).hex().encode()]
@@ -736,7 +737,7 @@ def test_solve_determinism():
 def test_solution_serialization_keys():
     cfg = small_cfg()
     sol = solve(cfg, quartic())
-    d = sol.to_dict(cfg)
+    d = sol.to_dict()
     assert list(d)[0] == "config"
     for key in ("sigma", "residual", "iterations", "converged", "in_cone",
                 "near_constant", "energies", "decay", "diagnostics"):
@@ -778,15 +779,12 @@ def equilibrium_dict_reference(r):
             "hamiltonian_drift_rel": r.hamiltonian_drift_rel, "t_end": r.t_end, "dt": r.dt}
 
 
-def wave_dict_reference(s, cfg=None):
-    out = {"sigma": s.sigma, "residual": s.residual, "iterations": s.iterations,
-           "converged": s.converged, "in_cone": s.in_cone, "near_constant": s.near_constant,
-           "energies": s.energies.to_dict(),
-           "decay": s.decay.to_dict() if s.decay else None,
-           "diagnostics": s.diagnostics.to_dict()}
-    if cfg is not None:
-        out = {"config": cfg.to_dict(), **out}
-    return out
+def wave_dict_reference(s):
+    return {"config": s.config.to_dict(), "sigma": s.sigma, "residual": s.residual,
+            "iterations": s.iterations, "converged": s.converged, "in_cone": s.in_cone,
+            "near_constant": s.near_constant, "energies": s.energies.to_dict(),
+            "decay": s.decay.to_dict() if s.decay else None,
+            "diagnostics": s.diagnostics.to_dict()}
 
 
 def homoclinic_dict_reference(r):
@@ -822,7 +820,7 @@ def test_records_serialize_as_their_hand_written_references():
         if sol.decay is not None:
             pairs.append((sol.decay, decay_dict_reference))
         pairs.append((sol, wave_dict_reference))
-        assert json.dumps(sol.to_dict(cfg)) == json.dumps(wave_dict_reference(sol, cfg))
+        assert json.dumps(sol.to_dict()) == json.dumps(wave_dict_reference(sol))
     report = relative_equilibrium_check(sols[0], saturable_arctan(), 1.0, t_end=0.05, dt=0.01)
     pairs.append((report, equilibrium_dict_reference))
     pairs.append((homoclinic(small_cfg(alpha=0.3), quartic(), [9, 17]),
@@ -849,12 +847,27 @@ def test_decay_fit_matches_linearized_rate():
     assert fit.tail_window[0] < fit.tail_window[1]
 
 
+def test_a_wave_carries_the_config_it_solved():
+    # decay_fit(sol, cfg) read alpha from its cfg: given 0.9 for a wave solved at
+    # alpha = 1 it reported a linear rate of 0.912 for one of 0.758
+    cfg = SolverConfig(alpha=1.0, rho=10.0, n=25)
+    sol = solve(cfg, saturable_arctan())
+    assert sol.config is cfg
+    assert decay_fit(sol) == sol.decay
+    assert list(inspect.signature(decay_fit).parameters) == ["sol"]
+    assert list(inspect.signature(WaveSolution.to_dict).parameters) == ["self"]
+    ladder = homoclinic(small_cfg(alpha=0.3), quartic(), [9, 17])
+    assert [s.config.n for s in ladder.solutions] == [9, 17]
+    assert all(s.config == replace(small_cfg(alpha=0.3), n=s.config.n)
+               for s in ladder.solutions)
+
+
 def test_decay_fit_tail_too_short_for_flat_wave():
     cfg = small_cfg(alpha=50.0, rho=1.0)
     sol = solve(cfg, quartic())
     assert sol.decay is None
     fake = replace(sol, sigma=2 * cfg.alpha + 1.0)
-    assert decay_fit(fake, cfg) is None
+    assert decay_fit(fake) is None
 
 
 def test_decay_fit_requires_frequency_gap():
@@ -862,7 +875,7 @@ def test_decay_fit_requires_frequency_gap():
     sol = solve(cfg, quartic())
     slow = replace(sol, sigma=0.5 * cfg.alpha)
     with pytest.raises(ValueError):
-        decay_fit(slow, cfg)
+        decay_fit(slow)
 
 
 def test_oracle_intersite_two_sites_fully_constrained():
