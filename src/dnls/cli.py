@@ -85,9 +85,11 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="wave", help="output path prefix")
 
 
-def _solver_inputs(args, out: _Artifacts) -> tuple[SolverConfig, Potential]:
-    """The solver config (``--config``, then the flags) and ``--potential``; the manifest
-    ``config`` lists the solver fields, the potential's label, then the command's keys."""
+def _solver_inputs(args, out: _Artifacts, varied="") -> tuple[SolverConfig, Potential]:
+    """The solver config (``--config``, then the flags) and ``--potential``. ``varied`` is the
+    flag of the field that the command varies (``rho``, ``alpha``, or ``N`` for ``n``): that
+    flag is refused, and the manifest ``config`` lists the other solver fields, the
+    potential's label, then the command's keys."""
     file = {}
     if args.config:
         try:
@@ -98,9 +100,13 @@ def _solver_inputs(args, out: _Artifacts) -> tuple[SolverConfig, Potential]:
             raise ValueError(f"config file {args.config} must hold a JSON object")
     flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
              if getattr(args, f.name) is not None}
+    field = varied.lower()
+    if field in flags:
+        raise ValueError(f"{args.command} varies {varied}, so --{varied} would set no wave")
     cfg = SolverConfig.from_dict({"alpha": 1.0, "rho": 1.0, **file, **flags})
     potential = parse_potential_spec(args.potential)
     out.config = {**cfg.to_dict(), "potential": potential.label}
+    out.config.pop(field, None)  # the command records its values of the field
     return cfg, potential
 
 
@@ -124,13 +130,29 @@ def cmd_solve(args, out: _Artifacts) -> int:
     return _finished({"": sol})
 
 
+def _numbers(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers of a grid flag, blank entries skipped."""
+    numbers = []
+    for x in filter(str.strip, text.split(",")):
+        try:
+            numbers.append(float(x))
+        except ValueError:
+            raise ValueError(f"{flag} takes numbers, not {x.strip()!r}") from None
+    return numbers
+
+
 def _sweep_grid(args):
-    """The sweep values, generated one by one so that a huge range is never built."""
-    for flag, value in (("--from", args.start), ("--to", args.stop), ("--step", args.step)):
+    """The sweep values, from ``--values`` or from a range; the range is generated one by
+    one so that a huge range is never built."""
+    bounds = {"--from": args.start, "--to": args.stop, "--step": args.step}
+    if args.values is not None:
+        if any(value is not None for value in bounds.values()):
+            raise ValueError("sweep takes its grid from --values or from --from, --to and "
+                             "--step, not both")
+        return _numbers("--values", args.values)
+    for flag, value in bounds.items():
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, not {value}")
-    if args.values:
-        return (float(x) for x in args.values.split(",") if x.strip())
     if None in (args.start, args.stop, args.step) or args.step <= 0:
         return ()
     # no further than one value past the cap, which a longer range exceeds
@@ -140,13 +162,16 @@ def _sweep_grid(args):
 
 
 def cmd_sweep(args, out: _Artifacts) -> int:
-    base, potential = _solver_inputs(args, out)
+    base, potential = _solver_inputs(args, out, args.param)
+    field = args.param.lower()
     tags = {}  # each value is judged as it arrives, before any solve
     for value in _sweep_grid(args):
         if len(tags) == _SWEEP_MAX_POINTS:
             raise ValueError(f"a sweep grid may hold at most {_SWEEP_MAX_POINTS} points")
-        if args.param == "N" and not value.is_integer():
-            raise ValueError(f"sweep values of N must be integers, not {value!r}")
+        if field == "n":  # a cell size, converted once
+            if not value.is_integer():
+                raise ValueError(f"sweep values of N must be integers, not {value!r}")
+            value = int(value)
         tag = f"{args.param}={value:g}"
         if tag in tags:
             raise ValueError(f"sweep values {tags[tag]!r} and {value!r} share the "
@@ -157,12 +182,9 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     grid = list(tags.values())
     out.config.update(sweep=args.param, grid=grid)
 
-    configs = [replace(base, n=int(value)) if args.param == "N"
-               else replace(base, **{args.param: value}) for value in grid]
+    configs = [replace(base, **{field: value}) for value in grid]
     for cfg in configs:  # every point is refused before the first solve
         cfg.validate()
-    if args.param == "N" and args.n is not None:
-        raise ValueError("sweep --param N takes its cell sizes from the grid, not --N")
     results = [solve(cfg, potential) for cfg in configs]
 
     rows = []
@@ -180,11 +202,8 @@ def cmd_sweep(args, out: _Artifacts) -> int:
 
 
 def cmd_homoclinic(args, out: _Artifacts) -> int:
-    if args.n is not None:
-        raise ValueError("homoclinic takes its cell sizes from --N-seq, not --N")
-    cfg, potential = _solver_inputs(args, out)
-    n_seq = [float(x) for x in args.n_seq.split(",") if x.strip()]
-    result = homoclinic(cfg, potential, n_seq, margin=args.margin)
+    cfg, potential = _solver_inputs(args, out, "N")
+    result = homoclinic(cfg, potential, _numbers("--N-seq", args.n_seq), margin=args.margin)
     out.config["n_sequence"] = result.n_sequence
     for n, sol, rest in zip(result.n_sequence, result.solutions, result.restricted):
         out.json(f".N={n}.json", sol.to_dict())
@@ -235,9 +254,8 @@ def cmd_evolve(args, out: _Artifacts) -> int:
         raise ValueError(f"evolve would take {site_steps:.3g} RK4 site-steps, "
                          f"more than the cap of {_EVOLVE_MAX_SITE_STEPS:.0e}")
     sol = solve(cfg, potential)
-    if not sol.converged:
-        print("solver did not converge; nothing to evolve", file=sys.stderr)
-        return OPERATIONAL_ERROR
+    if not sol.converged:  # nothing to evolve, so nothing is written
+        return _finished({"": sol})
 
     samples = []  # (times, states) of each block's sampled rows, copied out of the block
 
@@ -246,8 +264,7 @@ def cmd_evolve(args, out: _Artifacts) -> int:
         samples.append((times[keep], states[keep]))
 
     # the series is written only once the run has ended without a blow-up
-    report = relative_equilibrium_check(sol, potential, cfg.alpha, args.t_end, args.dt,
-                                        callback=sample)
+    report = relative_equilibrium_check(sol, potential, args.t_end, args.dt, callback=sample)
     labels = _index_labels(sol.profile.cell)
     _write_csv(out.path(".series.csv"), ["t", "j", "re", "im", "abs"],
                ([t, j, a.real, a.imag, abs(a)] for times, states in samples

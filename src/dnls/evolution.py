@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .functionals import coupling_values, field_values
 from .lattice import Cell, Profile
 from .potentials import Potential
+
+if TYPE_CHECKING:
+    from .solver import WaveSolution
 
 _BLOWUP_LIMIT = 1e6
 # states checked, measured and handed out together; states per blow-up test of the steps
@@ -193,9 +197,10 @@ class EquilibriumReport:
         return dict(vars(self))
 
 
-def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
-                               dt: float, callback=None) -> EquilibriumReport:
-    """Evolve A(0) = u and compare with the rigid rotation exp(i sigma t) u.
+def relative_equilibrium_check(sol: WaveSolution, p: Potential, t_end: float, dt: float,
+                               callback=None) -> EquilibriumReport:
+    """Evolve A(0) = u, at the coupling of ``sol.config``, and compare with the rigid
+    rotation exp(i sigma t) u.
 
     Reports the worst modulus deviation over the run, the measured phase
     rotation rate at the central site against the solver frequency, and the
@@ -224,7 +229,7 @@ def relative_equilibrium_check(sol, p: Potential, alpha: float, t_end: float,
         if callback is not None:
             callback(steps, t, states)
 
-    _, diag = integrate(state, p, alpha, t_end, dt, callback=read)
+    _, diag = integrate(state, p, sol.config.alpha, t_end, dt, callback=read)
     theta = np.unwrap(np.angle(np.concatenate(phases)))
     rate = float(np.polyfit(np.concatenate(times), theta, 1)[0])
     return EquilibriumReport(

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -50,8 +51,8 @@ def parameter_types(fn, owner=None):
 
 
 def test_no_public_callable_takes_a_wave_beside_a_config():
-    # a wave carries the config it solved; a config passed beside it could
-    # disagree with it, and the wave's own would silently lose
+    # a wave carries the config it solved; a config, or one of its fields, passed
+    # beside it could disagree with it, and the wave's own would silently lose
     callables = []
     for name in dnls.__all__:
         obj = getattr(dnls, name)
@@ -62,8 +63,13 @@ def test_no_public_callable_takes_a_wave_beside_a_config():
             callables.append((obj, None))
     assert (dnls.WaveSolution.to_dict, dnls.WaveSolution) in callables
     assert dnls.WaveSolution in parameter_types(dnls.decay_fit)
+    assert dnls.WaveSolution in parameter_types(dnls.relative_equilibrium_check)
     assert [fn.__qualname__ for fn, owner in callables
             if {dnls.WaveSolution, dnls.SolverConfig} <= parameter_types(fn, owner)] == []
+    config_fields = {f.name for f in dataclasses.fields(dnls.SolverConfig)}
+    assert [fn.__qualname__ for fn, owner in callables
+            if dnls.WaveSolution in parameter_types(fn, owner)
+            and config_fields & set(inspect.signature(fn).parameters)] == []
 
 
 SOLVER_FLAGS = ["--potential", "--alpha", "--rho", "--scheme", "--N", "--tau",

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import time
 import warnings
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import dnls.cli
 import dnls.evolution
 import dnls.solver
-from dnls.cli import main
+from dnls.cli import build_parser, main
 from dnls.lattice import profile_from_csv
 
 from test_evolution import reference_integrate, reference_relative_equilibrium_check
@@ -209,8 +210,10 @@ def test_sweep_refuses_a_huge_range_before_building_it(tmp_path, capsys):
 def test_sweep_validates_every_point_before_the_first_solve(tmp_path, capsys, monkeypatch,
                                                            param, values, message):
     monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    flags = {"--alpha": "0.8", "--N": "9"}
+    flags.pop(f"--{param}", None)  # the swept field takes no flag
     code = main(["sweep", "--param", param, "--values", values, "--potential", "saturable-log",
-                 "--alpha", "0.8", "--N", "9", "--out", str(tmp_path / "s")])
+                 *[x for kv in flags.items() for x in kv], "--out", str(tmp_path / "s")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
@@ -227,6 +230,9 @@ def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):
                  "--alpha", "1", "--rho", "2", "--out", str(tmp_path / "s")])
     assert code == 0
     assert read_json(tmp_path / "s.N=7.json")["config"]["n"] == 7
+    # the manifest records the sizes as integers, as homoclinic's n_sequence does
+    grid = read_json(tmp_path / "s.manifest.json")["config"]["grid"]
+    assert grid == [5, 7] and all(type(n) is int for n in grid)
 
 
 def test_solve_converged_is_the_stop_rule_verdict(tmp_path):
@@ -364,7 +370,8 @@ def test_evolve_of_an_unconverged_wave_writes_nothing(tmp_path, capsys):
     code = main(["evolve", "--potential", "saturable-log", "--alpha", "0.8", "--rho", "3",
                  "--N", "9", "--max-iters", "5", "--out", str(tmp_path / "evo")])
     assert code == 2
-    assert "solver did not converge; nothing to evolve" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("did not converge: stop=max_iters residual=1.214e-06 "
+                                       "after 5 iterations\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -482,7 +489,8 @@ def test_evolve_refuses_too_many_site_steps_before_solving(tmp_path, capsys, mon
 
 def test_evolve_at_its_cap_goes_on_to_solve(tmp_path, monkeypatch):
     # 2e6 steps on 5 sites is the cap itself: the command solves (here, refuses to converge)
-    unconverged = mock.Mock(converged=False)
+    unconverged = mock.Mock(converged=False, residual=1.0, iterations=3,
+                            **{"diagnostics.stop_reason": "max_iters"})
     monkeypatch.setattr(dnls.cli, "solve", mock.Mock(return_value=unconverged))
     code = main(["evolve", "--potential", "quartic", "--alpha", "1", "--rho", "2", "--N", "5",
                  "--t-end", "1", "--dt", "5e-7", "--out", str(tmp_path / "evo")])
@@ -492,14 +500,14 @@ def test_evolve_at_its_cap_goes_on_to_solve(tmp_path, monkeypatch):
 @pytest.mark.parametrize("grid", [
     ["--param", "N", "--from", "2", "--to", "100000", "--step", "1"],
     # a range too long for an integer count
-    ["--param", "rho", "--from", "0", "--to", "1e300", "--step", "1e-300"],
-    ["--param", "rho", "--values", ",".join(str(1 + k) for k in range(1001))],
+    ["--param", "rho", "--from", "0", "--to", "1e300", "--step", "1e-300", "--N", "5"],
+    ["--param", "rho", "--values", ",".join(str(1 + k) for k in range(1001)), "--N", "5"],
 ])
 def test_sweep_refuses_more_points_than_its_cap_before_solving(tmp_path, capsys, monkeypatch,
                                                               grid):
     monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
     start = time.perf_counter()
-    code = main(["sweep", *grid, "--potential", "quartic", "--alpha", "1", "--N", "5",
+    code = main(["sweep", *grid, "--potential", "quartic", "--alpha", "1",
                  "--out", str(tmp_path / "s")])
     assert time.perf_counter() - start < 1.0
     assert code == 1
@@ -658,18 +666,27 @@ def test_emitted_profile_round_trips(tmp_path):
         data["energies"]["power"], rel=1e-15)
 
 
-SOLVER_KEYS = ["alpha", "rho", "scheme", "n", "tau", "tol_residual", "max_iters", "potential"]
+SOLVER_KEYS = ["alpha", "rho", "scheme", "n", "tau", "tol_residual", "max_iters"]
 OWN_KEYS = {"solve": [], "sweep": ["sweep", "grid"], "homoclinic": ["n_sequence"],
             "oracle": ["grid_points"], "evolve": ["t_end", "dt", "sample_every"]}
+VARIED = {"sweep": "rho", "homoclinic": "n"}  # the field each of COMMANDS varies
 
 
 @pytest.mark.parametrize("command", OWN_KEYS)
 def test_every_solving_manifest_names_its_potential(tmp_path, command):
-    # the solver fields, then the potential's label, then the command's own keys
+    # the solver fields but the varied one, then the potential's label, then the
+    # command's own keys; each solver field is that of every wave the command wrote
     assert main([*COMMANDS[command], "--out", str(tmp_path / "x")]) == 0
-    config = read_json(tmp_path / "x.manifest.json")["config"]
-    assert list(config) == SOLVER_KEYS + OWN_KEYS[command]
+    manifest = read_json(tmp_path / "x.manifest.json")
+    config = manifest["config"]
+    solver_keys = [k for k in SOLVER_KEYS if k != VARIED.get(command)]
+    assert list(config) == solver_keys + ["potential"] + OWN_KEYS[command]
     assert config["potential"] == "quartic"
+    records = [read_json(Path(out)) for out in manifest["outputs"] if out.endswith(".json")]
+    waves = [r["config"] for r in records if "config" in r]
+    assert waves
+    for wave in waves:
+        assert {k: config[k] for k in solver_keys} == {k: wave[k] for k in solver_keys}
 
 
 def test_check_potential_manifest_names_the_parsed_potential(tmp_path):
@@ -729,13 +746,17 @@ def test_every_unconverged_wave_of_a_command_is_named_by_its_artifact_tag(
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["homoclinic", "--N-seq", "24,48"], "homoclinic takes its cell sizes from --N-seq, not --N"),
-    (["sweep", "--param", "N", "--values", "24,48"],
-     "sweep --param N takes its cell sizes from the grid, not --N"),
+    (["homoclinic", "--N-seq", "24,48"], "homoclinic varies N, so --N would set no wave"),
+    (["sweep", "--param", "N", "--values", "24,48"], "sweep varies N, so --N would set no wave"),
+    (["sweep", "--param", "rho", "--values", "5,6"],
+     "sweep varies rho, so --rho would set no wave"),
+    (["sweep", "--param", "alpha", "--values", "1,2"],
+     "sweep varies alpha, so --alpha would set no wave"),
 ])
 def test_an_n_flag_that_sizes_no_wave_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                        argv, message):
-    # the manifest recorded "n": 7 for waves of N=24 and N=48
+    # a flag for the field a command varies sets no wave: the manifest recorded
+    # "n": 7 for waves of N=24 and N=48, and "rho": 2.0 for waves at rho = 5 and 6
     monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
     monkeypatch.setattr(dnls.solver, "solve", mock.Mock(side_effect=AssertionError("solved")))
     code = main([*argv, "--potential", "quartic", "--alpha", "0.5", "--rho", "2", "--N", "7",
@@ -745,15 +766,65 @@ def test_an_n_flag_that_sizes_no_wave_is_a_usage_error(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bounds", [["--from", "1"], ["--to", "9"], ["--step", "4"],
+                                    ["--from", "1", "--to", "9", "--step", "4"]])
+def test_a_sweep_takes_its_grid_from_one_source(tmp_path, capsys, monkeypatch, bounds):
+    # the range was ignored beside --values, and the sweep exited 0
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main(["sweep", "--param", "rho", "--values", "2,3", *bounds, "--potential",
+                 "quartic", "--alpha", "1", "--N", "9", "--out", str(tmp_path / "sub" / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: sweep takes its grid from --values or from "
+                                       "--from, --to and --step, not both\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--param", "rho", "--values", "2, abc"], "--values takes numbers, not 'abc'"),
+    (["homoclinic", "--N-seq", "9,x"], "--N-seq takes numbers, not 'x'"),
+])
+def test_a_grid_entry_that_is_not_a_number_names_its_flag(tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+    # both printed float's bare "could not convert string to float: 'abc'"
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    monkeypatch.setattr(dnls.solver, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main([*argv, "--potential", "quartic", "--alpha", "0.3",
+                 "--out", str(tmp_path / "sub" / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def readme_commands():
+    """The argv of each ``dnls …`` command in README's CLI block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dnls ")]
+
+
+def test_every_readme_cli_example_runs(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(COMMANDS)
+    for k, argv in enumerate(commands):
+        (tmp_path / str(k)).mkdir()
+        monkeypatch.chdir(tmp_path / str(k))
+        assert main(argv) == 0, argv
+        manifest = read_json(Path(build_parser().parse_args(argv).out + ".manifest.json"))
+        assert manifest["outputs"], argv
+        assert all(Path(out).is_file() for out in manifest["outputs"]), argv
+
+
 @pytest.mark.parametrize("argv", [COMMANDS["homoclinic"],
                                   ["sweep", "--param", "N", "--values", "9,17",
                                    "--potential", "quartic", "--alpha", "0.3", "--rho", "2"]])
 def test_a_config_file_n_stays_the_shared_base(tmp_path, argv):
-    # only the flag is refused: a config file's n is the base of every command
+    # only the flag is refused: a config file's n is the base of every command, and
+    # the manifest, which records the sizes the command ran, does not name it
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text('{"n": 7}')
     assert main([*argv, "--config", str(cfg_file), "--out", str(tmp_path / "x")]) == 0
-    assert read_json(tmp_path / "x.manifest.json")["config"]["n"] == 7
+    assert "n" not in read_json(tmp_path / "x.manifest.json")["config"]
     assert read_json(tmp_path / "x.N=17.json")["config"]["n"] == 17
 
 

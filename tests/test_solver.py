@@ -821,7 +821,7 @@ def test_records_serialize_as_their_hand_written_references():
             pairs.append((sol.decay, decay_dict_reference))
         pairs.append((sol, wave_dict_reference))
         assert json.dumps(sol.to_dict()) == json.dumps(wave_dict_reference(sol))
-    report = relative_equilibrium_check(sols[0], saturable_arctan(), 1.0, t_end=0.05, dt=0.01)
+    report = relative_equilibrium_check(sols[0], saturable_arctan(), t_end=0.05, dt=0.01)
     pairs.append((report, equilibrium_dict_reference))
     pairs.append((homoclinic(small_cfg(alpha=0.3), quartic(), [9, 17]),
                   homoclinic_dict_reference))
