@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import _check_equilibrium_times, relative_equilibrium_check
+from .evolution import _check_equilibrium_times, _n_steps, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import _index_labels, _write_csv, profile_to_csv
 from .potentials import Potential, check_assumptions, parse_potential_spec
@@ -151,10 +151,12 @@ def _sweep_grid(args):
                              "--step, not both")
         return _numbers("--values", args.values)
     for flag, value in bounds.items():
-        if value is not None and not np.isfinite(value):
+        if value is None:
+            raise ValueError(f"sweep takes --values or a range, and the range lacks {flag}")
+        if not np.isfinite(value):
             raise ValueError(f"{flag} must be finite, not {value}")
-    if None in (args.start, args.stop, args.step) or args.step <= 0:
-        return ()
+    if args.step <= 0:
+        raise ValueError(f"--step must be positive, not {args.step}")
     # no further than one value past the cap, which a longer range exceeds
     count = round(min((args.stop - args.start) / args.step, _SWEEP_MAX_POINTS)) + 1
     grid = (args.start + k * args.step for k in range(count))
@@ -248,8 +250,9 @@ def cmd_evolve(args, out: _Artifacts) -> int:
     cfg, potential = _solver_inputs(args, out)
     out.config.update(t_end=args.t_end, dt=args.dt, sample_every=args.sample_every)
     cfg.validate()
-    steps = args.t_end / args.dt  # integrate takes max(round(steps), 1) of them
-    site_steps = (max(round(steps), 1) if steps < _EVOLVE_MAX_SITE_STEPS else steps) * cfg.n
+    steps = args.t_end / args.dt  # below the cap, counted as integrate counts them
+    site_steps = (_n_steps(args.t_end, args.dt) if steps < _EVOLVE_MAX_SITE_STEPS
+                  else steps) * cfg.n
     if site_steps > _EVOLVE_MAX_SITE_STEPS:
         raise ValueError(f"evolve would take {site_steps:.3g} RK4 site-steps, "
                          f"more than the cap of {_EVOLVE_MAX_SITE_STEPS:.0e}")
@@ -264,7 +267,7 @@ def cmd_evolve(args, out: _Artifacts) -> int:
         samples.append((times[keep], states[keep]))
 
     # the series is written only once the run has ended without a blow-up
-    report = relative_equilibrium_check(sol, potential, args.t_end, args.dt, callback=sample)
+    report = relative_equilibrium_check(sol, args.t_end, args.dt, callback=sample)
     labels = _index_labels(sol.profile.cell)
     _write_csv(out.path(".series.csv"), ["t", "j", "re", "im", "abs"],
                ([t, j, a.real, a.imag, abs(a)] for times, states in samples

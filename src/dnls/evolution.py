@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .functionals import coupling_values, field_values
-from .lattice import Cell, Profile
+from .lattice import Cell, Profile, _Record
 from .potentials import Potential
 
 if TYPE_CHECKING:
@@ -80,6 +80,11 @@ def _check_times(t_end: float, dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, not {dt}")
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be non-negative and finite, not {t_end}")
+
+
+def _n_steps(t_end: float, dt: float) -> int:
+    """The RK4 steps of ``integrate``: round(t_end/dt), at least one unless t_end = 0."""
+    return max(int(round(t_end / dt)), 1) if t_end > 0 else 0
 
 
 def _check_equilibrium_times(t_end: float, dt: float) -> None:
@@ -149,7 +154,7 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     """
     _check_times(t_end, dt)
     periodic = state.cell.is_finite
-    n_steps = max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+    n_steps = _n_steps(t_end, dt)
     h = t_end / n_steps if n_steps else 0.0
     trajectory = _rk4_blocks(state.amplitudes.astype(complex), n_steps, h, periodic, p, alpha)
     max_dp = max_dh = 0.0
@@ -184,7 +189,7 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
 
 
 @dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(_Record):
     modulus_drift: float
     sigma_measured: float
     sigma_mismatch: float
@@ -193,14 +198,11 @@ class EquilibriumReport:
     t_end: float
     dt: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
-
-def relative_equilibrium_check(sol: WaveSolution, p: Potential, t_end: float, dt: float,
+def relative_equilibrium_check(sol: WaveSolution, t_end: float, dt: float,
                                callback=None) -> EquilibriumReport:
-    """Evolve A(0) = u, at the coupling of ``sol.config``, and compare with the rigid
-    rotation exp(i sigma t) u.
+    """Evolve A(0) = u, under the potential and at the coupling that ``sol`` was solved
+    with, and compare with the rigid rotation exp(i sigma t) u.
 
     Reports the worst modulus deviation over the run, the measured phase
     rotation rate at the central site against the solver frequency, and the
@@ -229,7 +231,7 @@ def relative_equilibrium_check(sol: WaveSolution, p: Potential, t_end: float, dt
         if callback is not None:
             callback(steps, t, states)
 
-    _, diag = integrate(state, p, sol.config.alpha, t_end, dt, callback=read)
+    _, diag = integrate(state, sol.potential, sol.config.alpha, t_end, dt, callback=read)
     theta = np.unwrap(np.angle(np.concatenate(phases)))
     rate = float(np.polyfit(np.concatenate(times), theta, 1)[0])
     return EquilibriumReport(

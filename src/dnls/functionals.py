@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Cell, IndexScheme, Profile, bonds, neighbor_sum
+from .lattice import Cell, IndexScheme, Profile, _Record, bonds, neighbor_sum
 from .potentials import Potential
 
 
@@ -29,16 +29,13 @@ class DegenerateProfileError(ValueError):
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(_Record):
     power: float
     coupling: float
     potential_energy: float
     p_total: float
     hamiltonian: float
     t_value: float | None
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def power(u: Profile) -> float:

@@ -14,6 +14,7 @@ discrete step that leaves it, and ``project_cone`` maps any profile onto it.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,8 @@ class Cell:
             raise ValueError("cell length must be positive")
         if self.j_max is not None and self.j_max <= 0:
             raise ValueError("truncation half-width must be positive")
+        if self.j_max is not None and self.scheme is IndexScheme.INTER_SITE and self.j_max < 0.5:
+            raise ValueError("inter-site truncation must cover |j| = 1/2")
 
     @staticmethod
     def periodic(scheme: IndexScheme, n: int) -> "Cell":
@@ -88,8 +91,6 @@ class Cell:
             d = 2 * np.arange(-m, m + 1, dtype=np.int64)
         else:
             k = int(np.floor(self.j_max - 0.5))
-            if k < 0:
-                raise ValueError("inter-site truncation must cover |j| = 1/2")
             d = 2 * np.arange(-k, k + 2, dtype=np.int64) - 1
         out = (d, d / 2.0)
         for a in out:
@@ -291,6 +292,30 @@ def _write_csv(path_or_buf, header: list[str], rows) -> None:
         writer.writerow(header)
         writer.writerows([c if isinstance(c, str) else repr(float(c)) for c in row]
                          for row in rows)
+
+
+class _Record:
+    """The JSON form of every result record: its fields in order but those named in ``_EXCLUDED``,
+    a nested record as its ``to_dict``, an enum as its value, a non-finite float as None."""
+
+    _EXCLUDED = ()
+
+    def to_dict(self) -> dict:
+        return {k: _json_value(v) for k, v in vars(self).items() if k not in self._EXCLUDED}
+
+
+def _json_value(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, _Record):
+        return v.to_dict()
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    return v
 
 
 def profile_to_csv(u: Profile, path_or_buf) -> None:

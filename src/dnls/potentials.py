@@ -14,12 +14,14 @@ numerically by ``check_assumptions``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .lattice import _Record
 
 
 @dataclass(frozen=True)
@@ -162,27 +164,18 @@ class Check(Enum):
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     x: float
     check: Check
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        """The fields, with a non-finite side as None: JSON has no Infinity or NaN."""
-        return {**vars(self), "check": self.check.value,
-                **{k: None for k in ("lhs", "rhs") if not np.isfinite(getattr(self, k))}}
-
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(_Record):
     passed: bool
     grid: str
     violations: list
-
-    def to_dict(self) -> dict:
-        return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "violations": [v.to_dict() for v in self.violations]}
 
 
 # absolute slack on inequality checks; roundoff in psi/dpsi stays well below

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
-from .lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, cone_slack, cone_slack_values,
-                      restrict)
+from .lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _Record, cone_slack,
+                      cone_slack_values, restrict)
 from .oracle import oracle_maximize  # noqa: F401  (the benchmark calls dnls.solver.oracle_maximize)
 from .potentials import Potential, _require_assumptions
 
@@ -61,7 +61,7 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass
-class SolverConfig:
+class SolverConfig(_Record):
     alpha: float
     rho: float
     scheme: IndexScheme = IndexScheme.ON_SITE
@@ -103,9 +103,6 @@ class SolverConfig:
     def cell(self) -> Cell:
         return Cell.periodic(self.scheme, self.n)
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "scheme": self.scheme.value}
-
     @staticmethod
     def from_dict(data: dict) -> "SolverConfig":
         unknown = sorted(set(data) - {f.name for f in fields(SolverConfig)})
@@ -118,19 +115,16 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class DecayFit:
+class DecayFit(_Record):
     fitted_rate: float
     bound_rate: float
     linear_rate: float
     tail_window: tuple
     fit_residual: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
-class RunDiagnostics:
+class RunDiagnostics(_Record):
     """Per-run monitors: constraint drift, energy monotonicity, cone membership.
 
     ``cone_violations`` is 0 by construction: every accepted trial passed the
@@ -152,15 +146,12 @@ class RunDiagnostics:
     flat_lambda1: float | None = None
     stop_reason: str = ""
 
-    def to_dict(self) -> dict:
-        inc = self.min_energy_increment
-        return {**vars(self), "min_energy_increment": None if math.isinf(inc) else inc,
-                "rejections": dict(self.rejections)}
-
 
 @dataclass
-class WaveSolution:
-    config: SolverConfig  # the config that ``solve`` ran
+class WaveSolution(_Record):
+    _EXCLUDED = ("potential", "profile")  # the manifest names the one, a CSV holds the other
+    config: SolverConfig  # the config and the potential that ``solve`` ran
+    potential: Potential
     profile: Profile
     sigma: float
     residual: float
@@ -171,14 +162,6 @@ class WaveSolution:
     energies: EnergyBreakdown
     decay: DecayFit | None
     diagnostics: RunDiagnostics
-
-    def to_dict(self) -> dict:
-        """Every field but the profile, which has its own CSV."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
-        out.update(config=self.config.to_dict(), energies=self.energies.to_dict(),
-                   decay=self.decay.to_dict() if self.decay else None,
-                   diagnostics=self.diagnostics.to_dict())
-        return out
 
 
 @lru_cache(maxsize=_CELL_CACHE)
@@ -395,7 +378,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
 
     # the stop rule compared this residual; converged repeats its verdict
     profile = Profile(cell, v)
-    sol = WaveSolution(config=cfg, profile=profile, sigma=0.5 * sig_flow,
+    sol = WaveSolution(config=cfg, potential=p, profile=profile, sigma=0.5 * sig_flow,
                        energies=energy(profile, p, cfg.alpha), residual=res,
                        iterations=iterations, converged=res <= cfg.tol_residual,
                        in_cone=cone_slack(profile) <= _CONE_MONITOR_TOL,
@@ -448,7 +431,8 @@ class HomoclinicVerdict(Enum):
 
 
 @dataclass
-class HomoclinicResult:
+class HomoclinicResult(_Record):
+    _EXCLUDED = ("solutions", "restricted")  # the waves' own artifacts hold them
     solutions: list
     restricted: list
     n_sequence: list
@@ -459,11 +443,6 @@ class HomoclinicResult:
     verdict: HomoclinicVerdict
     margin: float
     floor: float  # sup diffs at or below it count as converged
-
-    def to_dict(self) -> dict:
-        """Every field but the waves and their restrictions, which have their own artifacts."""
-        return {**{f.name: getattr(self, f.name) for f in fields(self)[2:]},
-                "verdict": self.verdict.value}
 
 
 # a converged wave lies within about residual/gap of the exact one, with gap the

@@ -245,7 +245,7 @@ def test_criterion_8_exponential_decay(arctan_waves):
 
 def test_criterion_9_relative_equilibrium(arctan_waves):
     cfg, sol = arctan_waves["onsite"]
-    rep = relative_equilibrium_check(sol, saturable_arctan(),
+    rep = relative_equilibrium_check(sol,
                                      t_end=10.0, dt=1e-3)
     ok = (rep.modulus_drift <= 1e-6 and rep.power_drift_rel <= 1e-9
           and rep.hamiltonian_drift_rel <= 1e-8 and rep.sigma_mismatch <= 1e-4)

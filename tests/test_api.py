@@ -51,8 +51,9 @@ def parameter_types(fn, owner=None):
 
 
 def test_no_public_callable_takes_a_wave_beside_a_config():
-    # a wave carries the config it solved; a config, or one of its fields, passed
-    # beside it could disagree with it, and the wave's own would silently lose
+    # a wave carries the config and the potential it solved; a config, one of its
+    # fields or a potential passed beside it could disagree with it, and the wave's
+    # own would silently lose
     callables = []
     for name in dnls.__all__:
         obj = getattr(dnls, name)
@@ -66,6 +67,8 @@ def test_no_public_callable_takes_a_wave_beside_a_config():
     assert dnls.WaveSolution in parameter_types(dnls.relative_equilibrium_check)
     assert [fn.__qualname__ for fn, owner in callables
             if {dnls.WaveSolution, dnls.SolverConfig} <= parameter_types(fn, owner)] == []
+    assert [fn.__qualname__ for fn, owner in callables
+            if {dnls.WaveSolution, dnls.Potential} <= parameter_types(fn, owner)] == []
     config_fields = {f.name for f in dataclasses.fields(dnls.SolverConfig)}
     assert [fn.__qualname__ for fn, owner in callables
             if dnls.WaveSolution in parameter_types(fn, owner)

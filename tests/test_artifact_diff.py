@@ -1,0 +1,69 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus(root, sigma, wall_time, rows, code, extra=()):
+    """A collected corpus of one command: a manifest, a wave record, a summary table."""
+    (root / "sweep-s0").mkdir(parents=True)
+    (root / "sweep-s0" / "run.manifest.json").write_text(
+        json.dumps({"command": "sweep", "wall_time": wall_time, "tool_version": "0.1.0"}))
+    (root / "sweep-s0" / "run.rho=2.json").write_text(
+        json.dumps({"config": {"rho": 2.0}, "sigma": sigma, "t_values": [2.5, sigma],
+                    "verdict": "localized"}))
+    (root / "sweep-s0" / "run.summary.csv").write_text(
+        "param,sigma\n" + "".join(f"{p!r},{s!r}\n" for p, s in rows))
+    for name in extra:
+        (root / "sweep-s0" / name).write_text("x")
+    (root / "runs.json").write_text(json.dumps(
+        {"sweep-s0": {"argv": ["sweep"], "exit": code, "stdout": "", "stderr": ""}}))
+
+
+def test_a_corpus_against_itself_reads_identical_but_its_wall_time(tool, tmp_path):
+    rows = [(2.0, 3.1), (2.1, 3.2)]
+    corpus(tmp_path / "a", 3.1, 0.5, rows, 0)
+    corpus(tmp_path / "b", 3.1, 0.7, rows, 0)
+    report = tool.compare(tmp_path / "a", tmp_path / "b")
+    assert report["groups"] == {"sweep-s0": (3, 0)}
+    assert report["fields"] == {} and report["runs"] == [] and report["only"] == []
+    assert "3 of 3 files identical" in tool.format_report(report, tmp_path, tmp_path)
+
+
+def test_each_differing_field_column_and_run_is_reported_with_its_size(tool, tmp_path):
+    sigma = 3.1
+    corpus(tmp_path / "a", sigma, 0.5, [(2.0, sigma), (2.1, 3.2)], 0, ["old.csv"])
+    corpus(tmp_path / "b", sigma * (1 + 1e-15), 0.5, [(2.0, sigma * (1 + 1e-15)), (2.1, 3.2)],
+           2, ["new.csv"])
+    report = tool.compare(tmp_path / "a", tmp_path / "b")
+    fields = report["fields"]
+    assert set(fields) == {"sigma", "t_values[]", "summary.csv:sigma"}
+    for key in fields:
+        assert fields[key]["count"] == 1 and fields[key]["files"] == 1
+        assert fields[key]["max_abs"] == abs(sigma * (1 + 1e-15) - sigma) > 0
+        assert 0 < fields[key]["max_rel"] < 2e-15
+    assert report["groups"] == {"sweep-s0": (5, 2)}
+    assert report["only"] == [("change", "sweep-s0/new.csv"), ("parent", "sweep-s0/old.csv")]
+    assert report["runs"] == [("sweep-s0", "exit", 0, 2)]
+    text = tool.format_report(report, tmp_path, tmp_path)
+    assert "0 of 1 commands ran alike" in text and "sweep-s0 exit: 0 -> 2" in text
+
+
+def test_a_non_numeric_change_gives_an_example(tool, tmp_path):
+    corpus(tmp_path / "a", 3.1, 0.5, [], 0)
+    corpus(tmp_path / "b", 3.1, 0.5, [], 0)
+    path = tmp_path / "b" / "sweep-s0" / "run.rho=2.json"
+    path.write_text(path.read_text().replace("localized", "undetermined"))
+    stat = tool.compare(tmp_path / "a", tmp_path / "b")["fields"]["verdict"]
+    assert stat["example"] == ("sweep-s0/run.rho=2.json", "localized", "undetermined")

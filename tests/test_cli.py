@@ -161,6 +161,32 @@ def test_sweep_empty_grid(tmp_path, capsys):
     assert "empty sweep grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--from", "1", "--to", "2"], "sweep takes --values or a range, and the range lacks --step"),
+    (["--to", "2", "--step", "0.5"], "sweep takes --values or a range, and the range lacks --from"),
+    (["--from", "1", "--to", "2", "--step", "0"], "--step must be positive, not 0.0"),
+    (["--from", "1", "--to", "2", "--step", "-0.5"], "--step must be positive, not -0.5"),
+])
+def test_sweep_range_names_its_missing_or_non_positive_flag(tmp_path, capsys, monkeypatch,
+                                                             bounds, message):
+    # each once printed only "empty sweep grid"
+    monkeypatch.setattr(dnls.cli, "solve", mock.Mock(side_effect=AssertionError("solved")))
+    code = main(["sweep", "--param", "rho", *bounds, "--potential", "quartic", "--alpha", "1",
+                 "--N", "5", "--out", str(tmp_path / "sub" / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_backward_sweep_range_is_an_empty_grid(tmp_path, capsys):
+    code = main(["sweep", "--param", "rho", "--from", "2", "--to", "1", "--step", "0.5",
+                 "--potential", "quartic", "--alpha", "1", "--N", "5",
+                 "--out", str(tmp_path / "sub" / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: empty sweep grid\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--from", "--to", "--step"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_sweep_refuses_non_finite_range_flags(tmp_path, capsys, monkeypatch, flag, value):

@@ -81,7 +81,18 @@ def test_integrate_validates_arguments(small_wave):
     # zero steps leave one sample, which measures no phase rotation
     assert integrate(state, saturable_log(), 0.8, t_end=0.0, dt=0.1)[1]["steps"] == 0
     with pytest.raises(ValueError, match="t_end must be positive to measure a phase rotation"):
-        relative_equilibrium_check(sol, saturable_log(), t_end=0.0, dt=0.1)
+        relative_equilibrium_check(sol, t_end=0.0, dt=0.1)
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    (np.ones(4, dtype=complex), "amplitudes must match the cell size"),
+    (np.ones((1, 5), dtype=complex), "amplitudes must match the cell size"),
+    (np.array([1, 1j, np.nan, 0, 0]), "amplitudes must be finite"),
+    (np.array([1, complex(0, np.inf), 0, 0, 0]), "amplitudes must be finite"),
+])
+def test_evolution_state_refusals(amplitudes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EvolutionState(0.0, amplitudes, Cell.periodic(ON, 5))
 
 
 def test_conservation_short_run(small_wave):
@@ -94,7 +105,7 @@ def test_conservation_short_run(small_wave):
 
 def test_relative_equilibrium_small_wave(small_wave):
     cfg, sol = small_wave
-    rep = relative_equilibrium_check(sol, saturable_log(), t_end=2.0, dt=1e-3)
+    rep = relative_equilibrium_check(sol, t_end=2.0, dt=1e-3)
     assert rep.modulus_drift <= 1e-7
     assert rep.sigma_mismatch <= 1e-5
     assert rep.power_drift_rel <= 1e-10
@@ -102,8 +113,8 @@ def test_relative_equilibrium_small_wave(small_wave):
 
 def test_fourth_order_convergence(small_wave):
     cfg, sol = small_wave
-    r1 = relative_equilibrium_check(sol, saturable_log(), 1.0, 0.02)
-    r2 = relative_equilibrium_check(sol, saturable_log(), 1.0, 0.01)
+    r1 = relative_equilibrium_check(sol, 1.0, 0.02)
+    r2 = relative_equilibrium_check(sol, 1.0, 0.01)
     ratio = r1.modulus_drift / r2.modulus_drift
     assert 8.0 <= ratio <= 32.0
 
@@ -112,12 +123,13 @@ def test_perturbed_profile_detected(small_wave):
     cfg, sol = small_wave
     noisy = sol.profile.values.copy()
     noisy += 1e-2 * np.cos(np.arange(noisy.size))
-    fake = type(sol)(config=sol.config, profile=sol.profile.with_values(noisy),
+    fake = type(sol)(config=sol.config, potential=sol.potential,
+                     profile=sol.profile.with_values(noisy),
                      sigma=sol.sigma, energies=sol.energies, residual=sol.residual,
                      iterations=sol.iterations, converged=True,
                      in_cone=sol.in_cone, near_constant=False, decay=None,
                      diagnostics=sol.diagnostics)
-    rep = relative_equilibrium_check(fake, saturable_log(), t_end=2.0, dt=1e-3)
+    rep = relative_equilibrium_check(fake, t_end=2.0, dt=1e-3)
     assert rep.modulus_drift > 1e-4
 
 
@@ -167,13 +179,13 @@ def test_relative_equilibrium_check_forwards_the_trajectory(small_wave):
     integrate(EvolutionState.from_profile(sol.profile), saturable_log(), cfg.alpha,
               t_end=t_end, dt=0.01, callback=lambda k, t, a: direct.append((k, t, a)))
     report = relative_equilibrium_check(
-        sol, saturable_log(), t_end=t_end, dt=0.01,
+        sol, t_end=t_end, dt=0.01,
         callback=lambda k, t, a: forwarded.append((k, t, a)))
     assert [len(a) for _, _, a in direct] == [_BLOCK, 6]
     assert len(forwarded) == len(direct)
     for got, want in zip(forwarded, direct):
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    assert report == relative_equilibrium_check(sol, saturable_log(), t_end=t_end, dt=0.01)
+    assert report == relative_equilibrium_check(sol, t_end=t_end, dt=0.01)
 
 
 def test_callback_sampling(small_wave):
@@ -244,7 +256,7 @@ def reference_integrate(state, p, alpha, t_end, dt, callback=None):
     }
 
 
-def reference_relative_equilibrium_check(sol, p, t_end, dt, callback=None):
+def reference_relative_equilibrium_check(sol, t_end, dt, callback=None):
     """Reference: the modulus drift and the central amplitude read state by state.
 
     The integrator is looked up in ``dnls.evolution`` at call time, so patching
@@ -270,7 +282,8 @@ def reference_relative_equilibrium_check(sol, p, t_end, dt, callback=None):
         if callback is not None:
             callback(steps, ts, states)
 
-    _, diag = dnls.evolution.integrate(state, p, sol.config.alpha, t_end, dt, callback=watch)
+    _, diag = dnls.evolution.integrate(state, sol.potential, sol.config.alpha, t_end, dt,
+                                       callback=watch)
     theta = np.unwrap(np.angle(np.asarray(phases)))
     rate = float(np.polyfit(np.asarray(times), theta, 1)[0])
     return EquilibriumReport(
@@ -340,12 +353,12 @@ def test_relative_equilibrium_check_matches_the_per_step_watch(name, periodic, i
     rng = np.random.default_rng(seed)
     # any real profile will do: the check reads a trajectory, it does not need a wave
     u = scale * np.abs(rng.normal(size=n))
-    sol = SimpleNamespace(config=SimpleNamespace(alpha=alpha), converged=True,
+    sol = SimpleNamespace(config=SimpleNamespace(alpha=alpha), potential=p, converged=True,
                           profile=Profile(cell, u), sigma=float(rng.normal()))
     dt = 0.05 / (1.0 + 2.0 * abs(alpha) + float(p.dpsi(np.max(u) ** 2)))
     got, want = [], []
-    report = relative_equilibrium_check(sol, p, steps * dt, dt, callback=block_rows(got))
-    ref = reference_relative_equilibrium_check(sol, p, steps * dt, dt, callback=block_rows(want))
+    report = relative_equilibrium_check(sol, steps * dt, dt, callback=block_rows(got))
+    ref = reference_relative_equilibrium_check(sol, steps * dt, dt, callback=block_rows(want))
     assert report == ref
     assert got == want
     assert [k for k, _, _ in got] == list(range(steps + 1))
@@ -584,4 +597,4 @@ def test_relative_equilibrium_check_refuses_an_unconverged_wave():
     sol = solve(SolverConfig(alpha=0.8, rho=3.0, scheme=ON, n=9, max_iters=2), saturable_log())
     assert not sol.converged
     with pytest.raises(ValueError, match="requires a converged solution"):
-        relative_equilibrium_check(sol, saturable_log(), t_end=0.1, dt=0.01)
+        relative_equilibrium_check(sol, t_end=0.1, dt=0.01)

@@ -122,6 +122,25 @@ def test_energy_requires_positive_alpha():
         energy(u, quartic(), 0.0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: participation_ratio(Profile(Cell.periodic(ON, 3), np.zeros(3))),
+     DegenerateProfileError, "participation ratio undefined for the zero profile"),
+    (lambda: box_profile(ON, 1.0, -1), ValueError, "on-site plateau needs m >= 0"),
+    (lambda: box_profile(INTER, 1.0, 0), ValueError, "inter-site plateau needs m >= 1"),
+    (lambda: exp_profile(ON, 1.0, 0.0), ValueError, "decay rate zeta must be positive"),
+    (lambda: exp_profile(INTER, 1.0, -0.5), ValueError, "decay rate zeta must be positive"),
+    (lambda: t_lower_bounds(quartic(), 0.0, 1.0, 2, [0.5]), ValueError,
+     "alpha, rho must be positive and m_max non-negative"),
+    (lambda: t_lower_bounds(quartic(), 1.0, -1.0, 2, [0.5]), ValueError,
+     "alpha, rho must be positive and m_max non-negative"),
+    (lambda: t_lower_bounds(quartic(), 1.0, 1.0, -1, [0.5]), ValueError,
+     "alpha, rho must be positive and m_max non-negative"),
+])
+def test_functional_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_grad_zero_profile():
     u = Profile(Cell.periodic(ON, 5), np.zeros(5))
     assert np.all(grad_p(u, quartic(), 1.0).values == 0.0)

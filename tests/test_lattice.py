@@ -109,6 +109,18 @@ def test_cell_refuses_a_scheme_given_as_text(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Cell.truncated(ON, 0.0), "truncation half-width must be positive"),
+    (lambda: Cell.truncated(INTER, -1.0), "truncation half-width must be positive"),
+    # refused when built: it once failed only at its first .size or .indices()
+    (lambda: Cell.truncated(INTER, 0.3), r"inter-site truncation must cover \|j\| = 1/2"),
+])
+def test_cell_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+    assert Cell.truncated(INTER, 0.5).size == 2 and Cell.truncated(ON, 0.3).size == 1
+
+
 def test_in_cone_examples():
     assert in_cone(Profile(Cell.periodic(ON, 3), [1.0, 2.0, 1.0]))
     assert not in_cone(Profile(Cell.periodic(ON, 3), [2.0, 1.0, 2.0]))

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -15,18 +15,18 @@ import dnls.lattice
 import dnls.oracle
 import dnls.potentials
 import dnls.solver
-from dnls.evolution import relative_equilibrium_check
-from dnls.functionals import (DegenerateProfileError, energy, flow, level_energies,
-                              p_value, power, residual)
+from dnls.evolution import EquilibriumReport, relative_equilibrium_check
+from dnls.functionals import (DegenerateProfileError, EnergyBreakdown, energy, flow,
+                              level_energies, p_value, power, residual)
 from dnls.lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _periodic_cell, cone_slack,
                           cone_slack_values, in_cone, project_cone)
 from dnls.oracle import _ORACLE_LEAF, _ORACLE_TILE, _ORACLE_ZOOM
-from dnls.potentials import (CATALOG, Potential, check_assumptions, exp_quadratic,
-                             nonconvex_rational, power_law, quartic,
-                             saturable_arctan, saturable_log)
+from dnls.potentials import (CATALOG, AssumptionReport, Potential, Violation,
+                             check_assumptions, exp_quadratic, nonconvex_rational, power_law,
+                             quartic, saturable_arctan, saturable_log)
 from dnls.solver import (_CONE_MONITOR_TOL, _MAX_HALVINGS, _NEAR_CONSTANT_TOL, _TOL_STEP,
-                         HomoclinicVerdict, RunDiagnostics, SolverConfig, WaveSolution,
-                         _ansatz_basis, _energy_slack,
+                         DecayFit, HomoclinicResult, HomoclinicVerdict, RunDiagnostics,
+                         SolverConfig, WaveSolution, _ansatz_basis, _energy_slack,
                          _flat_lambda1, _is_near_constant, _run, _step, decay_fit,
                          homoclinic, initial_ansatz, oracle_maximize, solve)
 
@@ -821,7 +821,7 @@ def test_records_serialize_as_their_hand_written_references():
             pairs.append((sol.decay, decay_dict_reference))
         pairs.append((sol, wave_dict_reference))
         assert json.dumps(sol.to_dict()) == json.dumps(wave_dict_reference(sol))
-    report = relative_equilibrium_check(sols[0], saturable_arctan(), t_end=0.05, dt=0.01)
+    report = relative_equilibrium_check(sols[0], t_end=0.05, dt=0.01)
     pairs.append((report, equilibrium_dict_reference))
     pairs.append((homoclinic(small_cfg(alpha=0.3), quartic(), [9, 17]),
                   homoclinic_dict_reference))
@@ -832,6 +832,55 @@ def test_records_serialize_as_their_hand_written_references():
     pairs += [(r, report_dict_reference) for r in reports]
     for record, reference in pairs:
         assert json.dumps(record.to_dict()) == json.dumps(reference(record)), record
+
+
+RECORDS = [SolverConfig, DecayFit, RunDiagnostics, WaveSolution, HomoclinicResult,
+           EnergyBreakdown, EquilibriumReport, Violation, AssumptionReport]
+
+
+def test_every_record_serializes_by_the_one_rule():
+    # every field in declaration order but those a record names as left out
+    for record in RECORDS:
+        assert record.to_dict is dnls.lattice._Record.to_dict, record
+        names = [f.name for f in fields(record)]
+        assert set(record._EXCLUDED) <= set(names), record
+    assert WaveSolution._EXCLUDED == ("potential", "profile")
+    assert HomoclinicResult._EXCLUDED == ("solutions", "restricted")
+
+
+def test_non_finite_record_values_serialize_as_null():
+    # JSON has no NaN or Infinity: json.dumps wrote them for every record but two
+    nan, inf = math.nan, math.inf
+    records = [
+        (DecayFit(fitted_rate=1.0, bound_rate=inf, linear_rate=nan, tail_window=(2.0, nan),
+                  fit_residual=-inf),
+         {"fitted_rate": 1.0, "bound_rate": None, "linear_rate": None,
+          "tail_window": [2.0, None], "fit_residual": None}),
+        (EquilibriumReport(modulus_drift=inf, sigma_measured=nan, sigma_mismatch=nan,
+                           power_drift_rel=0.0, hamiltonian_drift_rel=-inf, t_end=1.0, dt=0.1),
+         {"modulus_drift": None, "sigma_measured": None, "sigma_mismatch": None,
+          "power_drift_rel": 0.0, "hamiltonian_drift_rel": None, "t_end": 1.0, "dt": 0.1}),
+        (EnergyBreakdown(power=1.0, coupling=nan, potential_energy=inf, p_total=nan,
+                         hamiltonian=-inf, t_value=None),
+         {"power": 1.0, "coupling": None, "potential_energy": None, "p_total": None,
+          "hamiltonian": None, "t_value": None}),
+        (SolverConfig(alpha=nan, rho=inf),
+         {"alpha": None, "rho": None, "scheme": "onsite", "n": 25, "tau": 1.0,
+          "tol_residual": 1e-10, "max_iters": 1_000_000}),
+        (RunDiagnostics(max_power_drift=nan, flat_lambda1=inf),
+         {"max_power_drift": None, "min_energy_increment": None, "cone_violations": 0,
+          "max_cone_slack": 0.0, "max_halvings": 0, "trials": 0,
+          "rejections": {"energy": 0, "cone": 0}, "restarted": False, "flat_lambda1": None,
+          "stop_reason": ""}),
+        (HomoclinicResult([], [], [9, 17], [2.5, nan], [inf], [0.1, 0.2], [1.0, 0.9],
+                          HomoclinicVerdict.UNDETERMINED, 1e-3, 2e-9),
+         {"n_sequence": [9, 17], "t_values": [2.5, None], "sup_diffs": [None],
+          "tail_fractions": [0.1, 0.2], "max_amplitudes": [1.0, 0.9],
+          "verdict": "undetermined", "margin": 1e-3, "floor": 2e-9}),
+    ]
+    for record, expected in records:
+        text = json.dumps(record.to_dict(), allow_nan=False)
+        assert json.loads(text) == expected, record
 
 
 def test_decay_fit_matches_linearized_rate():
@@ -876,6 +925,17 @@ def test_decay_fit_requires_frequency_gap():
     slow = replace(sol, sigma=0.5 * cfg.alpha)
     with pytest.raises(ValueError):
         decay_fit(slow)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"converged": False}, "decay fit requires a converged solution"),
+    ({"sigma": 0.25}, r"decay fit requires sigma > 2\*alpha"),
+])
+def test_decay_fit_refusals(change, message):
+    sol = solve(SolverConfig(alpha=1.0, rho=10.0, n=25), saturable_arctan())
+    assert sol.converged and sol.decay is not None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        decay_fit(replace(sol, **change))
 
 
 def test_oracle_intersite_two_sites_fully_constrained():
