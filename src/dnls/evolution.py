@@ -83,8 +83,13 @@ def _check_times(t_end: float, dt: float) -> None:
 
 
 def _n_steps(t_end: float, dt: float) -> int:
-    """The RK4 steps of ``integrate``: round(t_end/dt), at least one unless t_end = 0."""
-    return max(int(round(t_end / dt)), 1) if t_end > 0 else 0
+    """The RK4 steps of ``integrate``: round(t_end/dt), at least one unless t_end = 0.
+
+    A t_end/dt that overflows to inf is refused, before any step."""
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end / dt must be a finite step count, not {t_end} / {dt}")
+    return max(int(round(steps)), 1) if t_end > 0 else 0
 
 
 def _check_equilibrium_times(t_end: float, dt: float) -> None:

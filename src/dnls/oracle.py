@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .functionals import level_energies
-from .lattice import Cell, Profile
+from .lattice import Profile
 from .potentials import Potential, _require_assumptions
 
 if TYPE_CHECKING:
@@ -35,16 +35,37 @@ _ORACLE_BATCH = 1 << 12
 _ORACLE_BOUND_SLACK = 1e-12
 _ORACLE_ZOOM = 41
 _ORACLE_ZOOM_RESOLUTION = 8 * np.finfo(float).eps
+_NO_RATIO = np.broadcast_to(1.0, 1)  # the absent second ratio, read-only
+_STEPS = {}
 
 
-def _ratio_grid(lo, hi, n: int, dims: int):
-    """np.linspace(lo, hi, n) per free ratio; a single 1.0 for an absent second ratio."""
+def _steps(n):
+    """np.arange(n, dtype=float), read-only, kept per n: at most 8, all dropped for a ninth."""
+    if n not in _STEPS:
+        if len(_STEPS) == 8:
+            _STEPS.clear()
+        _STEPS[n] = k = np.arange(n, dtype=float)
+        k.flags.writeable = False
+    return _STEPS[n]
+
+
+def _ratio_grid(lo, hi, n, dims):
+    """np.linspace(lo, hi, n) per free ratio, bit for bit: its arithmetic on the cached
+    steps k, k*step + lo (k/(n-1)*(hi-lo) + lo where step rounds to 0) and the last point
+    hi; the read-only 1.0 for an absent second ratio."""
     # per axis: a 2-D linspace rounds every axis differently once one has zero width
-    r1 = np.linspace(lo[0], hi[0], n)
-    return r1, np.linspace(lo[1], hi[1], n) if dims == 2 else np.ones(1)
+    grids = [_NO_RATIO] * 2
+    for d in range(dims):
+        width = hi[d] - lo[d]
+        step = width / (n - 1)
+        r = _steps(n) * step if step else _steps(n) / (n - 1) * width
+        r += lo[d]
+        r[-1] = hi[d]
+        grids[d] = r
+    return grids
 
 
-def _level_amps(r1: np.ndarray, r2: np.ndarray, levels: int) -> np.ndarray:
+def _level_amps(r1, r2, levels):
     """Level amplitudes 1, r1, r1*r2 (the first ``levels`` of them) of the rows of r1 and r2
     broadcast together, flattened in row-major order."""
     amps = np.empty((levels, *np.broadcast(r1, r2).shape))
@@ -54,7 +75,7 @@ def _level_amps(r1: np.ndarray, r2: np.ndarray, levels: int) -> np.ndarray:
     return amps.reshape(levels, -1)
 
 
-def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
+def _score_rows(r1, r2, cfg, p, cell):
     """Level amplitudes at power rho, shape (L, B), and energies of rows with ratios r1, r2."""
     mult = cell.fold[1]
     amps = _level_amps(r1, r2, mult.size)
@@ -62,7 +83,7 @@ def _score_rows(r1, r2, cfg: SolverConfig, p: Potential, cell: Cell):
     return amps, level_energies(amps, cell, p, cfg.alpha)
 
 
-def _box_bounds(r1, r2, first, last, cfg: SolverConfig, p: Potential, cell: Cell):
+def _box_bounds(r1, r2, first, last, cfg, p, cell):
     """Upper bounds of P on boxes of rows of the ascending grids r1 x r2, shape (B,).
 
     Box b holds the rows ``first[k, b]`` to ``last[k, b]`` of ratio k. The
@@ -79,8 +100,16 @@ def _box_bounds(r1, r2, first, last, cfg: SolverConfig, p: Potential, cell: Cell
     return bound + _ORACLE_BOUND_SLACK * np.abs(bound)
 
 
-def _score_boxes(r1, r2, first, side, best, cfg: SolverConfig, p: Potential, cell: Cell):
-    """``best`` after scoring the rows of boxes of ``side`` rows per ratio from ``first``.
+def _cut(first, cut, side, n):
+    """First rows of the boxes of ``side`` rows that cut each box at ``first`` into ``cut``
+    per ratio, box by box, row-major within a box; none past the grid's ``n`` rows."""
+    offsets = np.indices(cut[:, 0]).reshape(2, -1) * side
+    first = first.repeat(cut.prod(), 1) + np.tile(offsets, first.shape[1])
+    return first.compress((first < n).all(0), 1)
+
+
+def _score_batch(r1, r2, i, j, best, cfg, p, cell):
+    """``best`` after scoring the rows (i, j) of the grid r1 x r2.
 
     ``best`` is the best row so far as ``(ratios, P, level amplitudes,
     row-major index)``. A row replaces it when its energy is higher, or equal
@@ -88,34 +117,48 @@ def _score_boxes(r1, r2, first, side, best, cfg: SolverConfig, p: Potential, cel
     first row wins, as in a plain scan of the whole grid. The batch's arrays
     are freed on return, so the descent's levels never coexist with them.
     """
-    d1, d2 = np.indices(side[:, 0]).reshape(2, -1)
-    i, j = first[0, :, None] + d1, first[1, :, None] + d2
-    inside = (i < r1.size) & (j < r2.size)
-    i, j = i[inside], j[inside]
     amps, p_all = _score_rows(r1[i], r2[j], cfg, p, cell)
-    top = int(np.argmax(p_all))
+    top = p_all.argmax()
+    high = p_all[top]
     # no row as good as the best, or a NaN, where argmax stops as in a plain scan
-    if not p_all[top] >= best[1]:
+    if not high >= best[1]:
         return best
     k = i * r2.size + j
-    ties = np.flatnonzero(p_all == p_all[top])
+    ties = np.flatnonzero(p_all == high)
     top = ties[np.argmin(k[ties])]
-    if p_all[top] > best[1] or k[top] < best[3]:
-        ratios = np.array([r1[i[top]], r2[j[top]]][:amps.shape[0] - 1])
-        return ratios, float(p_all[top]), amps[:, top].copy(), k[top]
+    if high > best[1] or k[top] < best[3]:
+        return (np.array([r1[i[top]], r2[j[top]]][:len(amps) - 1]), float(p_all[top]),
+                amps[:, top].copy(), k[top])
     return best
 
 
-def _global_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential, cell: Cell):
+def _scan_window(r1, r2, rows, best, cfg, p, cell):
+    """``best``, or the first best row of the grid r1 x r2 if higher, and whether the
+    grid's energies agree to rounding (spread <= ``_ORACLE_ZOOM_RESOLUTION`` of the highest).
+
+    ``rows`` broadcast to the grid's ratios in row-major order. argmax stops at
+    the first NaN, as a plain scan does; a NaN is never higher, nor agrees.
+    """
+    amps, p_all = _score_rows(*rows, cfg, p, cell)
+    k = p_all.argmax()
+    top = p_all[k]
+    if top > best[1]:
+        i, j = divmod(k, r2.size)
+        best = np.array([r1[i], r2[j]][:len(amps) - 1]), float(top), amps[:, k]
+    return best, top - p_all.min() <= _ORACLE_ZOOM_RESOLUTION * abs(top)
+
+
+def _global_scan(r1, r2, cfg, p, cell):
     """Best row ``(ratios, P, level amplitudes)`` of the ascending grids r1 x r2.
 
-    A grid of at most ``_ORACLE_BATCH`` rows is scored whole, with no bound:
-    its first batch would score every tile whatever its bound. A larger one
+    A grid of at most ``_ORACLE_BATCH`` rows is scored whole, as one window
+    of the zoom (``_scan_window``), with no bound: its first batch would
+    score every tile whatever its bound. A larger one
     is a branch-and-bound descent on aligned boxes of rows. It starts from
     tiles of ``_ORACLE_TILE`` rows, and before every step it drops each box
     whose bound (``_box_bounds``) falls below the best energy found so far;
     a NaN bound is never dropped. A step scores the boxes of highest bound,
-    at most ``_ORACLE_BATCH`` rows (``_score_boxes``), unless a row has been
+    at most ``_ORACLE_BATCH`` rows (``_score_batch``), unless a row has been
     scored already and the boxes left hold more than one batch of rows: then
     it halves every box along each ratio longer than ``_ORACLE_LEAF`` rows
     and bounds the children with one ``level_energies`` call. So the first
@@ -126,32 +169,31 @@ def _global_scan(r1: np.ndarray, r2: np.ndarray, cfg: SolverConfig, p: Potential
     n = np.array([[r1.size], [r2.size]])
     best = (None, -math.inf, None, -1)
     if r1.size * r2.size <= _ORACLE_BATCH:  # one batch scores every row: nothing to bound
-        return _score_boxes(r1, r2, np.zeros((2, 1), int), n, best, cfg, p, cell)[:3]
+        # its rows flat, in row-major order, as the descent scores rows
+        return _scan_window(r1, r2, (r1.repeat(r2.size), np.tile(r2, r1.size)), best,
+                            cfg, p, cell)[0][:3]
     t2 = math.isqrt(_ORACLE_TILE) if r2.size > 1 else 1
     side = np.array([[_ORACLE_TILE // t2], [t2]])
-    first = np.indices((-(-n // side))[:, 0]).reshape(2, -1) * side
-    bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
-    todo = np.argsort(-bound, kind="stable")
-    descend = True
+    first, todo, cut = np.zeros((2, 1), int), [0], -(-n // side)  # the whole grid, into tiles
     while True:
+        if cut is not None:  # the boxes of todo, cut
+            first = _cut(first.take(todo, 1), cut, side, n)
+            bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
+            todo, cut = np.arange(bound.size), None
         todo = todo[~(bound[todo] < best[1])]
-        if descend and best[0] is not None:
-            span = np.minimum(first[:, todo] + side, n) - first[:, todo]
-            descend = span[0] @ span[1] > _ORACLE_BATCH and (side > _ORACLE_LEAF).any()
-            if descend:
-                halve = side > _ORACLE_LEAF
-                side = side >> halve  # the tile's sides are powers of 2
-                offsets = np.indices(1 + halve[:, 0]).reshape(2, -1) * side
-                first = (first[:, todo, None] + offsets[:, None]).reshape(2, -1)
-                first = first[:, (first[0] < r1.size) & (first[1] < r2.size)]
-                bound = _box_bounds(r1, r2, first, np.minimum(first + side, n) - 1, cfg, p, cell)
-                todo = np.arange(bound.size)
+        halve = side > _ORACLE_LEAF
+        if best[0] is not None and halve.any():
+            span = np.minimum(n - first.take(todo, 1), side)  # rows per ratio of each box
+            if span[0] @ span[1] > _ORACLE_BATCH:
+                cut, side = 1 + halve, side >> halve  # the tile's sides are powers of 2
                 continue
-            todo = todo[np.argsort(-bound[todo], kind="stable")]
         if not todo.size:
             return best[:3]
-        per_batch = _ORACLE_BATCH // int(side.prod())
-        best = _score_boxes(r1, r2, first[:, todo[:per_batch]], side, best, cfg, p, cell)
+        todo = todo[np.argsort(-bound[todo], kind="stable")]  # a no-op once ranked
+        per_batch = _ORACLE_BATCH // side.prod()
+        # the rows of the batch's boxes, as boxes of one row
+        best = _score_batch(r1, r2, *_cut(first.take(todo[:per_batch], 1), side, 1, n), best,
+                            cfg, p, cell)
         todo = todo[per_batch:]
 
 
@@ -211,12 +253,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
         hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
         spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
         r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM, dims)
-        amps, p_all = _score_rows(r1[:, None], r2, cfg, p, cell)  # row k is (k // n2, k % n2)
-        k = int(np.argmax(p_all))
-        if p_all[k] > best[1]:
-            i, j = divmod(k, r2.size)
-            best = np.array([r1[i], r2[j]][:dims]), float(p_all[k]), amps[:, k]
-        # every later window lies in this one; a NaN spread never stops the zoom
-        if p_all.max() - p_all.min() <= _ORACLE_ZOOM_RESOLUTION * abs(p_all.max()):
+        best, flat = _scan_window(r1, r2, (r1[:, None], r2), best, cfg, p, cell)
+        if flat:  # every later window lies in this one
             break
     return Profile(cell, best[2][site_level]), best[1]

@@ -1,10 +1,14 @@
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+from dnls.lattice import profile_from_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "artifact_diff.py"
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,27 @@ def test_a_non_numeric_change_gives_an_example(tool, tmp_path):
     path.write_text(path.read_text().replace("localized", "undetermined"))
     stat = tool.compare(tmp_path / "a", tmp_path / "b")["fields"]["verdict"]
     assert stat["example"] == ("sweep-s0/run.rho=2.json", "localized", "undetermined")
+
+
+def test_the_corpus_holds_each_tiny_cell_oracle_answer(tool, tmp_path, monkeypatch):
+    # seed 0: the oracle answers that tests/data/tiny_cells_seed0.json pins, bit for bit
+    monkeypatch.chdir(tmp_path)
+    tool.write_tiny_cells(tool.load_workloads(ROOT), 0)
+    want = json.loads((ROOT / "tests" / "data" / "tiny_cells_seed0.json").read_text())
+    cells = tmp_path / "tiny_cells-s0"
+    assert len(list(cells.iterdir())) == 4 * len(want) == 4 * 48
+    for k, cell in enumerate(want):
+        answer = json.loads((cells / f"job{k}.oracle.json").read_text())
+        assert answer == {"oracle_p": float.fromhex(cell["oracle"]["p"])}
+        profile = profile_from_csv(cells / f"job{k}.oracle.csv")
+        assert [float(x).hex() for x in profile.values] == cell["oracle"]["profile"]
+    # an oracle answer that moves is reported by its own field and column
+    for side in ("a", "b"):
+        shutil.copytree(cells, tmp_path / side / "tiny_cells-s0")
+        (tmp_path / side / "runs.json").write_text("{}")
+    moved = tmp_path / "b" / "tiny_cells-s0"
+    (moved / "job5.oracle.json").write_text(json.dumps({"oracle_p": answer["oracle_p"] * 2}))
+    (moved / "job5.oracle.csv").write_text((moved / "job6.oracle.csv").read_text())
+    report = tool.compare(tmp_path / "a", tmp_path / "b")
+    assert report["groups"] == {"tiny_cells-s0": (192, 2)}
+    assert set(report["fields"]) == {"oracle_p", "oracle.csv:u"}  # jobs 5 and 6: N=2 on-site

@@ -2,6 +2,7 @@ import math
 import warnings
 from itertools import combinations
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_integrate_validates_arguments(small_wave):
     assert integrate(state, saturable_log(), 0.8, t_end=0.0, dt=0.1)[1]["steps"] == 0
     with pytest.raises(ValueError, match="t_end must be positive to measure a phase rotation"):
         relative_equilibrium_check(sol, t_end=0.0, dt=0.1)
+
+
+def test_a_step_count_that_is_not_finite_is_refused_before_any_step(small_wave):
+    # t_end / dt overflows to inf: a clean refusal, not an OverflowError from round()
+    state = EvolutionState(0.0, np.ones(3, complex), Cell.periodic(ON, 3))
+    message = r"^t_end / dt must be a finite step count, not 10\.0 / 5e-324$"
+    with mock.patch.object(dnls.evolution, "_rk4_blocks", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=message):
+            integrate(state, quartic(), 1.0, t_end=10.0, dt=5e-324)
+        with pytest.raises(ValueError, match=message):
+            relative_equilibrium_check(small_wave[1], t_end=10.0, dt=5e-324)
 
 
 @pytest.mark.parametrize("amplitudes, message", [

@@ -1328,6 +1328,41 @@ def test_a_two_ratio_grid_of_one_batch_is_scored_whole():
     assert cells == 8
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0), n=st.sampled_from([3, 41, 701, 2001]))
+@example(lo=0.25, hi=0.25, n=41)  # no width
+@example(lo=0.3, hi=math.nextafter(0.3, 1.0), n=2001)  # adjacent floats
+@example(lo=0.0, hi=5e-324, n=2001)  # a subnormal width: the step rounds to 0
+@example(lo=1e-310, hi=math.nextafter(1e-310, 1.0), n=3)
+def test_cached_grids_match_linspace(lo, hi, n):
+    lo, hi = min(lo, hi), max(lo, hi)
+    # the second ratio has no width: a 2-D linspace would round the first differently
+    got = dnls.oracle._ratio_grid(np.array([lo, hi]), np.array([hi, hi]), n, 2)
+    for r, (a, b) in zip(got, [(lo, hi), (hi, hi)]):
+        assert r.tobytes() == np.linspace(np.float64(a), np.float64(b), n).tobytes()
+    r1, r2 = dnls.oracle._ratio_grid(np.array([lo]), np.array([hi]), n, 1)
+    assert r1.tobytes() == got[0].tobytes() and r2.tolist() == [1.0]
+    assert not r2.flags.writeable and not dnls.oracle._steps(n).flags.writeable
+
+
+def test_the_grid_steps_cache_is_bounded():
+    for n in range(3, 23):
+        k = dnls.oracle._steps(n)
+        assert np.array_equal(k, np.arange(n, dtype=float)) and not k.flags.writeable
+        assert k is dnls.oracle._steps(n) and 1 <= len(dnls.oracle._STEPS) <= 8
+
+
+def test_the_criterion_7_oracle_calls_build_no_linspace():
+    # the potentials' checks are kept from the first pass; the second may not call linspace
+    cells = [cell for dims in range(3) for cell in criterion_7_cells(dims)]
+    answers = [oracle_maximize(cfg, p, grid_points=2001) for cfg, p in cells]
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("np.linspace called")):
+        again = [oracle_maximize(cfg, p, grid_points=2001) for cfg, p in cells]
+    assert len(cells) == 48
+    assert [(b.values.tobytes(), e) for b, e in again] == [(b.values.tobytes(), e)
+                                                           for b, e in answers]
+
+
 def zoom_windows(cfg, p, grid_points):
     """oracle_maximize's answer, its global scan's best row (None on a cell with no
     free ratio) and the number of windows its zoom scored."""

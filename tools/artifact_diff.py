@@ -8,7 +8,9 @@ Each tree runs the corpus in a subprocess of its own, with that tree's ``src`` o
   - the argv of the benchmark's ``Sweep`` and ``Evolve`` workloads at seeds 0-3, from
     the tree's ``perfbench/workloads.py``;
   - ``json.dumps(sol.to_dict())`` and the profile CSV of every ``TinyCells`` and
-    ``Ladder`` solve at seeds 0-3, and each ladder's own record.
+    ``Ladder`` solve at seeds 0-3, and each ladder's own record;
+  - the ``oracle_maximize(cfg, p, grid_points=2001)`` answer of every ``TinyCells`` job
+    at seeds 0-3: its energy in JSON, its profile as CSV.
 The report says which files are identical, manifests compared without ``wall_time``;
 for each JSON field and CSV column that differs, the largest absolute and relative
 difference; and each command whose exit code, stdout or stderr changed. Exit status 0
@@ -43,16 +45,43 @@ def readme_commands(tree: Path) -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("dnls ")]
 
 
-def collect(tree: Path, out: Path) -> None:
-    """Run the corpus with the ``dnls`` on ``sys.path`` and write its artifacts under out."""
-    import dnls.cli
-    import dnls.solver
-    from dnls.lattice import profile_to_csv
-
+def load_workloads(tree: Path):
+    """The tree's ``perfbench/workloads.py`` as a module."""
     spec = importlib.util.spec_from_file_location("workloads", tree / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
 
+
+def write_wave(prefix: str, sol) -> None:
+    """A solve's ``to_dict()`` as ``prefix.json`` and its profile as ``prefix.profile.csv``."""
+    from dnls.lattice import profile_to_csv
+
+    Path(prefix + ".json").write_text(json.dumps(sol.to_dict()))
+    profile_to_csv(sol.profile, prefix + ".profile.csv")
+
+
+def write_tiny_cells(workloads, seed: int) -> None:
+    """Under ``tiny_cells-s<seed>``, each ``TinyCells`` job's solve (``job<k>``) and oracle
+    answer: ``job<k>.oracle.json`` holds its energy, ``job<k>.oracle.csv`` its profile."""
+    import dnls.solver
+    from dnls.lattice import profile_to_csv
+
+    os.mkdir(f"tiny_cells-s{seed}")
+    for k, job in enumerate(workloads.TinyCells().build(seed)):
+        prefix = f"tiny_cells-s{seed}/job{k}"
+        write_wave(prefix, dnls.solver.solve(job["cfg"], job["potential"]))
+        best, p_best = dnls.solver.oracle_maximize(job["cfg"], job["potential"],
+                                                   grid_points=2001)
+        Path(prefix + ".oracle.json").write_text(json.dumps({"oracle_p": p_best}))
+        profile_to_csv(best, prefix + ".oracle.csv")
+
+
+def collect(tree: Path, out: Path) -> None:
+    """Run the corpus with the ``dnls`` on ``sys.path`` and write its artifacts under out."""
+    import dnls.cli
+
+    workloads = load_workloads(tree)
     commands = [(f"readme-{k}", argv) for k, argv in enumerate(readme_commands(tree))]
     commands += [(f"{w.__name__.lower()}-s{seed}", w().build(seed)[0]["argv"])
                  for w in (workloads.Sweep, workloads.Evolve) for seed in SEEDS]
@@ -68,19 +97,13 @@ def collect(tree: Path, out: Path) -> None:
     os.chdir(out)
     (out / RUNS).write_text(json.dumps(runs, indent=2) + "\n")
 
-    def write(prefix: str, sol) -> None:
-        Path(prefix + ".json").write_text(json.dumps(sol.to_dict()))
-        profile_to_csv(sol.profile, prefix + ".profile.csv")
-
     for seed in SEEDS:
-        os.mkdir(f"tiny_cells-s{seed}")
-        for k, job in enumerate(workloads.TinyCells().build(seed)):
-            write(f"tiny_cells-s{seed}/job{k}", dnls.solver.solve(job["cfg"], job["potential"]))
+        write_tiny_cells(workloads, seed)
         ladder = workloads.Ladder()
         result = ladder.run(ladder.build(seed))[0]
         os.mkdir(f"ladder-s{seed}")
         for n, sol in zip(result.n_sequence, result.solutions):
-            write(f"ladder-s{seed}/N={n}", sol)
+            write_wave(f"ladder-s{seed}/N={n}", sol)
         Path(f"ladder-s{seed}/result.json").write_text(json.dumps(result.to_dict()))
 
 
