@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import _check_equilibrium_times, _n_steps, relative_equilibrium_check
+from .evolution import _equilibrium_steps, relative_equilibrium_check
 from .functionals import participation_ratio
-from .lattice import _index_labels, _write_csv, profile_to_csv
+from .lattice import _index_labels, _whole, _write_csv, profile_to_csv
 from .potentials import Potential, check_assumptions, parse_potential_spec
-from .oracle import oracle_maximize
+from .oracle import _ORACLE_GRID_POINTS, oracle_maximize
 from .solver import SolverConfig, homoclinic, solve
 
 USAGE_ERROR = 1
@@ -171,9 +171,7 @@ def cmd_sweep(args, out: _Artifacts) -> int:
         if len(tags) == _SWEEP_MAX_POINTS:
             raise ValueError(f"a sweep grid may hold at most {_SWEEP_MAX_POINTS} points")
         if field == "n":  # a cell size, converted once
-            if not value.is_integer():
-                raise ValueError(f"sweep values of N must be integers, not {value!r}")
-            value = int(value)
+            value = _whole(value, "sweep values of N")
         tag = f"{args.param}={value:g}"
         if tag in tags:
             raise ValueError(f"sweep values {tags[tag]!r} and {value!r} share the "
@@ -246,13 +244,12 @@ def cmd_oracle(args, out: _Artifacts) -> int:
 def cmd_evolve(args, out: _Artifacts) -> int:
     if args.sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, not {args.sample_every}")
-    _check_equilibrium_times(args.t_end, args.dt)
+    steps = _equilibrium_steps(args.t_end, args.dt)
     cfg, potential = _solver_inputs(args, out)
     out.config.update(t_end=args.t_end, dt=args.dt, sample_every=args.sample_every)
     cfg.validate()
-    steps = args.t_end / args.dt  # below the cap, counted as integrate counts them
-    site_steps = (_n_steps(args.t_end, args.dt) if steps < _EVOLVE_MAX_SITE_STEPS
-                  else steps) * cfg.n
+    # a float: 1e308 steps times N is inf, not an int too large to print
+    site_steps = float(steps) * cfg.n
     if site_steps > _EVOLVE_MAX_SITE_STEPS:
         raise ValueError(f"evolve would take {site_steps:.3g} RK4 site-steps, "
                          f"more than the cap of {_EVOLVE_MAX_SITE_STEPS:.0e}")
@@ -312,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="brute-force maximum on tiny cells")
     _add_solver_flags(sp)
-    sp.add_argument("--grid-points", type=int, default=100_000,
+    sp.add_argument("--grid-points", type=int, default=_ORACLE_GRID_POINTS,
                     help="samples per free amplitude ratio of the one global scan, "
                          "at least 3 and capped at 701 when two ratios are free "
                          "and at 491401 when one is; "

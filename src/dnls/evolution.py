@@ -74,29 +74,28 @@ def _max_into(current: float, values: np.ndarray) -> float:
     return float(np.fmax.reduce(values, initial=current))
 
 
-def _check_times(t_end: float, dt: float) -> None:
-    """Refuse a step or an end time that ``integrate`` cannot run."""
+def _n_steps(t_end: float, dt: float) -> int:
+    """The RK4 steps of ``integrate``: round(t_end/dt), at least one unless t_end = 0.
+
+    A step, an end time or a t_end/dt that ``integrate`` cannot run is refused, in that
+    order, before any step."""
     if not math.isfinite(dt) or dt <= 0:
         raise ValueError(f"dt must be positive and finite, not {dt}")
     if not math.isfinite(t_end) or t_end < 0:
         raise ValueError(f"t_end must be non-negative and finite, not {t_end}")
-
-
-def _n_steps(t_end: float, dt: float) -> int:
-    """The RK4 steps of ``integrate``: round(t_end/dt), at least one unless t_end = 0.
-
-    A t_end/dt that overflows to inf is refused, before any step."""
     steps = t_end / dt
     if not math.isfinite(steps):
         raise ValueError(f"t_end / dt must be a finite step count, not {t_end} / {dt}")
     return max(int(round(steps)), 1) if t_end > 0 else 0
 
 
-def _check_equilibrium_times(t_end: float, dt: float) -> None:
-    """Refuse what ``integrate`` refuses, and t_end = 0: one sample measures no rotation."""
-    _check_times(t_end, dt)
+def _equilibrium_steps(t_end: float, dt: float) -> int:
+    """The steps of ``integrate``, with its refusals and t_end = 0: one sample measures no
+    rotation."""
+    steps = _n_steps(t_end, dt)
     if t_end == 0:
         raise ValueError(f"t_end must be positive to measure a phase rotation, not {t_end}")
+    return steps
 
 
 def _rk4_blocks(a: np.ndarray, n_steps: int, h: float, periodic: bool, p: Potential,
@@ -157,7 +156,6 @@ def integrate(state: EvolutionState, p: Potential, alpha: float, t_end: float,
     the first such state, whose block is never handed out; numpy's overflow
     warnings are off during the steps and the callback.
     """
-    _check_times(t_end, dt)
     periodic = state.cell.is_finite
     n_steps = _n_steps(t_end, dt)
     h = t_end / n_steps if n_steps else 0.0
@@ -218,7 +216,7 @@ def relative_equilibrium_check(sol: WaveSolution, t_end: float, dt: float,
     can sample the same trajectory without integrating it again.
     ``t_end`` must be positive and finite, so the rate is fitted to at least two samples.
     """
-    _check_equilibrium_times(t_end, dt)
+    _equilibrium_steps(t_end, dt)
     if not sol.converged:
         raise ValueError("relative-equilibrium check requires a converged solution")
     u = sol.profile.values

@@ -49,8 +49,10 @@ class Cell:
             raise ValueError(f"scheme must be an IndexScheme, not {self.scheme!r}")
         if (self.n is None) == (self.j_max is None):
             raise ValueError("exactly one of n (periodic) or j_max (truncated) required")
-        if self.n is not None and self.n < 1:
-            raise ValueError("cell length must be positive")
+        if self.n is not None:
+            object.__setattr__(self, "n", _whole(self.n, "cell lengths"))
+            if self.n < 1:
+                raise ValueError("cell length must be positive")
         if self.j_max is not None and self.j_max <= 0:
             raise ValueError("truncation half-width must be positive")
         if self.j_max is not None and self.scheme is IndexScheme.INTER_SITE and self.j_max < 0.5:
@@ -59,7 +61,7 @@ class Cell:
     @staticmethod
     def periodic(scheme: IndexScheme, n: int) -> "Cell":
         """The shared cell of n sites: one per (scheme, n) of the last ``_CELL_CACHE``."""
-        return _periodic_cell(scheme, int(n))
+        return _periodic_cell(scheme, n)
 
     @staticmethod
     def truncated(scheme: IndexScheme, j_max: float) -> "Cell":
@@ -139,6 +141,13 @@ class Cell:
         for a in out:
             a.flags.writeable = False
         return out
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int, if it is a whole number; ``what`` names the values it refuses."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be whole numbers, not {value!r}")
+    return int(value)
 
 
 @lru_cache(maxsize=_CELL_CACHE)

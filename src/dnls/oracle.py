@@ -36,6 +36,8 @@ _ORACLE_BOUND_SLACK = 1e-12
 _ORACLE_ZOOM = 41
 _ORACLE_ZOOM_RESOLUTION = 8 * np.finfo(float).eps
 _NO_RATIO = np.broadcast_to(1.0, 1)  # the absent second ratio, read-only
+# samples per free ratio of the global scan, unless a caller sets them
+_ORACLE_GRID_POINTS = 100_000
 _STEPS = {}
 
 
@@ -197,14 +199,23 @@ def _global_scan(r1, r2, cfg, p, cell):
         todo = todo[per_batch:]
 
 
-def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
+def _finite(energy: float, p: Potential) -> float:
+    """The best energy of the oracle's grid, refused unless finite: the scan of an all-NaN
+    grid keeps no row, and the zoom has no point to sharpen."""
+    if not math.isfinite(energy):
+        raise ValueError(f"the oracle's grid holds no finite energy of {p.label}")
+    return energy
+
+
+def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_GRID_POINTS):
     """Brute-force maximum of P on cone-and-sphere for cells of at most 4 sites.
 
     On the levels of ``Cell.fold`` at most two amplitude ratios stay free: a
     profile has level amplitudes 1, r1, r1*r2, normalized. One global scan
     covers a uniform grid of ``grid_points`` samples per free ratio (a
-    finite whole number, at least 3; capped at 701 when two ratios are free
-    and at 701**2 = 491,401 when one is). A branch-and-bound descent (``_global_scan``)
+    finite whole number, at least 3, by default 100,000; capped at 701 when
+    two ratios are free and at 701**2 = 491,401 when one is). A
+    branch-and-bound descent (``_global_scan``)
     scores the tiles of 256 rows with the highest bounds, halves the tiles
     whose bound can still beat the best row so far down to boxes of 2 x 2
     rows (2 with one ratio), bounding each level with one call, and scores
@@ -221,7 +232,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
     lies inside it, and at the latest when the spacing reaches
     (1/(g-1)) * (4/(g-1))**5 for g samples per ratio, where five rescans of
     g samples per window would end. A cell with no free ratio scores its one
-    profile.
+    profile. A grid, or a profile, with no finite energy is refused before the zoom.
     Returns the best profile and its energy, independent of the ascent.
     """
     cfg.validate()
@@ -240,12 +251,13 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = 2000):
 
     if dims == 0:
         amps = np.sqrt(cfg.rho / mult)[:, None]
-        p_one = float(level_energies(amps, cell, p, cfg.alpha)[0])
+        p_one = _finite(float(level_energies(amps, cell, p, cfg.alpha)[0]), p)
         return Profile(cell, amps[site_level, 0]), p_one
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
     g = min(int(grid_points), 701 ** (2 // dims))
     best = _global_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
+    _finite(best[1], p)
     spacing = np.full(dims, 1.0 / (g - 1))
     final = spacing[0] * (4.0 * spacing[0]) ** 5
     while spacing.max() > final:

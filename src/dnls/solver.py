@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .functionals import EnergyBreakdown, energy, flow, level_energies, p_value
-from .lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _Record, cone_slack,
+from .lattice import (_CELL_CACHE, Cell, IndexScheme, Profile, _Record, _whole, cone_slack,
                       cone_slack_values, restrict)
 from .oracle import oracle_maximize  # noqa: F401  (the benchmark calls dnls.solver.oracle_maximize)
 from .potentials import Potential, _require_assumptions
@@ -53,8 +53,9 @@ _REJECTION_REASONS = ("energy", "cone")
 # in lexicographic order
 _ANSATZ_WEIGHTS = np.array([w for w in itertools.product(range(8), repeat=4)
                             if sum(w) == 7], dtype=float)
-# step of the differences for psi'' (relative to x, absolute at 0); near the
-# cube root of the machine epsilon, where truncation and roundoff errors balance
+# step of the differences for psi'', relative to x; near the cube root of the machine
+# epsilon, where truncation and roundoff errors balance. ``validate`` keeps x = rho/N
+# normal, so the step is positive
 _D2PSI_STEP = 1e-5
 # the least power rho/N per site of a valid config
 _NORMAL_MIN = float(np.finfo(float).tiny)
@@ -314,11 +315,8 @@ def _is_near_constant(v: np.ndarray, cfg: SolverConfig) -> bool:
 
 
 def _d2psi(p: Potential, x: float) -> float:
-    """psi''(x) by a central difference of dpsi; one-sided at 0 and where its step underflows."""
+    """psi''(x) by a central difference of dpsi."""
     h = _D2PSI_STEP * x
-    if h == 0.0:  # second order too, with an absolute step
-        f0, f1, f2 = (float(p.dpsi(np.float64(t))) for t in (0.0, _D2PSI_STEP, 2.0 * _D2PSI_STEP))
-        return (4.0 * f1 - 3.0 * f0 - f2) / (2.0 * _D2PSI_STEP)
     hi, lo = x + h, x - h
     return float(p.dpsi(np.float64(hi)) - p.dpsi(np.float64(lo))) / (hi - lo)
 
@@ -466,11 +464,7 @@ def homoclinic(cfg: SolverConfig, p: Potential, n_sequence,
     the normalized energy decays towards 2 while the peak amplitude shrinks.
     A ladder with an unconverged wave is Undetermined: it is no evidence.
     """
-    n_sequence = list(n_sequence)
-    for n in n_sequence:
-        if not float(n).is_integer():
-            raise ValueError(f"n_sequence sizes must be whole numbers, not {n!r}")
-    n_sequence = [int(n) for n in n_sequence]
+    n_sequence = [_whole(n, "n_sequence sizes") for n in n_sequence]
     if len(n_sequence) < 2 or any(b <= a for a, b in zip(n_sequence, n_sequence[1:])):
         raise ValueError("n_sequence must be at least two strictly increasing sizes")
     if not 0 < margin < math.inf:

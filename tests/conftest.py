@@ -1,7 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dnls.lattice import Cell, IndexScheme, Profile
+
+
+@pytest.fixture(scope="session")
+def tool():
+    """``tools/artifact_diff.py`` as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,22 +1,11 @@
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
-import pytest
-
+from dnls.cli import main
 from dnls.lattice import profile_from_csv
 
 ROOT = Path(__file__).resolve().parents[1]
-TOOL = ROOT / "tools" / "artifact_diff.py"
-
-
-@pytest.fixture(scope="module")
-def tool():
-    spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def corpus(root, sigma, wall_time, rows, code, extra=()):
@@ -95,3 +84,12 @@ def test_the_corpus_holds_each_tiny_cell_oracle_answer(tool, tmp_path, monkeypat
     report = tool.compare(tmp_path / "a", tmp_path / "b")
     assert report["groups"] == {"tiny_cells-s0": (192, 2)}
     assert set(report["fields"]) == {"oracle_p", "oracle.csv:u"}  # jobs 5 and 6: N=2 on-site
+
+
+def test_each_refusal_of_the_corpus_is_a_usage_error(tool, tmp_path, monkeypatch, capsys):
+    for k, argv in enumerate(tool.REFUSALS):
+        (tmp_path / str(k)).mkdir()
+        monkeypatch.chdir(tmp_path / str(k))
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert list(Path.cwd().iterdir()) == [], argv

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import os
-import shlex
 import time
 import warnings
 from pathlib import Path
@@ -13,6 +12,7 @@ import pytest
 
 import dnls.cli
 import dnls.evolution
+import dnls.oracle
 import dnls.solver
 from dnls.cli import build_parser, main
 from dnls.lattice import profile_from_csv
@@ -250,7 +250,7 @@ def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):
     code = main(["sweep", "--param", "N", "--values", "9,9.4", "--potential", "quartic",
                  "--alpha", "1", "--rho", "2", "--out", str(tmp_path / "s")])
     assert code == 1
-    assert "sweep values of N must be integers, not 9.4" in capsys.readouterr().err
+    assert "sweep values of N must be whole numbers, not 9.4" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     code = main(["sweep", "--param", "N", "--values", "5,7.0", "--potential", "quartic",
                  "--alpha", "1", "--rho", "2", "--out", str(tmp_path / "s")])
@@ -358,6 +358,16 @@ def test_oracle_command_rejects_big_cells(tmp_path, capsys):
         assert code == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_refuses_a_grid_with_no_finite_energy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dnls.oracle, "level_energies", lambda amps, *_: np.full(amps.shape[1],
+                                                                                  np.nan))
+    code = main(["oracle", "--N", "3", "--potential", "quartic", "--alpha", "1", "--rho", "2",
+                 "--out", str(tmp_path / "sub" / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the oracle's grid holds no finite energy of quartic\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_oracle_example_keeps_the_solve_example_artifacts(tmp_path, monkeypatch):
@@ -497,7 +507,9 @@ def test_evolve_refuses_non_finite_times(tmp_path, capsys, monkeypatch, flag, va
 
 @pytest.mark.parametrize("t_end, dt, n, message", [
     ("1", "1e-300", "5", "evolve would take 5e+300 RK4 site-steps, more than the cap of 1e+07"),
-    ("1e300", "1e-300", "5", "evolve would take inf RK4 site-steps, more than the cap of 1e+07"),
+    ("1e300", "1e-300", "5", "t_end / dt must be a finite step count, not 1e+300 / 1e-300"),
+    # a finite count of 1e308 steps, whose product with N overflows to inf
+    ("1e300", "1e-8", "25", "evolve would take inf RK4 site-steps, more than the cap of 1e+07"),
     # just past the cap: round(1 / 4.999e-7) = 2,000,400 steps on 5 sites
     ("1", "4.999e-7", "5", "evolve would take 1e+07 RK4 site-steps, more than the cap of 1e+07"),
 ])
@@ -821,16 +833,8 @@ def test_a_grid_entry_that_is_not_a_number_names_its_flag(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
-def readme_commands():
-    """The argv of each ``dnls …`` command in README's CLI block, continuation lines joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("dnls ")]
-
-
-def test_every_readme_cli_example_runs(tmp_path, monkeypatch):
-    commands = readme_commands()
+def test_every_readme_cli_example_runs(tmp_path, monkeypatch, tool):
+    commands = tool.readme_commands(Path(__file__).resolve().parents[1])
     assert sorted(argv[0] for argv in commands) == sorted(COMMANDS)
     for k, argv in enumerate(commands):
         (tmp_path / str(k)).mkdir()

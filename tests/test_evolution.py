@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dnls.evolution
 from dnls.evolution import (_BLOCK, _CHECK, BlowUpError, EquilibriumReport, EvolutionState,
-                            _check_equilibrium_times, _invariants, integrate,
+                            _equilibrium_steps, _invariants, integrate,
                             relative_equilibrium_check)
 from dnls.functionals import field_values
 from dnls.lattice import Cell, IndexScheme, Profile
@@ -275,7 +275,7 @@ def reference_relative_equilibrium_check(sol, t_end, dt, callback=None):
     it there replaces it here too; each block it hands out is read one state at
     a time and then passed on to ``callback`` as it came.
     """
-    _check_equilibrium_times(t_end, dt)
+    _equilibrium_steps(t_end, dt)
     if not sol.converged:
         raise ValueError("relative-equilibrium check requires a converged solution")
     u = sol.profile.values

@@ -114,11 +114,21 @@ def test_cell_refuses_a_scheme_given_as_text(make):
     (lambda: Cell.truncated(INTER, -1.0), "truncation half-width must be positive"),
     # refused when built: it once failed only at its first .size or .indices()
     (lambda: Cell.truncated(INTER, 0.3), r"inter-site truncation must cover \|j\| = 1/2"),
+    # Cell.periodic once truncated 2.5 to 2 sites; Cell(...) built a size 2.5 with 3 indices
+    (lambda: Cell.periodic(ON, 2.5), r"cell lengths must be whole numbers, not 2\.5"),
+    (lambda: Cell(ON, n=2.5), r"cell lengths must be whole numbers, not 2\.5"),
 ])
 def test_cell_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
     assert Cell.truncated(INTER, 0.5).size == 2 and Cell.truncated(ON, 0.3).size == 1
+
+
+@pytest.mark.parametrize("n", [5.0, np.int64(5)])
+def test_a_cell_stores_a_whole_length_as_an_int(n):
+    for cell in (Cell(ON, n=n), Cell.periodic(ON, n)):
+        assert type(cell.n) is int and cell.n == 5 and cell == Cell(ON, n=5)
+        assert cell.size == 5 and cell.indices().size == 5
 
 
 def test_in_cone_examples():

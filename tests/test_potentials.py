@@ -97,24 +97,18 @@ def test_solver_d2psi_matches_closed_form(p, closed, x):
     assert _d2psi(p, x) == pytest.approx(closed(x), rel=1e-7)
 
 
-@pytest.mark.parametrize("p,closed", [pytest.param(p, f, id=p.label)
-                                      for p, f in D2PSI_CLOSED_FORMS
-                                      if p.label in CATALOG])
-def test_solver_d2psi_at_zero_is_one_sided(p, closed):
-    # inter-site tails underflow to exactly 0; the power laws are not C^2 there
-    assert _d2psi(p, 0.0) == pytest.approx(closed(0.0), abs=1e-8)
-
-
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_solver_d2psi_is_finite_where_its_step_underflows(name):
-    # the relative step 1e-5 * x underflows to 0 below about 2.5e-319
+    # the relative step 1e-5 * x is subnormal below about 2.2e-303; validate keeps
+    # x = rho/N at or above the smallest normal float, where the step is still positive
     p = CATALOG[name]()
-    for x in (0.0, 5e-324, 1e-320, 2e-319):
+    tiny = float(np.finfo(float).tiny)
+    for x in (tiny, 2.0 * tiny, 1e-305):
         assert math.isfinite(_d2psi(p, x)), x
 
 
 def test_flat_lambda1_keeps_its_central_difference():
-    # the x > 0 branch, which _flat_lambda1 reads, is bit for bit the central difference
+    # _d2psi, which _flat_lambda1 reads, is bit for bit the central difference
     p = saturable_log()
     for x in (1e-3, 0.5, 3.0):
         h = 1e-5 * x

@@ -63,6 +63,22 @@ def test_config_refuses_a_subnormal_power_per_site(rho, n):
     SolverConfig(alpha=1.0, rho=np.finfo(float).tiny * n, n=n).validate()
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@pytest.mark.parametrize("scheme", [ON, INTER])
+@pytest.mark.parametrize("n", [2, 3, 5, 25])
+def test_solve_at_the_least_power_per_site(name, scheme, n):
+    # rho/N is the smallest normal float, the least that validate takes: the step
+    # 1e-5 * rho/N of psi'' is still positive, so flat_lambda1 is a central difference
+    sol = solve(SolverConfig(alpha=1.0, rho=np.finfo(float).tiny * n, scheme=scheme, n=n),
+                CATALOG[name]())
+    assert sol.converged and sol.near_constant
+    if scheme is INTER and n == 2:  # the fold has one level: no k=1 mode to test
+        assert sol.diagnostics.flat_lambda1 is None
+    else:  # c^2 psi''(c^2) is negligible beside the coupling term
+        assert sol.diagnostics.flat_lambda1 == pytest.approx(
+            -4.0 * (1.0 - math.cos(2.0 * math.pi / n)), rel=1e-12)
+
+
 def test_solve_refuses_a_scheme_given_as_text():
     # "onsite" is not IndexScheme.ON_SITE: it once solved the inter-site wave
     cfg = SolverConfig(alpha=1.0, rho=10.0, scheme="onsite", n=25)
@@ -1460,6 +1476,21 @@ def test_oracle_takes_a_whole_float_grid_as_its_integer():
     best, p_best = oracle_maximize(cfg, quartic(), grid_points=101.0)
     ref, p_ref = oracle_maximize(cfg, quartic(), grid_points=101)
     assert p_best == p_ref and best.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("scheme, n", [
+    (INTER, 2),  # one profile, which once came back as P = nan
+    (ON, 3),  # 2,001 rows, scored as one batch
+    (ON, 4),  # 701**2 rows, the descent
+])
+def test_oracle_refuses_a_grid_with_no_finite_energy(scheme, n):
+    # the scans kept no row of an all-NaN grid, and the zoom ended in a TypeError
+    cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=scheme, n=n)
+    nan = lambda amps, *_: np.full(amps.shape[1], np.nan)  # noqa: E731
+    with mock.patch.object(dnls.oracle, "level_energies", nan):
+        with pytest.raises(ValueError,
+                           match="^the oracle's grid holds no finite energy of quartic$"):
+            oracle_maximize(cfg, quartic(), grid_points=2001)
 
 
 def test_oracle_rejects_large_cells():

@@ -5,6 +5,7 @@
 Each tree runs the corpus in a subprocess of its own, with that tree's ``src`` on
 ``PYTHONPATH``:
   - every ``dnls …`` command of the tree's README CLI block, continuation lines joined;
+  - the commands of ``REFUSALS``, each refused as a usage error in well under a second;
   - the argv of the benchmark's ``Sweep`` and ``Evolve`` workloads at seeds 0-3, from
     the tree's ``perfbench/workloads.py``;
   - ``json.dumps(sol.to_dict())`` and the profile CSV of every ``TinyCells`` and
@@ -35,6 +36,15 @@ from pathlib import Path
 
 SEEDS = range(4)
 RUNS = "runs.json"  # exit code and output of each command, beside the artifacts
+# commands refused before any work, so that a changed refusal shows in the report
+REFUSALS = [shlex.split(argv) for argv in (
+    "solve --potential quartic --alpha 1 --rho 1e-320 --N 5",
+    "evolve --potential quartic --alpha 1 --rho 2 --dt 1e-300 --N 5",
+    "evolve --potential quartic --alpha 1 --rho 2 --t-end 1e300 --dt 1e-300 --N 5",
+    "homoclinic --potential quartic --alpha 0.3 --rho 2 --N-seq 17.5,33",
+    "sweep --param rho --rho 5 --values 2,3 --potential quartic --alpha 1",
+    "sweep --param N --values 9.4,17 --potential quartic --alpha 1 --rho 2",
+)]
 
 
 def readme_commands(tree: Path) -> list[list[str]]:
@@ -83,6 +93,7 @@ def collect(tree: Path, out: Path) -> None:
 
     workloads = load_workloads(tree)
     commands = [(f"readme-{k}", argv) for k, argv in enumerate(readme_commands(tree))]
+    commands += [(f"refusal-{k}", argv) for k, argv in enumerate(REFUSALS)]
     commands += [(f"{w.__name__.lower()}-s{seed}", w().build(seed)[0]["argv"])
                  for w in (workloads.Sweep, workloads.Evolve) for seed in SEEDS]
     runs = {}
