@@ -275,39 +275,30 @@ def cmd_evolve(args, out: _Artifacts) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dnls", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="compute one standing wave")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("sweep", help="solve over a parameter grid")
+def _sweep_flags(sp: argparse.ArgumentParser) -> None:
     _add_solver_flags(sp)
     sp.add_argument("--param", choices=["rho", "alpha", "N"], required=True)
     sp.add_argument("--values", default=None, help="comma-separated grid values")
     sp.add_argument("--from", dest="start", type=float, default=None)
     sp.add_argument("--to", dest="stop", type=float, default=None)
     sp.add_argument("--step", type=float, default=None)
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("homoclinic", help="periodic-to-homoclinic continuation")
+
+def _homoclinic_flags(sp: argparse.ArgumentParser) -> None:
     _add_solver_flags(sp)
     sp.add_argument("--N-seq", dest="n_seq", required=True,
                     help="comma-separated increasing cell sizes")
     sp.add_argument("--margin", type=float, default=1e-3)
-    sp.set_defaults(func=cmd_homoclinic)
 
-    sp = sub.add_parser("check-potential", help="verify growth assumptions")
+
+def _check_potential_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--potential", required=True)
     sp.add_argument("--x-max", type=float, default=100.0)
     sp.add_argument("--samples", type=int, default=1000)
     sp.add_argument("--out", default="potential-check")
-    sp.set_defaults(func=cmd_check_potential)
 
-    sp = sub.add_parser("oracle", help="brute-force maximum on tiny cells")
+
+def _oracle_flags(sp: argparse.ArgumentParser) -> None:
     _add_solver_flags(sp)
     sp.add_argument("--grid-points", type=int, default=_ORACLE_GRID_POINTS,
                     help="samples per free amplitude ratio of the one global scan, "
@@ -316,19 +307,49 @@ def build_parser() -> argparse.ArgumentParser:
                          "the scan runs in bounded memory and a local zoom "
                          "sharpens its best point until a window's energies "
                          "agree to rounding")
-    sp.set_defaults(func=cmd_oracle, out="oracle")
+    sp.set_defaults(out="oracle")
 
-    sp = sub.add_parser("evolve", help="validate a wave as a relative equilibrium")
+
+def _evolve_flags(sp: argparse.ArgumentParser) -> None:
     _add_solver_flags(sp)
     sp.add_argument("--t-end", type=float, default=10.0)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--sample-every", type=int, default=100)
-    sp.set_defaults(func=cmd_evolve)
+
+
+# each command's help line, its function, and what adds its flags
+_COMMANDS = {
+    "solve": ("compute one standing wave", cmd_solve, _add_solver_flags),
+    "sweep": ("solve over a parameter grid", cmd_sweep, _sweep_flags),
+    "homoclinic": ("periodic-to-homoclinic continuation", cmd_homoclinic, _homoclinic_flags),
+    "check-potential": ("verify growth assumptions", cmd_check_potential,
+                        _check_potential_flags),
+    "oracle": ("brute-force maximum on tiny cells", cmd_oracle, _oracle_flags),
+    "evolve": ("validate a wave as a relative equilibrium", cmd_evolve, _evolve_flags),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The ``dnls`` parser. When ``argv`` starts with a command, only that command's
+    subparser is built, and the usage lines still name every command; any other
+    ``argv`` (none, an unknown command, an option first) gets every subparser."""
+    parser = _Parser(prog="dnls", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        sub.metavar, names = "{" + ",".join(names) + "}", argv[:1]
+    for name in names:
+        summary, func, add_flags = _COMMANDS[name]
+        sp = sub.add_parser(name, help=summary)
+        add_flags(sp)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .functionals import level_energies
-from .lattice import Profile
+from .lattice import Profile, _whole
 from .potentials import Potential, _require_assumptions
 
 if TYPE_CHECKING:
@@ -240,8 +240,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
         raise ValueError("the brute-force oracle covers N <= 4 only")
     if not grid_points < math.inf:
         raise ValueError(f"grid_points must be finite, not {grid_points}")
-    if not float(grid_points).is_integer():
-        raise ValueError(f"grid_points must be a whole number, not {grid_points!r}")
+    grid_points = _whole(grid_points, "grid_points")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
     _require_assumptions(p, cfg.rho)
@@ -255,7 +254,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
         return Profile(cell, amps[site_level, 0]), p_one
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
-    g = min(int(grid_points), 701 ** (2 // dims))
+    g = min(grid_points, 701 ** (2 // dims))
     best = _global_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
     _finite(best[1], p)
     spacing = np.full(dims, 1.0 / (g - 1))

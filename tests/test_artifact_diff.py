@@ -1,7 +1,9 @@
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
+from dnls import __version__
 from dnls.cli import main
 from dnls.lattice import profile_from_csv
 
@@ -93,3 +95,33 @@ def test_each_refusal_of_the_corpus_is_a_usage_error(tool, tmp_path, monkeypatch
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
         assert list(Path.cwd().iterdir()) == [], argv
+
+
+def test_each_parser_invocation_of_the_corpus_answers_before_any_work(tool, tmp_path,
+                                                                      monkeypatch, capsys):
+    # help and version on stdout with exit 0; a usage error on stderr with exit 1
+    monkeypatch.chdir(tmp_path)
+    answers = Counter()
+    for argv in tool.PARSES:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out and not err, argv
+            answers["version" if out == f"{__version__}\n" else "help"] += 1
+        else:
+            assert code == 1 and not out, argv
+            assert err.startswith("usage: dnls") and "error: " in err, argv
+            answers["usage error"] += 1
+    assert answers == {"help": 8, "version": 1, "usage error": 27}
+    assert list(tmp_path.iterdir()) == []
+    # every command meets its help, an unknown flag, a missing flag or value, a bad value
+    # and the root's --version
+    commands = Counter(argv[0] for argv in tool.PARSES[6:])
+    assert commands == dict.fromkeys(tool._PARSE_CASES, 5)
+
+
+def test_the_corpus_runs_each_parser_invocation_under_its_own_label(tool):
+    commands = tool.corpus_commands(ROOT, tool.load_workloads(ROOT))
+    labels = [label for label, _ in commands]
+    assert len(set(labels)) == len(labels)
+    assert [argv for label, argv in commands if label.startswith("parse-")] == tool.PARSES

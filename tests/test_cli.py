@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -883,3 +884,45 @@ def test_config_file_out_of_range_is_a_usage_error(tmp_path, capsys, content, me
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def built_commands(argv):
+    """The commands whose subparsers ``build_parser(argv)`` builds."""
+    parser = build_parser(argv)
+    return list(next(a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("argv", [[], ["swe"], ["--potential", "quartic", "solve"],
+                                  ["--help"], ["-h"], ["--version"], ["--", "solve"]])
+def test_an_argv_that_does_not_start_with_a_command_builds_every_subparser(argv):
+    assert built_commands(argv) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_builds_only_its_own_subparser(command):
+    assert built_commands(COMMANDS[command]) == [command]
+    assert built_commands([command, "--help"]) == [command]
+
+
+def test_every_parse_prints_and_exits_as_with_every_subparser(tool, tmp_path, monkeypatch,
+                                                              capsys):
+    # help, version and usage errors: the one-subparser parser answers as the full one
+    monkeypatch.chdir(tmp_path)
+    full = build_parser
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    for argv in tool.PARSES:
+        answer = run(argv)
+        with mock.patch.object(dnls.cli, "build_parser", lambda argv=(): full()):
+            assert run(argv) == answer, argv
+
+
+def test_every_readme_command_parses_as_with_every_subparser(tool):
+    commands = tool.readme_commands(Path(__file__).resolve().parents[1])
+    for argv in [*commands, *COMMANDS.values()]:
+        assert build_parser(argv).parse_args(argv) == build_parser().parse_args(argv), argv
+        assert build_parser(argv).format_usage() == build_parser().format_usage(), argv

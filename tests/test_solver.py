@@ -1466,7 +1466,7 @@ def test_oracle_refuses_a_fractional_grid(grid_points):
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
     with mock.patch.object(dnls.oracle, "_require_assumptions") as check:
         with pytest.raises(ValueError,
-                           match=rf"^grid_points must be a whole number, not {grid_points}$"):
+                           match=rf"^grid_points must be whole numbers, not {grid_points}$"):
             oracle_maximize(cfg, quartic(), grid_points=grid_points)
     check.assert_not_called()  # refused before any work
 

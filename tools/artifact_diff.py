@@ -6,6 +6,8 @@ Each tree runs the corpus in a subprocess of its own, with that tree's ``src`` o
 ``PYTHONPATH``:
   - every ``dnls …`` command of the tree's README CLI block, continuation lines joined;
   - the commands of ``REFUSALS``, each refused as a usage error in well under a second;
+  - the parser invocations of ``PARSES``: help, version and usage errors, which write
+    nothing, so that a change to the CLI's own output shows;
   - the argv of the benchmark's ``Sweep`` and ``Evolve`` workloads at seeds 0-3, from
     the tree's ``perfbench/workloads.py``;
   - ``json.dumps(sol.to_dict())`` and the profile CSV of every ``TinyCells`` and
@@ -44,6 +46,21 @@ REFUSALS = [shlex.split(argv) for argv in (
     "homoclinic --potential quartic --alpha 0.3 --rho 2 --N-seq 17.5,33",
     "sweep --param rho --rho 5 --values 2,3 --potential quartic --alpha 1",
     "sweep --param N --values 9.4,17 --potential quartic --alpha 1 --rho 2",
+)]
+
+# a command's flags that are required, then a bad value of one of its flags
+_PARSE_CASES = {"solve": ("", "--N 2.5"), "sweep": ("--param rho", "--param beta"),
+                "homoclinic": ("--N-seq 9,17", "--margin x"),
+                "check-potential": ("--potential quartic", "--x-max x"),
+                "oracle": ("", "--grid-points 1.5"), "evolve": ("", "--sample-every x")}
+# root help and version, no command, an unknown one, an option before it; for each
+# command its help, an unknown flag, a missing required flag (or a flag's missing
+# value), a bad value, and the root's --version after it
+PARSES = [shlex.split(argv) for argv in (
+    "-h", "--help", "--version", "", "swe", "--potential quartic solve",
+    *(f"{command} {case}" for command, (required, bad) in _PARSE_CASES.items()
+      for case in ("--help", f"{required} --bogus 1", "" if required else "--out", bad,
+                   f"{required} --version")),
 )]
 
 
@@ -87,17 +104,22 @@ def write_tiny_cells(workloads, seed: int) -> None:
         profile_to_csv(best, prefix + ".oracle.csv")
 
 
+def corpus_commands(tree: Path, workloads) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each ``dnls`` command of the corpus."""
+    commands = [(f"readme-{k}", argv) for k, argv in enumerate(readme_commands(tree))]
+    commands += [(f"refusal-{k}", argv) for k, argv in enumerate(REFUSALS)]
+    commands += [(f"parse-{k}", argv) for k, argv in enumerate(PARSES)]
+    return commands + [(f"{w.__name__.lower()}-s{seed}", w().build(seed)[0]["argv"])
+                       for w in (workloads.Sweep, workloads.Evolve) for seed in SEEDS]
+
+
 def collect(tree: Path, out: Path) -> None:
     """Run the corpus with the ``dnls`` on ``sys.path`` and write its artifacts under out."""
     import dnls.cli
 
     workloads = load_workloads(tree)
-    commands = [(f"readme-{k}", argv) for k, argv in enumerate(readme_commands(tree))]
-    commands += [(f"refusal-{k}", argv) for k, argv in enumerate(REFUSALS)]
-    commands += [(f"{w.__name__.lower()}-s{seed}", w().build(seed)[0]["argv"])
-                 for w in (workloads.Sweep, workloads.Evolve) for seed in SEEDS]
     runs = {}
-    for label, argv in commands:
+    for label, argv in corpus_commands(tree, workloads):
         (out / label).mkdir()
         os.chdir(out / label)
         stdout, stderr = io.StringIO(), io.StringIO()
