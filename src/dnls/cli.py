@@ -23,7 +23,8 @@ from . import __version__
 from .evolution import _equilibrium_steps, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import _index_labels, _whole, _write_csv, profile_to_csv
-from .potentials import Potential, check_assumptions, parse_potential_spec
+from .potentials import (Potential, _require_assumptions, check_assumptions,
+                         parse_potential_spec)
 from .oracle import _ORACLE_GRID_POINTS, oracle_maximize
 from .solver import SolverConfig, homoclinic, solve
 
@@ -185,6 +186,7 @@ def cmd_sweep(args, out: _Artifacts) -> int:
     configs = [replace(base, **{field: value}) for value in grid]
     for cfg in configs:  # every point is refused before the first solve
         cfg.validate()
+    _require_assumptions(potential, [cfg.rho for cfg in configs])
     results = [solve(cfg, potential) for cfg in configs]
 
     rows = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .functionals import level_energies
 from .lattice import Profile, _whole
-from .potentials import Potential, _require_assumptions
+from .potentials import Potential, _linspace, _require_assumptions
 
 if TYPE_CHECKING:
     from .solver import SolverConfig
@@ -51,20 +51,10 @@ def _steps(n):
     return _STEPS[n]
 
 
-def _ratio_grid(lo, hi, n, dims):
-    """np.linspace(lo, hi, n) per free ratio, bit for bit: its arithmetic on the cached
-    steps k, k*step + lo (k/(n-1)*(hi-lo) + lo where step rounds to 0) and the last point
-    hi; the read-only 1.0 for an absent second ratio."""
-    # per axis: a 2-D linspace rounds every axis differently once one has zero width
-    grids = [_NO_RATIO] * 2
-    for d in range(dims):
-        width = hi[d] - lo[d]
-        step = width / (n - 1)
-        r = _steps(n) * step if step else _steps(n) / (n - 1) * width
-        r += lo[d]
-        r[-1] = hi[d]
-        grids[d] = r
-    return grids
+def _ratio_grid(lo, hi, n):
+    """np.linspace(lo, hi, n) per free ratio, bit for bit (``potentials._linspace`` on the
+    cached steps), then the read-only 1.0 for an absent second ratio."""
+    return [*_linspace(lo, hi, _steps(n)), _NO_RATIO][:2]
 
 
 def _level_amps(r1, r2, levels):
@@ -243,7 +233,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
     grid_points = _whole(grid_points, "grid_points")
     if grid_points < 3:
         raise ValueError(f"grid_points must be at least 3, not {grid_points}")
-    _require_assumptions(p, cfg.rho)
+    _require_assumptions(p, [cfg.rho])
     cell = cfg.cell()
     site_level, mult, _ = cell.fold
     dims = mult.size - 1
@@ -255,7 +245,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
     # no cell scans more than a two-ratio cell's 701**2 rows; the zoom
     # recovers the resolution of a huge flat grid
     g = min(grid_points, 701 ** (2 // dims))
-    best = _global_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g, dims), cfg, p, cell)
+    best = _global_scan(*_ratio_grid(np.zeros(dims), np.ones(dims), g), cfg, p, cell)
     _finite(best[1], p)
     spacing = np.full(dims, 1.0 / (g - 1))
     final = spacing[0] * (4.0 * spacing[0]) ** 5
@@ -263,7 +253,7 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
         lo = np.maximum(best[0] - 2.0 * spacing, 0.0)
         hi = np.minimum(best[0] + 2.0 * spacing, 1.0)
         spacing = (hi - lo) / (_ORACLE_ZOOM - 1)
-        r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM, dims)
+        r1, r2 = _ratio_grid(lo, hi, _ORACLE_ZOOM)
         best, flat = _scan_window(r1, r2, (r1[:, None], r2), best, cfg, p, cell)
         if flat:  # every later window lies in this one
             break

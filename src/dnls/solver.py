@@ -350,7 +350,7 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     Non-convergence is reported through the returned flags, not raised.
     """
     cfg.validate()
-    _require_assumptions(p, cfg.rho)
+    _require_assumptions(p, [cfg.rho])
 
     start = initial_ansatz(cfg, p)
     cell, v0 = start.cell, start.values.copy()  # the cell whose fold the ansatz derived

@@ -14,6 +14,7 @@ import pytest
 import dnls.cli
 import dnls.evolution
 import dnls.oracle
+import dnls.potentials
 import dnls.solver
 from dnls.cli import build_parser, main
 from dnls.lattice import profile_from_csv
@@ -244,6 +245,31 @@ def test_sweep_validates_every_point_before_the_first_solve(tmp_path, capsys, mo
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_checks_every_points_potential_before_the_first_solve(tmp_path, capsys):
+    # exp-quadratic fails its check on [0, 500]: the three points before it used to be
+    # solved first, and the sweep then wrote nothing
+    with mock.patch.object(dnls.solver, "_run", wraps=dnls.solver._run) as run:
+        code = main(["sweep", "--param", "rho", "--values", "2,2.5,3,500", "--potential",
+                     "exp-quadratic", "--alpha", "1", "--N", "41", "--out", str(tmp_path / "s")])
+    assert code == 1 and run.call_count == 0
+    assert capsys.readouterr() == ("", "error: potential violates growth assumptions on "
+                                       "[0, rho]: ['consistency']\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweeps_solves_find_their_checks_kept(tmp_path):
+    # one batch of the ranges not kept yet, before the solves; none is checked again
+    dnls.potentials._KEPT.clear()
+    with mock.patch.object(dnls.potentials, "_check_ranges",
+                           wraps=dnls.potentials._check_ranges) as batch, \
+            mock.patch.object(dnls.potentials, "check_assumptions",
+                              wraps=dnls.potentials.check_assumptions) as one:
+        assert main(["sweep", "--param", "rho", "--values", "0.5,2,3,2.5", "--potential",
+                     "quartic", "--alpha", "1", "--N", "5", "--out", str(tmp_path / "s")]) == 0
+    assert [c.args[1] for c in batch.call_args_list] == [[1.0, 2.0, 3.0, 2.5]]
+    assert one.call_count == 0
 
 
 def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):

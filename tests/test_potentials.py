@@ -4,12 +4,15 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dnls.cli
+import dnls.potentials
 from dnls.potentials import (CATALOG, SLACK, AssumptionReport, Check, Violation,
                              Potential, check_assumptions, exp_quadratic,
                              nonconvex_rational, parse_potential_spec, power_law,
@@ -384,6 +387,86 @@ def test_check_assumptions_matches_the_loop_reference(p, log_x_max, samples):
     pairs = enumerate(zip(got.violations, want.violations))
     assert same, next(((i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
                       (got.grid, len(got.violations), len(want.violations)))
+
+
+# one range's x_max, from below 1e-8 (where the geometric part has no width) to 1e3
+X_MAXES = st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.one_of(st.sampled_from([CATALOG[name]() for name in sorted(CATALOG)] + VIOLATORS),
+                   st.floats(0.05, 6.0).map(lambda eta: parse_potential_spec(f"power:eta={eta}"))),
+       x_maxes=st.lists(X_MAXES, min_size=1, max_size=5).flatmap(
+           lambda xs: st.lists(st.sampled_from(xs), max_size=3).map(lambda dup: xs + dup)
+       ).flatmap(st.permutations),
+       samples=st.integers(2, 600))
+def test_a_batch_gives_each_range_its_reference_report(p, x_maxes, samples):
+    # per range the violations, values and order of the loop, duplicate ranges included
+    got = dnls.potentials._check_ranges(p, x_maxes, samples)
+    assert len(got) == len(x_maxes)
+    for x_max, report in zip(x_maxes, got):
+        assert repr(report) == repr(reference_check_assumptions(p, x_max, samples)), x_max
+
+
+# positive ends: subnormal, around the checks' ranges, and anywhere up to 1e300
+ENDS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-12, 1e3), st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.tuples(ENDS, ENDS), min_size=1, max_size=4),
+       n=st.sampled_from([2, 3, 64, 200, 201, 1000]))
+@example(ends=[(5e-324, 5e-324), (1e-8, 1e-8)], n=200)  # no width, one end subnormal
+@example(ends=[(1e-310, math.nextafter(1e-310, 1.0)), (0.25, 0.25), (3.0, 1.0)], n=64)
+@example(ends=[(5e-324, 1e-322), (1.0, 3.0)], n=201)  # a subnormal width: the step rounds to 0
+def test_the_grid_helpers_match_numpy_bit_for_bit(ends, n):
+    lo, hi = (np.array(side) for side in zip(*ends))
+    geo = dnls.potentials._geomspace(lo, hi, n)
+    lin = dnls.potentials._linspace(lo, hi, np.arange(n, dtype=float))
+    for (a, b), g, l in zip(ends, geo, lin):
+        assert g.tobytes() == np.geomspace(a, b, n).tobytes()
+        assert l.tobytes() == np.linspace(a, b, n).tobytes()
+
+
+def test_a_range_too_small_for_its_difference_points_is_refused_as_before():
+    # 0.05 * x_max rounds to 0: np.geomspace refused that end, and so does the helper
+    with pytest.raises(ValueError, match="^Geometric sequence cannot include zero$"):
+        check_assumptions(quartic(), 1e-323, 400)
+
+
+def test_the_first_failing_range_in_the_given_order_is_refused():
+    # exp-quadratic passes on [0, 2], fails consistency alone on [0, 500], and more on [0, 1000]
+    require = dnls.potentials._require_assumptions
+    require(exp_quadratic(), [2.0])
+    with pytest.raises(ValueError, match=r"\['consistency'\]$"):
+        require(exp_quadratic(), [2.0, 500.0, 1000.0])
+    with pytest.raises(ValueError, match=r"\['consistency', 'normalization'"):
+        require(exp_quadratic(), [2.0, 1000.0, 500.0])
+
+
+def test_ranges_are_checked_in_capped_batches_up_to_the_first_refusal():
+    batch = dnls.potentials._BATCH_RANGES
+    dnls.potentials._KEPT.clear()
+    with mock.patch.object(dnls.potentials, "_check_ranges",
+                           wraps=dnls.potentials._check_ranges) as checker:
+        dnls.potentials._require_assumptions(quartic(), [1.0 + k for k in range(2 * batch + 2)])
+    assert [len(c.args[1]) for c in checker.call_args_list] == [batch, batch, 2]
+    # a range refused in the first batch: the ranges after that batch are never checked
+    with mock.patch.object(dnls.potentials, "_check_ranges",
+                           wraps=dnls.potentials._check_ranges) as checker:
+        with pytest.raises(ValueError):
+            dnls.potentials._require_assumptions(exp_quadratic(),
+                                                 [500.0 + k for k in range(2 * batch)])
+    assert [len(c.args[1]) for c in checker.call_args_list] == [batch]
+
+
+def test_the_kept_verdicts_are_bounded_by_a_sweeps_points():
+    kept, bound = dnls.potentials._KEPT, dnls.potentials._KEPT_RANGES
+    assert bound == dnls.cli._SWEEP_MAX_POINTS
+    kept.clear()
+    ranges = [1.0 + k / 16 for k in range(bound + 100)]
+    dnls.potentials._require_assumptions(quartic(), ranges)
+    assert list(kept) == [(quartic(), x) for x in ranges[100:]]  # the latest, oldest first
+    assert set(kept.values()) == {()}
 
 
 def test_violators_break_what_they_are_named_for():

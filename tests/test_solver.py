@@ -315,7 +315,7 @@ def test_a_refused_potential_is_refused_on_every_call():
 def test_a_potential_is_checked_once_per_range():
     p = quartic()
     cfg = SolverConfig(alpha=1.0, rho=2.0, scheme=ON, n=3)
-    dnls.potentials._kept_report.cache_clear()  # earlier tests checked the catalog too
+    dnls.potentials._KEPT.clear()  # earlier tests checked the catalog too
     with mock.patch.object(dnls.potentials, "check_assumptions", wraps=check_assumptions) as checker:
         solve(cfg, p)
         oracle_maximize(cfg, p, grid_points=11)
@@ -1149,7 +1149,7 @@ def test_pruned_oracle_matches_the_plain_scan(name, scheme, n, alpha, rho, grid_
         if first is not None:
             dims = first[0].size
             g = min(grid_points, 701 ** (2 // dims))
-            grid = dnls.oracle._ratio_grid(np.zeros(dims), np.ones(dims), g, dims)
+            grid = dnls.oracle._ratio_grid(np.zeros(dims), np.ones(dims), g)
             assert same_row(dnls.oracle._global_scan(*grid, cfg, p, cfg.cell()), first)
     assert p_best == p_ref and best.values.tobytes() == v_ref.tobytes()
 
@@ -1336,7 +1336,7 @@ def test_a_two_ratio_grid_of_one_batch_is_scored_whole():
         _, shape, levels, rows, _ = traced_scan(cfg, p, 64)
         assert shape == (64, 64) and len(levels) == 0 and len(rows) == 1
         assert np.array_equal(np.sort(rows[0]), np.arange(64**2))
-        grid = dnls.oracle._ratio_grid(np.zeros(2), np.ones(2), 64, 2)
+        grid = dnls.oracle._ratio_grid(np.zeros(2), np.ones(2), 64)
         first, _ = plain_scan(np.zeros(2), np.ones(2), 64, cfg, p, (None, -math.inf, None),
                               level_energies)
         assert same_row(dnls.oracle._global_scan(*grid, cfg, p, cfg.cell()), first)
@@ -1353,10 +1353,10 @@ def test_a_two_ratio_grid_of_one_batch_is_scored_whole():
 def test_cached_grids_match_linspace(lo, hi, n):
     lo, hi = min(lo, hi), max(lo, hi)
     # the second ratio has no width: a 2-D linspace would round the first differently
-    got = dnls.oracle._ratio_grid(np.array([lo, hi]), np.array([hi, hi]), n, 2)
+    got = dnls.oracle._ratio_grid(np.array([lo, hi]), np.array([hi, hi]), n)
     for r, (a, b) in zip(got, [(lo, hi), (hi, hi)]):
         assert r.tobytes() == np.linspace(np.float64(a), np.float64(b), n).tobytes()
-    r1, r2 = dnls.oracle._ratio_grid(np.array([lo]), np.array([hi]), n, 1)
+    r1, r2 = dnls.oracle._ratio_grid(np.array([lo]), np.array([hi]), n)
     assert r1.tobytes() == got[0].tobytes() and r2.tolist() == [1.0]
     assert not r2.flags.writeable and not dnls.oracle._steps(n).flags.writeable
 
