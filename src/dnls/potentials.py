@@ -338,9 +338,9 @@ def _check_ranges(p: Potential, x_maxes, samples: int) -> list:
 
 
 # the verdicts of the latest checked (potential, range) pairs, oldest first, as many
-# as a sweep has points (cli._SWEEP_MAX_POINTS): each the sorted names of the checks
-# that the range failed, empty when it passed; 1,000 of them hold about 0.1 MB. The
-# ranges checked in one batch at most: 16 take about 0.3 MB at once
+# as a sweep may have points (cli._SWEEP_MAX_POINTS is this bound): each the sorted
+# names of the checks that the range failed, empty when it passed; 1,000 of them hold
+# about 0.1 MB. The ranges checked in one batch at most: 16 take about 0.3 MB at once
 _KEPT = {}
 _KEPT_RANGES = 1000
 _BATCH_RANGES = 16

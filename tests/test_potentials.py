@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import dnls.cli
 import dnls.potentials
 from dnls.potentials import (CATALOG, SLACK, AssumptionReport, Check, Violation,
                              Potential, check_assumptions, exp_quadratic,
@@ -374,38 +373,29 @@ VIOLATORS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=st.one_of(st.sampled_from([CATALOG[name]() for name in sorted(CATALOG)] + VIOLATORS),
-                   st.floats(0.05, 6.0).map(lambda eta: parse_potential_spec(f"power:eta={eta}"))),
-       log_x_max=st.floats(-9.0, 3.0), samples=st.integers(2, 2000))
-def test_check_assumptions_matches_the_loop_reference(p, log_x_max, samples):
-    # the same violations, values and order, nan and inf included
-    x_max = 10.0**log_x_max
-    got = check_assumptions(p, x_max, samples)
-    want = reference_check_assumptions(p, x_max, samples)
-    same = repr(got) == repr(want)  # a diff of two long reprs would take minutes
-    pairs = enumerate(zip(got.violations, want.violations))
-    assert same, next(((i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
-                      (got.grid, len(got.violations), len(want.violations)))
-
-
 # one range's x_max, from below 1e-8 (where the geometric part has no width) to 1e3
 X_MAXES = st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(p=st.one_of(st.sampled_from([CATALOG[name]() for name in sorted(CATALOG)] + VIOLATORS),
                    st.floats(0.05, 6.0).map(lambda eta: parse_potential_spec(f"power:eta={eta}"))),
-       x_maxes=st.lists(X_MAXES, min_size=1, max_size=5).flatmap(
-           lambda xs: st.lists(st.sampled_from(xs), max_size=3).map(lambda dup: xs + dup)
+       x_maxes=st.lists(X_MAXES, min_size=1, max_size=4).flatmap(
+           lambda xs: st.lists(st.sampled_from(xs), max_size=2).map(lambda dup: xs + dup)
        ).flatmap(st.permutations),
-       samples=st.integers(2, 600))
-def test_a_batch_gives_each_range_its_reference_report(p, x_maxes, samples):
-    # per range the violations, values and order of the loop, duplicate ranges included
+       samples=st.integers(2, 2000))
+def test_check_assumptions_matches_the_loop_reference(p, x_maxes, samples):
+    # per range of a batch, duplicates included, the violations, values and order of
+    # the loop, nan and inf included; a batch of one is check_assumptions itself
     got = dnls.potentials._check_ranges(p, x_maxes, samples)
     assert len(got) == len(x_maxes)
+    want = {x_max: reference_check_assumptions(p, x_max, samples) for x_max in x_maxes}
     for x_max, report in zip(x_maxes, got):
-        assert repr(report) == repr(reference_check_assumptions(p, x_max, samples)), x_max
+        same = repr(report) == repr(want[x_max])  # a diff of two long reprs takes minutes
+        pairs = enumerate(zip(report.violations, want[x_max].violations))
+        assert same, next(((x_max, i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
+                          (x_max, report.grid, len(report.violations),
+                           len(want[x_max].violations)))
 
 
 # positive ends: subnormal, around the checks' ranges, and anywhere up to 1e300
@@ -461,7 +451,6 @@ def test_ranges_are_checked_in_capped_batches_up_to_the_first_refusal():
 
 def test_the_kept_verdicts_are_bounded_by_a_sweeps_points():
     kept, bound = dnls.potentials._KEPT, dnls.potentials._KEPT_RANGES
-    assert bound == dnls.cli._SWEEP_MAX_POINTS
     kept.clear()
     ranges = [1.0 + k / 16 for k in range(bound + 100)]
     dnls.potentials._require_assumptions(quartic(), ranges)
