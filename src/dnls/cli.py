@@ -23,14 +23,14 @@ from . import __version__
 from .evolution import _equilibrium_steps, relative_equilibrium_check
 from .functionals import participation_ratio
 from .lattice import _index_labels, _whole, _write_csv, profile_to_csv
-from .potentials import (_KEPT_RANGES, Potential, _require_assumptions,
-                         check_assumptions, parse_potential_spec)
+from .potentials import (Potential, _require_assumptions, check_assumptions,
+                         parse_potential_spec)
 from .oracle import _ORACLE_GRID_POINTS, oracle_maximize
 from .solver import SolverConfig, homoclinic, solve
 
 USAGE_ERROR = 1
 OPERATIONAL_ERROR = 2
-_SWEEP_MAX_POINTS = _KEPT_RANGES  # each point's verdict stays kept for its solve
+_SWEEP_MAX_POINTS = 1000
 _EVOLVE_MAX_SITE_STEPS = 10**7
 
 

@@ -214,7 +214,8 @@ def oracle_maximize(cfg: SolverConfig, p: Potential, grid_points: int = _ORACLE_
     whole, unbounded. The answer is the plain scan's bit for bit, ties
     included, and only the best row is expanded to the sites.
     The bound needs psi non-decreasing, so a potential that fails
-    ``check_assumptions`` on [0, max(rho, 1)] is refused, as ``solve`` refuses it.
+    ``check_assumptions`` on [0, x], x the least power of two at or above
+    max(rho, 1), is refused, as ``solve`` refuses it, and a solve's check serves it.
     A local zoom then rescans windows of +-2 spacings around the best point,
     41 samples per ratio. It stops after the first window whose energies
     agree to rounding (a spread of at most ``_ORACLE_ZOOM_RESOLUTION``, 8 eps,

@@ -14,6 +14,7 @@ numerically by ``check_assumptions``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -180,13 +181,11 @@ class AssumptionReport(_Record):
 
 # absolute slack on inequality checks; roundoff in psi/dpsi stays well below
 SLACK = 1e-12
-# points of the finite-difference consistency check of each range
-_FD_POINTS = 64
 
 
 def _linspace(lo, hi, k):
-    """np.linspace(lo[i], hi[i], n) bit for bit as row i, for 1-D float arrays lo and hi
-    and the steps k = np.arange(n, dtype=float), n >= 2: its arithmetic, k*step + lo
+    """np.linspace(lo[i], hi[i], n) bit for bit as row i, for 1-D float sequences lo and
+    hi and the steps k = np.arange(n, dtype=float), n >= 2: its arithmetic, k*step + lo
     (k/(n-1)*(hi-lo) + lo in a row whose step rounds to 0), and the last point hi."""
     n, rows = k.size, []
     # per row: a 2-D linspace rounds every row the second way once one has no width
@@ -201,16 +200,12 @@ def _linspace(lo, hi, k):
 
 
 def _geomspace(lo, hi, n):
-    """np.geomspace(lo[i], hi[i], n) bit for bit as row i, for 1-D arrays of positive lo
-    and hi and n >= 2: 10 to the power of the linspace of their log10, with lo and hi at
-    the ends; a zero end is refused as np.geomspace refuses it."""
-    if not (lo > 0.0).all():
-        raise ValueError("Geometric sequence cannot include zero")
-    rows = _linspace(np.log10(lo), np.log10(hi), np.arange(n, dtype=float))
-    for row, a, b in zip(rows, lo, hi):
-        np.power(10.0, row, out=row)
-        row[0], row[-1] = a, b
-    return rows
+    """np.geomspace(lo, hi, n) bit for bit for positive floats lo and hi and n >= 2: 10 to
+    the power of the linspace of their log10, with lo and hi at the ends."""
+    row, = _linspace(np.log10([lo]), np.log10([hi]), np.arange(n, dtype=float))
+    np.power(10.0, row, out=row)
+    row[0], row[-1] = lo, hi
+    return row
 
 
 def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionReport:
@@ -224,46 +219,33 @@ def check_assumptions(p: Potential, x_max: float, samples: int) -> AssumptionRep
     violations in that order; then the degeneracy at x_max when no sample is
     measurably positive; then each failing consistency point in increasing x.
 
-    Raises ``ValueError`` for an x_max that is not finite and positive, fewer
-    than 2 samples, or a psi or dpsi that does not return one value per
-    sample.
+    Raises ``ValueError`` for an x_max that is not finite and positive or is
+    below 5e-323 (its finite-difference points from 0.05 * x_max would round
+    to 0), fewer than 2 samples, or a psi or dpsi that does not return one
+    value per sample.
     """
-    return _check_ranges(p, [x_max], samples)[0]
-
-
-def _check_ranges(p: Potential, x_maxes, samples: int) -> list:
-    """``check_assumptions`` on each range (0, x_max] of ``x_maxes``, one report per range.
-
-    psi and dpsi are called once at 0 and once per kind of sample for all ranges
-    together: on the grids, and at and beside the finite-difference points; the
-    masks then run per range. A psi or dpsi that does not return one value per
-    sample is refused with the batch's count.
-    """
-    for x_max in x_maxes:
-        if not 0 < x_max < np.inf:
-            raise ValueError(f"x_max must be positive and finite, not {x_max}")
+    if not 0 < x_max < np.inf:
+        raise ValueError(f"x_max must be positive and finite, not {x_max}")
+    if not 0.05 * x_max:
+        raise ValueError(f"x_max must be at least 5e-323, where its finite-difference "
+                         f"points from 0.05 * x_max are positive, not {x_max}")
     if operator.index(samples) < 2:
         raise ValueError("samples must be at least 2")
-    tops = np.array(x_maxes, dtype=float)
 
     n_geo = samples // 2
     n_lin = samples - n_geo
-    geo_los = np.minimum(1e-8, tops)
+    geo_lo = min(1e-8, x_max)
     # fresh steps, not the oracle's kept ones: an array kept from inside the check
     # would pin the heap above its temporaries (a 128 kB step of peak RSS on ladder)
-    lin = _linspace(tops / n_lin, tops, np.arange(max(n_lin, 2), dtype=float))
-    grids = []
-    for geo_row, lin_row in zip(_geomspace(geo_los, tops, max(n_geo, 2)), lin):
-        # np.unique's sort-and-dedupe, spelled out: np.unique imports numpy.ma on
-        # first use (about 20 ms), which no other line of the package needs
-        xs = np.sort(np.concatenate([geo_row, lin_row]))
-        grids.append(xs[np.concatenate(([True], xs[1:] != xs[:-1]))])
-    xs_all = np.concatenate(grids)  # every range's samples, one range after the other
-    fd_xs = np.concatenate(_geomspace(0.05 * tops, tops, _FD_POINTS))
-    found = [[] for _ in x_maxes]  # each range's violations
+    lin, = _linspace([x_max / n_lin], [x_max], np.arange(max(n_lin, 2), dtype=float))
+    # np.unique's sort-and-dedupe, spelled out: np.unique imports numpy.ma on
+    # first use (about 20 ms), which no other line of the package needs
+    xs = np.sort(np.concatenate([_geomspace(geo_lo, x_max, max(n_geo, 2)), lin]))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    violations = []
 
-    def bad(r, x, check, lhs, rhs):
-        found[r].append(Violation(float(x), check, float(lhs), float(rhs)))
+    def bad(x, check, lhs, rhs):
+        violations.append(Violation(float(x), check, float(lhs), float(rhs)))
 
     def one_per_sample(out, name, at):
         if out.shape != at.shape:
@@ -282,103 +264,100 @@ def _check_ranges(p: Potential, x_maxes, samples: int) -> list:
         dpsi0 = np.asarray(p.dpsi(zero), dtype=float)
     except (ArithmeticError, ValueError):
         psi0 = dpsi0 = np.asarray(np.nan)
-    psi0 = float(one_per_sample(psi0, "psi", zero))
-    dpsi0 = float(one_per_sample(dpsi0, "dpsi", zero))
+    for value in (one_per_sample(psi0, "psi", zero), one_per_sample(dpsi0, "dpsi", zero)):
+        if not np.isfinite(value) or abs(value) > SLACK:
+            bad(0.0, Check.NORMALIZATION, value, 0.0)
 
     with np.errstate(all="ignore"):
-        psi_all = values(p.psi, "psi", xs_all)
-        dpsi_all = values(p.dpsi, "dpsi", xs_all)
+        psi_vals = values(p.psi, "psi", xs)
+        dpsi_vals = values(p.dpsi, "dpsi", xs)
+
+        # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
+        # decidable degeneracy exactly when it sits above a measurably positive
+        # one (well clear of the rounding noise of O(x) intermediates) or at x_max;
+        # near zero a very flat psi rounds to 0.0 and positivity is unknowable
+        noise = 8.0 * np.finfo(float).eps * xs
+        positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
+        first_positive = xs[positive[0]] if positive.size else np.inf
+
+        finite = np.isfinite(psi_vals) & np.isfinite(dpsi_vals)
+        x_dpsi = xs * dpsi_vals
+        negative = psi_vals < -SLACK
+        sublinear = x_dpsi - psi_vals < -SLACK
+        degenerate = (psi_vals <= 0.0) & (xs > first_positive)
+    for i in np.flatnonzero(~finite | negative | sublinear | degenerate):
+        x, ps, dps = xs[i], psi_vals[i], dpsi_vals[i]
+        if not finite[i]:
+            bad(x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
+            continue
+        if negative[i]:
+            bad(x, Check.NON_NEGATIVITY, ps, 0.0)
+        if sublinear[i]:
+            bad(x, Check.SUPER_LINEARITY, x_dpsi[i], ps)
+        if degenerate[i]:
+            bad(x, Check.NON_DEGENERACY, ps, 0.0)
+    if not positive.size and not psi_vals[-1] > 0.0:
+        bad(x_max, Check.NON_DEGENERACY, psi_vals[-1], 0.0)
+
+    fd_xs = _geomspace(0.05 * x_max, x_max, 64)
+    with np.errstate(all="ignore"):
         h = 6e-6 * fd_xs
         fd = (values(p.psi, "psi", fd_xs + h) - values(p.psi, "psi", fd_xs - h)) / (2.0 * h)
         exact = values(p.dpsi, "dpsi", fd_xs)
         rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-300)
-    start = 0
-    for r, (xs, x_max) in enumerate(zip(grids, x_maxes)):
-        psi_vals, dpsi_vals = psi_all[start:start + xs.size], dpsi_all[start:start + xs.size]
-        start += xs.size
-        for value in (psi0, dpsi0):
-            if not np.isfinite(value) or abs(value) > SLACK:
-                bad(r, 0.0, Check.NORMALIZATION, value, 0.0)
-
-        with np.errstate(all="ignore"):
-            # super-linearity makes {psi > 0} an up-set, so a vanishing value is a
-            # decidable degeneracy exactly when it sits above a measurably positive
-            # one (well clear of the rounding noise of O(x) intermediates) or at x_max;
-            # near zero a very flat psi rounds to 0.0 and positivity is unknowable
-            noise = 8.0 * np.finfo(float).eps * xs
-            positive = np.flatnonzero(np.isfinite(psi_vals) & (psi_vals > noise))
-            first_positive = xs[positive[0]] if positive.size else np.inf
-
-            finite = np.isfinite(psi_vals) & np.isfinite(dpsi_vals)
-            x_dpsi = xs * dpsi_vals
-            negative = psi_vals < -SLACK
-            sublinear = x_dpsi - psi_vals < -SLACK
-            degenerate = (psi_vals <= 0.0) & (xs > first_positive)
-        for i in np.flatnonzero(~finite | negative | sublinear | degenerate):
-            x, ps, dps = xs[i], psi_vals[i], dpsi_vals[i]
-            if not finite[i]:
-                bad(r, x, Check.NORMALIZATION, ps if np.isfinite(dps) else dps, 0.0)
-                continue
-            if negative[i]:
-                bad(r, x, Check.NON_NEGATIVITY, ps, 0.0)
-            if sublinear[i]:
-                bad(r, x, Check.SUPER_LINEARITY, x_dpsi[i], ps)
-            if degenerate[i]:
-                bad(r, x, Check.NON_DEGENERACY, ps, 0.0)
-        if not positive.size and not psi_vals[-1] > 0.0:
-            bad(r, x_max, Check.NON_DEGENERACY, psi_vals[-1], 0.0)
     for i in np.flatnonzero(~np.isfinite(rel) | (rel > 1e-6)):
-        bad(i // _FD_POINTS, fd_xs[i], Check.CONSISTENCY, fd[i], exact[i])
+        bad(fd_xs[i], Check.CONSISTENCY, fd[i], exact[i])
 
-    return [AssumptionReport(passed=not violations, violations=violations,
-                             grid=f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} "
-                                  f"points; fd check on [{0.05 * x_max:g}, {x_max:g}]")
-            for violations, geo_lo, x_max, xs in zip(found, geo_los.tolist(), tops.tolist(),
-                                                     grids)]
+    grid = (f"geometric {geo_lo:g}..{x_max:g} plus uniform, {xs.size} points; "
+            f"fd check on [{0.05 * x_max:g}, {x_max:g}]")
+    return AssumptionReport(passed=not violations, violations=violations, grid=grid)
 
 
-# the verdicts of the latest checked (potential, range) pairs, oldest first, as many
-# as a sweep may have points (cli._SWEEP_MAX_POINTS is this bound): each the sorted
-# names of the checks that the range failed, empty when it passed; 1,000 of them hold
-# about 0.1 MB. The ranges checked in one batch at most: 16 take about 0.3 MB at once
+# the verdicts of the latest checked (potential, x) pairs, oldest first: each the sorted
+# names of the checks that (0, x] failed, empty when it passed. A command needs one x
+# per octave of rho that it spans, so 64 keep a sweep of rho up to 2^63 whole
 _KEPT = {}
-_KEPT_RANGES = 1000
-_BATCH_RANGES = 16
+_KEPT_RANGES = 64
+
+
+def _range_top(rho: float) -> float:
+    """The x of ``_require_assumptions`` for rho: the least power of two at or above
+    max(rho, 1), or the largest float for a rho above 2^1023."""
+    m, e = math.frexp(max(rho, 1.0))
+    e -= m == 0.5  # a power of two is its own top
+    return math.ldexp(1.0, e) if e < 1024 else math.nextafter(math.inf, 0.0)
 
 
 def _require_assumptions(p: Potential, rhos) -> None:
-    """Refuse a potential that fails ``check_assumptions`` on [0, max(rho, 1)] for a rho
-    of ``rhos``: the first failing range in their order.
+    """Refuse a potential that fails ``check_assumptions`` on [0, x] for the x of a rho
+    of ``rhos`` (``_range_top``): the first failing x in their order.
 
-    ``solve`` and ``oracle_maximize`` rest on the assumptions: the ascent on the
-    super-linearity, the oracle's box bound on psi being non-decreasing. ``sweep``
-    passes all its points before its first solve. The ranges whose verdict is not
-    kept are checked in batches of up to 16 (``_check_ranges``); a range alone goes
-    through ``check_assumptions``. The verdicts of the last 1,000 (potential, range)
-    pairs are kept, so the solves of a sweep, and an oracle call after its solve,
-    check nothing again, and every instance of a catalog entry shares one verdict; a
-    refused potential is refused on every call. A potential with an unhashable
-    callback is checked afresh each time.
+    Every rho of one octave, between two consecutive powers of two, shares one x,
+    and every u_j^2 of a wave at rho is at most rho <= x. ``solve`` and
+    ``oracle_maximize`` rest on the assumptions: the ascent on the super-linearity,
+    the oracle's box bound on psi being non-decreasing. ``sweep`` passes all its
+    points before its first solve. Each distinct x whose verdict is not kept goes
+    through ``check_assumptions``, in order, up to the first refusal. The verdicts
+    of the last ``_KEPT_RANGES`` (potential, x) pairs are kept, so the solves of a
+    sweep, and an oracle call after its solve, check nothing again, and every
+    instance of a catalog entry shares one verdict; a refused potential is refused
+    on every call. A potential with an unhashable callback is checked afresh each
+    time.
     """
-    verdicts = dict.fromkeys(max(rho, 1.0) for rho in rhos)
     try:
-        verdicts = {x: _KEPT.get((p, x)) for x in verdicts}
+        hash(p)
         keep = True
     except TypeError:  # an unhashable callback gives no key
         keep = False
-    for x, verdict in verdicts.items():
+    for x in dict.fromkeys(map(_range_top, rhos)):
+        verdict = _KEPT.get((p, x)) if keep else None
         if verdict is None:
-            batch = [y for y, v in verdicts.items() if v is None][:_BATCH_RANGES]
-            # one range goes through the public check, whose calls a traced run counts
-            reports = (_check_ranges(p, batch, 400) if len(batch) > 1
-                       else [check_assumptions(p, x_max=x, samples=400)])
-            for y, report in zip(batch, reports):
-                verdicts[y] = tuple(sorted({v.check.value for v in report.violations}))
-                if keep:
-                    _KEPT[p, y] = verdicts[y]
-            for _ in range(len(_KEPT) - _KEPT_RANGES):
-                del _KEPT[next(iter(_KEPT))]
-            verdict = verdicts[x]
+            report = check_assumptions(p, x_max=x, samples=400)
+            verdict = tuple(sorted({v.check.value for v in report.violations}))
+            if keep:
+                _KEPT[p, x] = verdict
+                if len(_KEPT) > _KEPT_RANGES:
+                    del _KEPT[next(iter(_KEPT))]
         if verdict:
-            raise ValueError("potential violates growth assumptions on [0, rho]: "
+            raise ValueError(f"potential violates growth assumptions on [0, {x:.17g}]: "
                              f"{list(verdict)}")

@@ -347,7 +347,9 @@ def solve(cfg: SolverConfig, p: Potential) -> WaveSolution:
     the only even profile). Otherwise the run is repeated once from its end
     point kicked along that mode, and the higher-energy outcome is kept with
     its own stop reason.
-    Non-convergence is reported through the returned flags, not raised.
+    Non-convergence is reported through the returned flags, not raised; a
+    potential that fails ``check_assumptions`` on [0, x], x the least power of
+    two at or above max(rho, 1), is refused before any work.
     """
     cfg.validate()
     _require_assumptions(p, [cfg.rho])

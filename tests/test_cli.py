@@ -255,21 +255,30 @@ def test_sweep_checks_every_points_potential_before_the_first_solve(tmp_path, ca
                      "exp-quadratic", "--alpha", "1", "--N", "41", "--out", str(tmp_path / "s")])
     assert code == 1 and run.call_count == 0
     assert capsys.readouterr() == ("", "error: potential violates growth assumptions on "
-                                       "[0, rho]: ['consistency']\n")
+                                       "[0, 512]: ['consistency']\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_a_sweeps_solves_find_their_checks_kept(tmp_path):
-    # one batch of the ranges not kept yet, before the solves; none is checked again
+    # the README sweep, rho 2.0 ... 3.0, spans two octaves: [0, 2] and [0, 4] are checked
+    # before the first ascent, and its eleven solves check nothing again
     dnls.potentials._KEPT.clear()
-    with mock.patch.object(dnls.potentials, "_check_ranges",
-                           wraps=dnls.potentials._check_ranges) as batch, \
-            mock.patch.object(dnls.potentials, "check_assumptions",
-                              wraps=dnls.potentials.check_assumptions) as one:
-        assert main(["sweep", "--param", "rho", "--values", "0.5,2,3,2.5", "--potential",
-                     "quartic", "--alpha", "1", "--N", "5", "--out", str(tmp_path / "s")]) == 0
-    assert [c.args[1] for c in batch.call_args_list] == [[1.0, 2.0, 3.0, 2.5]]
-    assert one.call_count == 0
+    events, check, run = [], dnls.potentials.check_assumptions, dnls.solver._run
+
+    def checked(p, x_max, samples):
+        events.append(x_max)
+        return check(p, x_max=x_max, samples=samples)
+
+    def ran(*args):
+        events.append("run")
+        return run(*args)
+
+    with mock.patch.object(dnls.potentials, "check_assumptions", side_effect=checked), \
+            mock.patch.object(dnls.solver, "_run", side_effect=ran):
+        assert main(["sweep", "--param", "rho", "--from", "2.0", "--to", "3.0", "--step", "0.1",
+                     "--potential", "exp-quadratic", "--alpha", "1", "--N", "41",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert events[:3] == [2.0, 4.0, "run"] and set(events[2:]) == {"run"}
 
 
 def test_sweep_refuses_fractional_cell_sizes(tmp_path, capsys):

@@ -380,22 +380,15 @@ X_MAXES = st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=300, deadline=None)
 @given(p=st.one_of(st.sampled_from([CATALOG[name]() for name in sorted(CATALOG)] + VIOLATORS),
                    st.floats(0.05, 6.0).map(lambda eta: parse_potential_spec(f"power:eta={eta}"))),
-       x_maxes=st.lists(X_MAXES, min_size=1, max_size=4).flatmap(
-           lambda xs: st.lists(st.sampled_from(xs), max_size=2).map(lambda dup: xs + dup)
-       ).flatmap(st.permutations),
-       samples=st.integers(2, 2000))
-def test_check_assumptions_matches_the_loop_reference(p, x_maxes, samples):
-    # per range of a batch, duplicates included, the violations, values and order of
-    # the loop, nan and inf included; a batch of one is check_assumptions itself
-    got = dnls.potentials._check_ranges(p, x_maxes, samples)
-    assert len(got) == len(x_maxes)
-    want = {x_max: reference_check_assumptions(p, x_max, samples) for x_max in x_maxes}
-    for x_max, report in zip(x_maxes, got):
-        same = repr(report) == repr(want[x_max])  # a diff of two long reprs takes minutes
-        pairs = enumerate(zip(report.violations, want[x_max].violations))
-        assert same, next(((x_max, i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
-                          (x_max, report.grid, len(report.violations),
-                           len(want[x_max].violations)))
+       x_max=X_MAXES, samples=st.integers(2, 2000))
+def test_check_assumptions_matches_the_loop_reference(p, x_max, samples):
+    # the violations, values and order of the loop, nan and inf included
+    got = check_assumptions(p, x_max, samples)
+    want = reference_check_assumptions(p, x_max, samples)
+    same = repr(got) == repr(want)  # a diff of two long reprs takes minutes
+    pairs = enumerate(zip(got.violations, want.violations))
+    assert same, next(((i, a, b) for i, (a, b) in pairs if repr(a) != repr(b)),
+                      (got.grid, len(got.violations), len(want.violations)))
 
 
 # positive ends: subnormal, around the checks' ranges, and anywhere up to 1e300
@@ -409,52 +402,103 @@ ENDS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-12, 1e3), st.floats(5e-
 @example(ends=[(1e-310, math.nextafter(1e-310, 1.0)), (0.25, 0.25), (3.0, 1.0)], n=64)
 @example(ends=[(5e-324, 1e-322), (1.0, 3.0)], n=201)  # a subnormal width: the step rounds to 0
 def test_the_grid_helpers_match_numpy_bit_for_bit(ends, n):
+    # _linspace per row of a batch, _geomspace per pair of ends
     lo, hi = (np.array(side) for side in zip(*ends))
-    geo = dnls.potentials._geomspace(lo, hi, n)
     lin = dnls.potentials._linspace(lo, hi, np.arange(n, dtype=float))
-    for (a, b), g, l in zip(ends, geo, lin):
-        assert g.tobytes() == np.geomspace(a, b, n).tobytes()
+    for (a, b), l in zip(ends, lin):
+        assert dnls.potentials._geomspace(a, b, n).tobytes() == np.geomspace(a, b, n).tobytes()
         assert l.tobytes() == np.linspace(a, b, n).tobytes()
 
 
 def test_a_range_too_small_for_its_difference_points_is_refused_as_before():
-    # 0.05 * x_max rounds to 0: np.geomspace refused that end, and so does the helper
-    with pytest.raises(ValueError, match="^Geometric sequence cannot include zero$"):
-        check_assumptions(quartic(), 1e-323, 400)
+    # below 5e-323, 0.05 * x_max rounds to 0: refused by name before any grid is built
+    assert check_assumptions(quartic(), 5e-323, 400).grid.endswith("[4.94066e-324, 4.94066e-323]")
+    with mock.patch.object(dnls.potentials, "_linspace", side_effect=AssertionError("grid")):
+        for x_max in (math.nextafter(5e-323, 0.0), 1e-323, 5e-324):
+            with pytest.raises(ValueError, match=r"^x_max must be at least 5e-323, where its "
+                                                 r"finite-difference points from 0\.05 \* "
+                                                 rf"x_max are positive, not {x_max}$"):
+                check_assumptions(quartic(), x_max, 400)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rho=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 1e3),
+                     st.floats(1.0, sys.float_info.max),
+                     st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))))
+@example(rho=2.0 ** 1023)
+@example(rho=math.nextafter(2.0 ** 1023, math.inf))
+@example(rho=math.nextafter(2.0, math.inf))
+@example(rho=math.nextafter(1.0, 0.0))
+def test_a_rho_is_checked_up_to_the_power_of_two_of_its_octave(rho):
+    x, top = dnls.potentials._range_top(rho), max(rho, 1.0)
+    if top > 2.0 ** 1023:  # no power of two above it is a float
+        assert x == sys.float_info.max
+        return
+    power = math.frexp(top)[0] == 0.5
+    assert math.frexp(x)[0] == 0.5 and top <= x < 2.0 * top  # an exact power of two
+    assert (x == top) == power
+
+
+def reference_require(p, rhos):
+    """The loop of ``_require_assumptions`` with nothing kept: the x checked in their
+    order, each the least power of two at or above max(rho, 1) and checked once, and
+    the message of the first refusal (None when every x passes)."""
+    xs = []
+    for rho in rhos:
+        x = 1.0
+        while x < rho:
+            x *= 2.0
+        if x in xs:
+            continue
+        xs.append(x)
+        failed = sorted({v.check.value for v in check_assumptions(p, x, 400).violations})
+        if failed:
+            return xs, f"potential violates growth assumptions on [0, {x:.17g}]: {failed}"
+    return xs, None
+
+
+def required(p, rhos):
+    """The x_max of each check made by ``_require_assumptions(p, rhos)``, and the
+    message of its refusal (None when it passes)."""
+    with mock.patch.object(dnls.potentials, "check_assumptions",
+                           wraps=check_assumptions) as checker:
+        try:
+            dnls.potentials._require_assumptions(p, rhos)
+            message = None
+        except ValueError as err:
+            message = str(err)
+    return [c.kwargs["x_max"] for c in checker.call_args_list], message
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([quartic(), saturable_log(), exp_quadratic(), *VIOLATORS[:3]]),
+       rhos=st.lists(st.one_of(st.floats(1e-3, 1200.0), st.sampled_from([1.0, 2.0, 512.0])),
+                     min_size=1, max_size=8))
+def test_require_assumptions_matches_the_loop_reference(p, rhos):
+    # one check per distinct x in first-seen order, none after the first refusal;
+    # called again, it checks nothing and refuses alike
+    dnls.potentials._KEPT.clear()
+    xs, message = required(p, rhos)
+    assert (xs, message) == reference_require(p, rhos)
+    assert required(p, rhos) == ([], message)
 
 
 def test_the_first_failing_range_in_the_given_order_is_refused():
-    # exp-quadratic passes on [0, 2], fails consistency alone on [0, 500], and more on [0, 1000]
+    # exp-quadratic passes on [0, 2], fails consistency alone on [0, 512], and more on [0, 1024]
     require = dnls.potentials._require_assumptions
     require(exp_quadratic(), [2.0])
-    with pytest.raises(ValueError, match=r"\['consistency'\]$"):
+    with pytest.raises(ValueError, match=r"on \[0, 512\]: \['consistency'\]$"):
         require(exp_quadratic(), [2.0, 500.0, 1000.0])
-    with pytest.raises(ValueError, match=r"\['consistency', 'normalization'"):
+    with pytest.raises(ValueError, match=r"on \[0, 1024\]: \['consistency', 'normalization'"):
         require(exp_quadratic(), [2.0, 1000.0, 500.0])
 
 
-def test_ranges_are_checked_in_capped_batches_up_to_the_first_refusal():
-    batch = dnls.potentials._BATCH_RANGES
-    dnls.potentials._KEPT.clear()
-    with mock.patch.object(dnls.potentials, "_check_ranges",
-                           wraps=dnls.potentials._check_ranges) as checker:
-        dnls.potentials._require_assumptions(quartic(), [1.0 + k for k in range(2 * batch + 2)])
-    assert [len(c.args[1]) for c in checker.call_args_list] == [batch, batch, 2]
-    # a range refused in the first batch: the ranges after that batch are never checked
-    with mock.patch.object(dnls.potentials, "_check_ranges",
-                           wraps=dnls.potentials._check_ranges) as checker:
-        with pytest.raises(ValueError):
-            dnls.potentials._require_assumptions(exp_quadratic(),
-                                                 [500.0 + k for k in range(2 * batch)])
-    assert [len(c.args[1]) for c in checker.call_args_list] == [batch]
-
-
-def test_the_kept_verdicts_are_bounded_by_a_sweeps_points():
+def test_the_kept_verdicts_are_bounded():
     kept, bound = dnls.potentials._KEPT, dnls.potentials._KEPT_RANGES
     kept.clear()
-    ranges = [1.0 + k / 16 for k in range(bound + 100)]
-    dnls.potentials._require_assumptions(quartic(), ranges)
-    assert list(kept) == [(quartic(), x) for x in ranges[100:]]  # the latest, oldest first
+    xs = [2.0 ** k for k in range(bound + 10)]
+    dnls.potentials._require_assumptions(quartic(), xs)
+    assert list(kept) == [(quartic(), x) for x in xs[10:]]  # the latest, oldest first
     assert set(kept.values()) == {()}
 
 

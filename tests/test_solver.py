@@ -323,8 +323,20 @@ def test_a_potential_is_checked_once_per_range():
         solve(cfg, quartic())  # a catalog entry is a value: every instance shares its check
         # a hand-built potential has new callbacks: checked anew
         solve(cfg, Potential("quartic", lambda x: x**4, lambda x: 4.0 * x**3))
-    assert [c.kwargs["x_max"] for c in checker.call_args_list] == [2.0, 3.0, 2.0]
+    # rho = 3 is checked on the range of its octave, [0, 4]
+    assert [c.kwargs["x_max"] for c in checker.call_args_list] == [2.0, 4.0, 2.0]
     assert quartic() == quartic() and hash(quartic()) == hash(quartic())
+
+
+def test_a_solve_is_checked_up_to_the_power_of_two_above_rho():
+    # exp-quadratic passes the check up to x_max of about 408: rho = 256 is checked on
+    # [0, 256] and solves, rho = 257 on [0, 512] and is refused before any ascent
+    cfg = SolverConfig(alpha=1.0, rho=256.0, scheme=ON, n=5)
+    assert solve(cfg, exp_quadratic()).converged
+    with mock.patch.object(dnls.solver, "_run", side_effect=AssertionError("ascent")):
+        with pytest.raises(ValueError, match=r"^potential violates growth assumptions on "
+                                             r"\[0, 512\]: \['consistency'\]$"):
+            solve(replace(cfg, rho=257.0), exp_quadratic())
 
 
 def test_a_potential_with_unhashable_callbacks_is_checked_each_time():

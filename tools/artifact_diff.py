@@ -47,6 +47,7 @@ REFUSALS = [shlex.split(argv) for argv in (
     "sweep --param rho --rho 5 --values 2,3 --potential quartic --alpha 1",
     "sweep --param N --values 9.4,17 --potential quartic --alpha 1 --rho 2",
     "sweep --param rho --values 2,2.5,3,500 --potential exp-quadratic --alpha 1 --N 41",
+    "check-potential --potential quartic --x-max 1e-323",
 )]
 
 # a command's flags that are required, then a bad value of one of its flags
